@@ -7,8 +7,6 @@ from .chain import (
     FactorChain,
     RefinedOperator,
     RefinementInfo,
-    apply_factor,
-    apply_factor_transpose,
     build_chain,
     chain_length_bound,
     chain_operator,

@@ -362,14 +362,6 @@ def chain_operator(split: Splitting, chain: FactorChain) -> ChainOperator:
     return ChainOperator(chain, out_scale=split.c ** (-chain.p / 2.0))
 
 
-def apply_factor(op, v: np.ndarray) -> np.ndarray:
-    return op.apply(v)
-
-
-def apply_factor_transpose(op, v: np.ndarray) -> np.ndarray:
-    return op.apply_transpose(v)
-
-
 def refine_inverse_factor(m: SparseSymMatrix, crude, eps: float, *,
                           delta: float | None = None,
                           spectrum_bounds: tuple[float, float] | None = None):

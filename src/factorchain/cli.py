@@ -7,8 +7,11 @@ matrix).
 
 Flags fall back to FACTORCHAIN_* environment variables when not given
 on the command line (FACTORCHAIN_EPS, FACTORCHAIN_P, FACTORCHAIN_SEED,
-FACTORCHAIN_THREADS, FACTORCHAIN_EXACT, FACTORCHAIN_GREMBAN,
-FACTORCHAIN_FORMAT).
+FACTORCHAIN_EXACT, FACTORCHAIN_GREMBAN, FACTORCHAIN_FORMAT).
+
+sample colors noise through the sampler's own code path, so a stored
+operator and the library produce the same bytes for the same seed and
+potential.
 
 Exit codes: 0 success, 1 numerical failure (a check that ran and did
 not certify, divergence, loss of positive definiteness), 2 invalid
@@ -23,11 +26,10 @@ import json
 import os
 import sys
 import time
-from contextlib import nullcontext
 
 import numpy as np
 
-from .chain import build_chain, chain_operator, refine_inverse_factor, solve
+from .chain import build_chain, chain_operator, refine_inverse_factor
 from .errors import (
     ChainDivergedError,
     DimensionMismatchError,
@@ -46,16 +48,9 @@ from .errors import (
 from .generators import grid2d, path_graph, random_regular, sdd_mixed
 from .mmio import read_matrix, write_matrix
 from .oracle import dense_power, loewner_check
-from .rng import TAG_SAMPLE, stream
-from .sampler import SampleBatch, write_batch_bin, write_batch_csv
+from .sampler import _color, _mean_of, write_batch_bin, write_batch_csv
 from .serialize import load_operator, save_operator
-from .sparse import (
-    gremban_embed,
-    gremban_lift,
-    gremban_project,
-    normalize,
-    validate_sddm,
-)
+from .sparse import gremban_lift, gremban_project, normalize, validate_sddm
 from .sparsify import SparsifyParams
 
 DENSE_CHECK_LIMIT = 512
@@ -113,20 +108,6 @@ def _resolve_format(value):
     if fmt not in ("csv", "bin"):
         raise InvalidParamsError(f"format must be csv or bin, got {fmt!r}")
     return fmt
-
-
-def _thread_limit(threads):
-    if threads is None:
-        return nullcontext()
-    if threads < 1:
-        raise InvalidParamsError("threads must be at least 1")
-    try:
-        from threadpoolctl import threadpool_limits
-        return threadpool_limits(limits=threads)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
-        return nullcontext()
 
 
 def _write_report(path, payload) -> None:
@@ -284,31 +265,10 @@ def cmd_sample(args) -> int:
     lifted = bool(meta.get("lifted", False))
     n_out = int(meta.get("n_original", op.output_dim)) if lifted else op.output_dim
 
-    mean = np.zeros(n_out)
-    if args.h is not None:
-        h = _read_potential(args.h, n_out)
-        if lifted:
-            mean = gremban_project(solve(op, gremban_embed(h)))
-        else:
-            mean = solve(op, h)
-
-    dim = op.input_dim
-    out = np.empty((args.count, n_out))
-    chunk = 16384
-    for start in range(0, args.count, chunk):
-        stop = min(start + chunk, args.count)
-        z = np.empty((dim, stop - start))
-        for j in range(start, stop):
-            z[:, j - start] = stream(seed, TAG_SAMPLE, j).standard_normal(dim)
-        y = op.apply(z)
-        if lifted:
-            y = gremban_project(y)
-        out[start:stop, :] = (y + mean[:, None]).T
-
+    h = _read_potential(args.h, n_out) if args.h is not None else np.zeros(n_out)
     eps_cert = op.refinement.eps if op.refinement is not None else op.chain.eps_total
-    batch = SampleBatch(samples=out, seed=seed,
-                        gaussians_consumed=args.count * dim,
-                        mean_used=mean, eps=float(eps_cert))
+    batch = _color(op, _mean_of(op, h, lifted), args.count, seed,
+                   float(eps_cert), lifted)
     if fmt == "csv":
         write_batch_csv(batch, args.out)
     else:
@@ -398,7 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--eps", type=float, default=None,
                    help="target tolerance (default 0.5)")
     f.add_argument("--seed", type=int, default=None)
-    f.add_argument("--threads", type=int, default=None)
     f.add_argument("--exact", action="store_true", default=None,
                    help="square levels exactly instead of sparsifying")
     f.add_argument("--gremban", action="store_true", default=None,
@@ -415,7 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--h", default=None,
                    help="potential vector file, one value per line")
     s.add_argument("--format", choices=["csv", "bin"], default=None)
-    s.add_argument("--threads", type=int, default=None)
     s.add_argument("--out", required=True)
     s.add_argument("--report", default=None)
 
@@ -423,7 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("matrix")
     c.add_argument("chain")
     c.add_argument("--eps", type=float, default=None)
-    c.add_argument("--threads", type=int, default=None)
     c.add_argument("--report", default=None)
 
     return ap
@@ -439,10 +396,8 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    threads = _resolve(getattr(args, "threads", None), "threads", int, None)
     try:
-        with _thread_limit(threads):
-            return _DISPATCH[args.command](args)
+        return _DISPATCH[args.command](args)
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -41,11 +41,7 @@ def read_matrix_string(text: str) -> tuple[SparseSymMatrix, list[str]]:
     if not lines:
         raise SerializationError("empty matrix market input")
     header = lines[0].strip()
-    if header == _HEADER_SYM:
-        symmetric = True
-    elif header == _HEADER_GEN:
-        symmetric = False
-    else:
+    if header not in (_HEADER_SYM, _HEADER_GEN):
         raise SerializationError(f"unsupported matrix market header: {header!r}")
     comments: list[str] = []
     idx = 1
@@ -82,12 +78,9 @@ def read_matrix_string(text: str) -> tuple[SparseSymMatrix, list[str]]:
         k += 1
     if k != nnz:
         raise SerializationError(f"expected {nnz} entries, found {k}")
-    if symmetric:
-        # one triangle on disk; mirror-merge handles either convention
-        mat = SparseSymMatrix.from_entries(nr, rows, cols, vals)
-    else:
-        mat = SparseSymMatrix.from_entries(nr, rows, cols, vals)  # raises on conflicts
-    return mat, comments
+    # a symmetric file stores one triangle, a general one both; the
+    # mirror-merge accepts either and raises on conflicting mirrors
+    return SparseSymMatrix.from_entries(nr, rows, cols, vals), comments
 
 
 def write_matrix(path, m: SparseSymMatrix, comments: Sequence[str] = ()) -> None:

@@ -94,12 +94,13 @@ def _refined_operator(field: GaussianField, eps: float,
     return target, refine_inverse_factor(target, crude, eps / REFINE_SHARE)
 
 
-def _mean_of(field: GaussianField, op) -> np.ndarray:
-    if not np.any(field.potential):
-        return np.zeros(field.n)
-    if field.lifted is not None:
-        return gremban_project(solve(op, gremban_embed(field.potential)))
-    return solve(op, field.potential)
+def _mean_of(op, potential: np.ndarray, lifted: bool) -> np.ndarray:
+    """Mean Lambda^{-1} h through an inverse factor of Lambda or of its lift."""
+    if not np.any(potential):
+        return np.zeros(potential.size)
+    if lifted:
+        return gremban_project(solve(op, gremban_embed(potential)))
+    return solve(op, potential)
 
 
 def prepare(field: GaussianField, eps: float,
@@ -108,8 +109,8 @@ def prepare(field: GaussianField, eps: float,
     if eps <= 0.0:
         raise InvalidParamsError("eps must be positive")
     _, refined = _refined_operator(field, eps, sp_params)
-    return PreparedSampler(field=field, operator=refined,
-                           mean=_mean_of(field, refined), eps=eps)
+    mean = _mean_of(refined, field.potential, field.lifted is not None)
+    return PreparedSampler(field=field, operator=refined, mean=mean, eps=eps)
 
 
 @dataclass(frozen=True)
@@ -121,18 +122,22 @@ class SampleBatch:
     eps: float
 
 
-def _color(field: GaussianField, op, mean: np.ndarray, count: int, seed: int,
-           eps: float) -> SampleBatch:
+def _color(op, mean: np.ndarray, count: int, seed: int, eps: float,
+           lifted: bool) -> SampleBatch:
+    """Color per-sample noise through op, project if lifted, add the mean.
+
+    Sample j draws its op.input_dim normals from stream(seed, TAG_SAMPLE, j),
+    so a batch is a prefix of any longer batch with the same seed.
+    """
     dim = op.input_dim
-    n = field.n
-    out = np.empty((count, n))
+    out = np.empty((count, mean.size))
     for start in range(0, count, _CHUNK):
         stop = min(start + _CHUNK, count)
         z = np.empty((dim, stop - start))
         for j in range(start, stop):
             z[:, j - start] = stream(seed, TAG_SAMPLE, j).standard_normal(dim)
         y = op.apply(z)
-        if field.lifted is not None:
+        if lifted:
             y = gremban_project(y)
         out[start:stop, :] = (y + mean[:, None]).T
     return SampleBatch(samples=out, seed=seed, gaussians_consumed=count * dim,
@@ -143,7 +148,8 @@ def sample(prep: PreparedSampler, count: int, seed: int) -> SampleBatch:
     """Draw count independent field samples; n (or 2n, lifted) normals each."""
     if count < 0:
         raise InvalidParamsError("count must be nonnegative")
-    return _color(prep.field, prep.operator, prep.mean, count, seed, prep.eps)
+    return _color(prep.operator, prep.mean, count, seed, prep.eps,
+                  prep.field.lifted is not None)
 
 
 def sample_edge_based(field: GaussianField, eps: float, count: int, seed: int,
@@ -160,8 +166,8 @@ def sample_edge_based(field: GaussianField, eps: float, count: int, seed: int,
         raise InvalidParamsError("eps must be positive")
     target, refined = _refined_operator(field, eps, sp_params)
     op = EdgeOperator(refined, edge_factor(target))
-    mean = _mean_of(field, refined)
-    return _color(field, op, mean, count, seed, eps)
+    lifted = field.lifted is not None
+    return _color(op, _mean_of(refined, field.potential, lifted), count, seed, eps, lifted)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,16 @@
 """Sparse symmetric matrices and SDDM structure.
 
-The carrier type stores the upper triangle of a symmetric matrix once, in
-row-major order, plus compressed row offsets.  A full symmetric expansion
-is kept internally (scipy CSR) and used for matvecs, row sums and products;
-it is derived from the canonical triangle, so the triangle remains the
-single source of truth.
+The carrier type stores one matrix: the full symmetric expansion as a
+scipy CSR with sorted column indices, no duplicates and no explicit
+zeros.  Matvecs, row sums and products run on it directly, and every
+arithmetic result is canonicalized straight from scipy's output.  The
+upper triangle, which Matrix Market files, the edge factor and the
+Gremban lift consume, is derived from the CSR on first use.
+
+Arithmetic keeps the expansion bitwise symmetric: scipy's sparse product
+of a symmetric CSR with sorted indices accumulates entries (i, j) and
+(j, i) from the same products in the same order, and sums and scalings
+act entrywise.
 
 Also here: SDDM validation, the normalization splitting M = (1/c)(I - X)
 with X entrywise nonnegative, condition-number estimation, and the Gremban
@@ -35,19 +41,20 @@ log = logging.getLogger(__name__)
 
 
 class SparseSymMatrix:
-    """Immutable symmetric sparse matrix, upper triangle stored once.
+    """Immutable symmetric sparse matrix, stored as its sorted full CSR.
 
     Attributes
     ----------
     n : int                dimension
-    rows, cols, vals :     entry arrays with rows[k] <= cols[k], sorted
-                           row-major, no duplicates, no explicit zeros
-    row_index : ndarray    offsets into the entry arrays per row (n + 1)
+    rows, cols, vals :     upper-triangle view derived from the CSR:
+                           rows[k] <= cols[k], sorted row-major, no
+                           duplicates, no explicit zeros
     """
 
-    __slots__ = ("n", "rows", "cols", "vals", "row_index", "_full")
+    __slots__ = ("n", "_csr", "_upper")
 
     def __init__(self, n: int, rows, cols, vals):
+        """Build from upper-triangle entry arrays (row <= col)."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
@@ -59,17 +66,27 @@ class SparseSymMatrix:
             raise DimensionMismatchError("entry index out of range")
         if np.any(rows > cols):
             raise NonSymmetricError("internal: entries must satisfy row <= col")
-        if not np.all(np.isfinite(vals)):
+        off = rows != cols
+        full = sp.coo_matrix(
+            (np.concatenate([vals, vals[off]]),
+             (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]]))),
+            shape=(n, n),
+        )
+        self._store(full)
+
+    def _store(self, mat) -> None:
+        """Canonicalize and freeze a scipy matrix that is symmetric by construction."""
+        csr = mat.tocsr()
+        csr.sum_duplicates()
+        csr.eliminate_zeros()
+        csr.sort_indices()
+        if not np.all(np.isfinite(csr.data)):
             raise NonFiniteError("matrix entries must be finite")
-        self.n = int(n)
-        self.rows = rows
-        self.cols = cols
-        self.vals = vals
-        self.row_index = np.searchsorted(rows, np.arange(n + 1), side="left").astype(np.int64)
-        self._full = self._expand()
-        # freeze the canonical arrays
-        for a in (self.rows, self.cols, self.vals, self.row_index):
+        for a in (csr.data, csr.indices, csr.indptr):
             a.setflags(write=False)
+        self.n = int(mat.shape[0])
+        self._csr = csr
+        self._upper = None
 
     # -- construction ---------------------------------------------------
 
@@ -115,68 +132,81 @@ class SparseSymMatrix:
         return cls(a.shape[0], r, c, a[r, c])
 
     @classmethod
-    def _from_scipy_upper(cls, mat) -> "SparseSymMatrix":
-        """Canonicalize a scipy matrix that is symmetric by construction."""
-        u = sp.triu(mat, format="coo")
-        u.sum_duplicates()
-        keep = u.data != 0.0
-        r, c, v = u.row[keep], u.col[keep], u.data[keep]
-        order = np.lexsort((c, r))
-        return cls(mat.shape[0], r[order], c[order], v[order])
-
-    def _expand(self) -> sp.csr_matrix:
-        off = self.rows != self.cols
-        r = np.concatenate([self.rows, self.cols[off]])
-        c = np.concatenate([self.cols, self.rows[off]])
-        v = np.concatenate([self.vals, self.vals[off]])
-        full = sp.coo_matrix((v, (r, c)), shape=(self.n, self.n)).tocsr()
-        full.sort_indices()
-        return full
+    def _from_scipy(cls, mat) -> "SparseSymMatrix":
+        """Wrap a scipy matrix that is symmetric by construction."""
+        out = cls.__new__(cls)
+        out._store(mat)
+        return out
 
     # -- queries ---------------------------------------------------------
 
+    def _triangle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Upper triangle (rows, cols, vals) in row-major order, derived once."""
+        if self._upper is None:
+            csr = self._csr
+            r = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(csr.indptr))
+            keep = csr.indices >= r
+            upper = (r[keep], csr.indices[keep].astype(np.int64), csr.data[keep])
+            for a in upper:
+                a.setflags(write=False)
+            self._upper = upper
+        return self._upper
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._triangle()[0]
+
+    @property
+    def cols(self) -> np.ndarray:
+        return self._triangle()[1]
+
+    @property
+    def vals(self) -> np.ndarray:
+        return self._triangle()[2]
+
     @property
     def nnz(self) -> int:
-        """Stored (upper triangle) entry count."""
-        return int(self.vals.size)
+        """Upper-triangle entry count: off-diagonal pairs once, plus the diagonal."""
+        return (self.full_nnz + int(np.count_nonzero(self._csr.diagonal()))) // 2
 
     @property
     def full_nnz(self) -> int:
-        return int(self._full.nnz)
+        return int(self._csr.nnz)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[0] != self.n:
             raise DimensionMismatchError(f"matvec: expected leading dim {self.n}, got {x.shape[0]}")
-        return self._full @ x
+        return self._csr @ x
 
     def diagonal(self) -> np.ndarray:
-        return self._full.diagonal()
+        return self._csr.diagonal()
 
     def row_sums(self) -> np.ndarray:
         """Row sums of the full symmetric matrix."""
-        return np.asarray(self._full.sum(axis=1)).ravel()
+        return np.asarray(self._csr.sum(axis=1)).ravel()
 
     def offdiag_abs_row_sums(self) -> np.ndarray:
         d = self.diagonal()
-        return np.asarray(abs(self._full).sum(axis=1)).ravel() - np.abs(d)
+        return np.asarray(abs(self._csr).sum(axis=1)).ravel() - np.abs(d)
 
     def to_dense(self) -> np.ndarray:
-        return self._full.toarray()
+        return self._csr.toarray()
 
     def to_scipy(self) -> sp.csr_matrix:
-        return self._full.copy()
+        return self._csr.copy()
 
     def min_value(self) -> float:
-        return float(self.vals.min()) if self.vals.size else 0.0
+        return float(self._csr.data.min()) if self._csr.nnz else 0.0
 
     def same_entries(self, other: "SparseSymMatrix") -> bool:
-        """Bitwise equality of the canonical representation."""
+        """Bitwise equality of the stored matrices."""
+        a, b = self._csr, other._csr
         return (
             self.n == other.n
-            and np.array_equal(self.rows, other.rows)
-            and np.array_equal(self.cols, other.cols)
-            and np.array_equal(self.vals, other.vals)
+            and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data)
         )
 
     def __repr__(self) -> str:
@@ -188,22 +218,19 @@ class SparseSymMatrix:
 
 def identity_minus_scaled(c: float, m: SparseSymMatrix) -> SparseSymMatrix:
     """Return I - c*M."""
-    x = -c * m.to_scipy()
-    x = x.tolil()
-    x.setdiag(x.diagonal() + 1.0)
-    return SparseSymMatrix._from_scipy_upper(x.tocsr())
+    return SparseSymMatrix._from_scipy(sp.identity(m.n, format="csr") - c * m._csr)
 
 
 def square(x: SparseSymMatrix) -> SparseSymMatrix:
     """Return X @ X (exact sparse product)."""
-    return SparseSymMatrix._from_scipy_upper(x.to_scipy() @ x.to_scipy())
+    return SparseSymMatrix._from_scipy(x._csr @ x._csr)
 
 
 def blend(x: SparseSymMatrix, y: SparseSymMatrix, wx: float = 0.5, wy: float = 0.5) -> SparseSymMatrix:
     """Return wx*X + wy*Y."""
     if x.n != y.n:
         raise DimensionMismatchError("blend: dimension mismatch")
-    return SparseSymMatrix._from_scipy_upper(wx * x.to_scipy() + wy * y.to_scipy())
+    return SparseSymMatrix._from_scipy(wx * x._csr + wy * y._csr)
 
 
 def identity(n: int) -> SparseSymMatrix:

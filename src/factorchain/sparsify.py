@@ -145,7 +145,7 @@ def square_walk_sparsify(x: SparseSymMatrix, params: SparsifyParams) -> SparseSy
         (np.concatenate(out_v), (np.concatenate(out_r), np.concatenate(out_c))),
         shape=(n, n),
     ).tocsr()
-    return SparseSymMatrix._from_scipy_upper(0.5 * (est + est.T))
+    return SparseSymMatrix._from_scipy(0.5 * (est + est.T))
 
 
 def _edge_columns(n: int, eu: np.ndarray, ev: np.ndarray, w: np.ndarray,

@@ -3,7 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from factorchain import grid2d, load_operator, read_matrix, sdd_mixed, write_matrix
+from factorchain import (
+    PreparedSampler,
+    gremban_embed,
+    gremban_project,
+    grid2d,
+    load_operator,
+    make_field,
+    read_matrix,
+    sample,
+    sdd_mixed,
+    solve,
+    write_matrix,
+)
 from factorchain.cli import main
 
 
@@ -258,3 +270,37 @@ def test_flag_beats_env(tmp_path, grid_file, monkeypatch):
                  "--out", str(tmp_path / "op.fcop"),
                  "--report", str(rep)]) == 0
     assert json.loads(rep.read_text())["config"]["eps"] == 0.2
+
+
+@pytest.mark.parametrize("gremban", [False, True])
+def test_sample_bin_matches_library_colouring(tmp_path, gremban):
+    m = sdd_mixed(8, seed=1) if gremban else grid2d(4)
+    mfile, out, sfile = tmp_path / "m.mtx", tmp_path / "op.fcop", tmp_path / "s.bin"
+    write_matrix(mfile, m)
+    assert main(["factor", str(mfile), "--eps", "0.4", "--out", str(out)]
+                + (["--gremban"] if gremban else [])) == 0
+    h = np.random.default_rng(2).standard_normal(m.n)
+    hfile = tmp_path / "h.txt"
+    hfile.write_text("".join(f"{float(v)!r}\n" for v in h))
+    assert main(["sample", str(out), "--count", "6", "--seed", "13",
+                 "--h", str(hfile), "--format", "bin", "--out", str(sfile)]) == 0
+
+    op, _ = load_operator(out)
+    field = make_field(m, h)
+    assert (field.lifted is not None) == gremban
+    if gremban:
+        mean = gremban_project(solve(op, gremban_embed(h)))
+    else:
+        mean = solve(op, h)
+    prep = PreparedSampler(field=field, operator=op, mean=mean,
+                           eps=op.refinement.eps)
+    batch = sample(prep, 6, seed=13)
+    assert sfile.read_bytes() == np.ascontiguousarray(
+        batch.samples, dtype="<f8").tobytes()
+
+
+def test_threads_flag_is_gone(tmp_path, grid_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["factor", str(grid_file), "--threads", "2",
+              "--out", str(tmp_path / "op.fcop")])
+    assert exc.value.code == 2

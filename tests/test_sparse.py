@@ -11,6 +11,7 @@ from factorchain import (
     NotSddError,
     NotSddmError,
     SparseSymMatrix,
+    SparsifyParams,
     gremban_embed,
     gremban_lift,
     gremban_project,
@@ -18,7 +19,9 @@ from factorchain import (
     kappa_estimate,
     normalize,
     path_graph,
+    random_sddm,
     sdd_slack,
+    square_walk_sparsify,
     validate_sddm,
 )
 from factorchain.sparse import (
@@ -295,3 +298,43 @@ def test_gremban_project_batched():
     v = np.random.default_rng(0).standard_normal((6, 3))
     cols = np.stack([gremban_project(v[:, j]) for j in range(3)], axis=1)
     assert np.allclose(gremban_project(v), cols)
+
+
+# ------------------------------------------------ canonical full storage
+
+
+def _walk_estimate(x):
+    params = SparsifyParams(eps=0.5, seed=3, mode="sampled", samples_per_edge=3)
+    return square_walk_sparsify(x, params)
+
+
+def _weighted_x():
+    m = random_sddm(30, seed=4)
+    return normalize(m, validate_sddm(m)).X
+
+
+@pytest.mark.parametrize("op", [
+    square,
+    lambda x: blend(x, square(x), 0.5, 0.5),
+    lambda x: identity_minus_scaled(0.3, x),
+    _walk_estimate,
+], ids=["square", "blend", "identity_minus_scaled", "walk_estimate"])
+def test_arithmetic_results_are_canonical_and_bitwise_symmetric(op):
+    out = op(_weighted_x())
+    csr = out.to_scipy()
+    t = csr.T.tocsr()
+    t.sort_indices()
+    # the transpose matches bit for bit, not just in value
+    assert np.array_equal(csr.indptr, t.indptr)
+    assert np.array_equal(csr.indices, t.indices)
+    assert np.array_equal(csr.data.view(np.uint64), t.data.view(np.uint64))
+    # strictly increasing columns within each row, no stored zeros
+    row_of = np.repeat(np.arange(out.n), np.diff(csr.indptr))
+    same_row = row_of[1:] == row_of[:-1]
+    assert np.all(np.diff(csr.indices)[same_row] > 0)
+    assert np.all(csr.data != 0.0)
+    # the upper triangle is the row-major list of entries with row <= col
+    r, c = np.nonzero(np.triu(out.to_dense()))
+    assert np.array_equal(out.rows, r) and np.array_equal(out.cols, c)
+    assert np.array_equal(out.vals, out.to_dense()[r, c])
+    assert out.nnz == r.size
