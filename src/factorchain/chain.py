@@ -30,7 +30,7 @@ from .errors import (
     SpectrumEstimateFailedError,
     WrongExponentError,
 )
-from .maclaurin import MaclaurinPoly, apply_operator_poly, coeffs, degree_for, make
+from .maclaurin import MaclaurinPoly, apply_operator_poly, make
 from .rng import TAG_LEVEL, substream_seed
 from .sparse import (
     SparseSymMatrix,
@@ -363,7 +363,6 @@ def chain_operator(split: Splitting, chain: FactorChain) -> ChainOperator:
 
 
 def refine_inverse_factor(m: SparseSymMatrix, crude, eps: float, *,
-                          delta: float | None = None,
                           spectrum_bounds: tuple[float, float] | None = None):
     """Tighten a crude inverse factor to C C^T within exp(+-eps) of M^{-1}.
 
@@ -400,11 +399,9 @@ def refine_inverse_factor(m: SparseSymMatrix, crude, eps: float, *,
             f"inconsistent spectrum bounds lo={lo:.3e}, hi={hi:.3e}"
         )
     s = 2.0 / (lo + hi)
-    delta_used = float(delta) if delta is not None else max((hi - lo) / (hi + lo), 1e-9)
-    t = degree_for(-0.5, delta_used, eps / 2.0)
-    poly = MaclaurinPoly(p=-0.5, t=t, coeffs=coeffs(-0.5, t),
-                         delta=delta_used, eps=eps / 2.0)
-    info = RefinementInfo(degree=t, scale=s, delta=delta_used, eps=eps,
+    delta_used = max((hi - lo) / (hi + lo), 1e-9)
+    poly = make(-0.5, delta_used, eps / 2.0)
+    info = RefinementInfo(degree=poly.t, scale=s, delta=delta_used, eps=eps,
                           spectrum_lo=lo, spectrum_hi=hi)
     return RefinedOperator(crude, m, poly, s, info)
 

@@ -26,6 +26,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -133,19 +134,6 @@ def _chain_summary(chain) -> dict:
     }
 
 
-def _refinement_summary(info) -> dict | None:
-    if info is None:
-        return None
-    return {
-        "degree": info.degree,
-        "scale": info.scale,
-        "delta": info.delta,
-        "eps": info.eps,
-        "spectrum_lo": info.spectrum_lo,
-        "spectrum_hi": info.spectrum_hi,
-    }
-
-
 def cmd_gen(args) -> int:
     t0 = time.perf_counter()
     seed = _resolve(args.seed, "seed", int, 0)
@@ -228,7 +216,7 @@ def cmd_factor(args) -> int:
         "n_original": m.n,
         "kappa_used": chain.kappa_used,
         "chain": _chain_summary(chain),
-        "refinement": _refinement_summary(refinement),
+        "refinement": asdict(refinement) if refinement else None,
         "seed": seed,
         "timings": {
             "read_s": t_build - t0,
@@ -261,7 +249,6 @@ def cmd_sample(args) -> int:
     if op.chain.p != -1.0:
         raise WrongExponentError(
             f"sampling needs an inverse factor (p = -1), chain has p = {op.chain.p}")
-    meta = meta or {}
     lifted = bool(meta.get("lifted", False))
     n_out = int(meta.get("n_original", op.output_dim)) if lifted else op.output_dim
 
@@ -298,7 +285,6 @@ def cmd_check(args) -> int:
         raise TooLargeForDenseCheckError(
             f"n = {m.n} exceeds the dense check limit {DENSE_CHECK_LIMIT}")
     op, meta = load_operator(args.chain)
-    meta = meta or {}
     lifted = bool(meta.get("lifted", False))
     expect = 2 * m.n if lifted else m.n
     if op.output_dim != expect:

@@ -79,8 +79,8 @@ class MaclaurinPoly:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=np.float64))
         self.coeffs.setflags(write=False)
-        if self.coeffs.shape != (self.t + 1,):
-            raise InvalidParamsError("coefficient count must be t + 1")
+        if self.t < 0 or self.coeffs.shape != (self.t + 1,):
+            raise InvalidParamsError("need degree t >= 0 and t + 1 coefficients")
 
     @property
     def degree(self) -> int:

@@ -184,8 +184,7 @@ def loewner_check(a, b, eps: float, *, vectors: bool = False) -> LoewnerResult:
     return LoewnerResult(measured <= eps * (1.0 + 1e-10) + 1e-14, measured)
 
 
-def spectral_radius(x, *, dense_threshold: int = 512, tol: float = 1e-8,
-                    maxiter: int = 5000, strict: bool = False) -> float:
+def spectral_radius(x, *, dense_threshold: int = 512) -> float:
     """Spectral radius of a symmetric matrix.
 
     Dense Jacobi eigensolve up to dense_threshold, norm-growth power
@@ -206,11 +205,8 @@ def spectral_radius(x, *, dense_threshold: int = 512, tol: float = 1e-8,
         w, _ = jacobi_eigh(dense(), vectors=False)
         return float(np.max(np.abs(w)))
     # power iteration on X^2 tracks |lambda|_max regardless of its sign
-    lam2, _, ok = power_iteration(lambda v: mv(mv(v)), n, tol=tol, maxiter=maxiter)
-    est = math.sqrt(max(lam2, 0.0))
-    if not ok and strict:
-        raise NoConvergenceError("spectral_radius: power iteration hit maxiter", best=est)
-    return est
+    lam2, _, _ = power_iteration(lambda v: mv(mv(v)), n, tol=1e-8, maxiter=5000)
+    return math.sqrt(max(lam2, 0.0))
 
 
 # -- randomized property suite -------------------------------------------------

@@ -1,20 +1,32 @@
-"""Binary container for factor operators.
+"""Binary container for factor operators, schema 2.
 
-Layout: magic, one length-prefixed JSON header, then length-prefixed
-blocks in a fixed order (level matrices as Matrix Market text, polynomial
-coefficients as little-endian float64, refinement matrix and coefficients
-last).  All floats round-trip exactly: the JSON encoder and the Matrix
-Market writer both emit shortest-repr values, coefficient arrays are raw
-bytes.  Saving a loaded operator reproduces the input file byte for byte.
+Layout: the magic ``FCOP1`` and a newline, then blocks, each a uint64
+little-endian byte count followed by that many bytes:
 
-Edge-based operators are not serialized; they are cheap to rebuild from
-the matrix and the wrapped operator.
+- the header, JSON with sorted keys: schema, kind, n, the chain's p, d,
+  kappa_used, eps_total, eps_schedule and lambdas, out_scale, one
+  {p, t, delta, eps} record per level polynomial, the RefinementInfo
+  fields (or null) and the caller's meta dict;
+- each level X_0..X_d as three raw arrays holding its upper triangle as
+  SparseSymMatrix.rows / cols / vals gives it: rows ``<i4``, cols
+  ``<i4``, vals ``<f8``; every matrix has dimension n;
+- each level polynomial's coefficients, ``<f8``;
+- for a refined operator, its matrix as three arrays and its
+  polynomial's coefficients.
+
+Floats round-trip exactly and loading accepts only the canonical
+triangle, so saving a loaded operator reproduces the input byte for byte.
+Every malformed input raises SerializationError.  Edge-based operators
+are not serialized; they are cheap to rebuild from the matrix and the
+wrapped operator.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -24,36 +36,50 @@ from .chain import (
     RefinedOperator,
     RefinementInfo,
 )
-from .errors import SerializationError
+from .errors import FactorChainError, SerializationError
 from .maclaurin import MaclaurinPoly
-from .mmio import read_matrix_string, write_matrix_string
+from .sparse import SparseSymMatrix
 
 MAGIC = b"FCOP1\n"
-SCHEMA = 1
+SCHEMA = 2
+
+# indices are stored as <i4
+INDEX_LIMIT = 2**31
+# a matrix is three blocks: rows, cols and vals of its upper triangle
+_MATRIX_DTYPES = ("<i4", "<i4", "<f8")
 
 
-def _block(data: bytes) -> bytes:
-    return struct.pack("<Q", len(data)) + data
+def _type(*kinds):
+    # type(True) is bool, so JSON true/false never pass as numbers
+    return lambda v: type(v) in kinds
 
 
-def _take(buf: bytes, pos: int) -> tuple[bytes, int]:
-    if pos + 8 > len(buf):
-        raise SerializationError("truncated container: missing block length")
-    (length,) = struct.unpack_from("<Q", buf, pos)
-    pos += 8
-    if pos + length > len(buf):
-        raise SerializationError("truncated container: block shorter than declared")
-    return buf[pos:pos + length], pos + length
+def _list_of(check):
+    return lambda v: type(v) is list and all(map(check, v))
 
 
-def _poly_header(poly: MaclaurinPoly) -> dict:
-    return {"p": poly.p, "t": poly.t, "delta": poly.delta, "eps": poly.eps}
+def _object(spec: dict):
+    return lambda v: (type(v) is dict and v.keys() == spec.keys()
+                      and all(check(v[k]) for k, check in spec.items()))
 
 
-def _poly_from(header: dict, raw: bytes) -> MaclaurinPoly:
-    c = np.frombuffer(raw, dtype="<f8").copy()
-    return MaclaurinPoly(p=header["p"], t=header["t"], coeffs=c,
-                         delta=header["delta"], eps=header["eps"])
+_INT, _NUMBER = _type(int), _type(int, float)
+_POLY = _object({"p": _NUMBER, "t": _INT, "delta": _NUMBER, "eps": _NUMBER})
+_REFINEMENT = _object({f.name: _INT if f.name == "degree" else _NUMBER
+                       for f in fields(RefinementInfo)})
+# the header as operator_bytes writes it
+_HEADER = _object({
+    "schema": _INT, "kind": _type(str), "n": _INT, "p": _NUMBER, "d": _INT,
+    "out_scale": _NUMBER, "kappa_used": _NUMBER, "eps_total": _NUMBER,
+    "eps_schedule": _list_of(_NUMBER), "lambdas": _list_of(_NUMBER),
+    "polys": _list_of(_POLY), "refinement": lambda v: v is None or _REFINEMENT(v),
+    "meta": _type(dict),
+})
+
+
+def _matrix_blocks(m: SparseSymMatrix) -> list[bytes]:
+    return [a.astype(t).tobytes()
+            for a, t in zip((m.rows, m.cols, m.vals), _MATRIX_DTYPES)]
 
 
 def operator_bytes(op, meta: dict | None = None) -> bytes:
@@ -64,6 +90,8 @@ def operator_bytes(op, meta: dict | None = None) -> bytes:
     else:
         raise SerializationError(f"cannot serialize operator kind {op.kind!r}")
     ch = base.chain
+    if ch.n >= INDEX_LIMIT:
+        raise SerializationError(f"n = {ch.n} does not fit <i4 indices")
     header = {
         "schema": SCHEMA,
         "kind": op.kind,
@@ -75,86 +103,115 @@ def operator_bytes(op, meta: dict | None = None) -> bytes:
         "eps_total": ch.eps_total,
         "eps_schedule": list(ch.eps_schedule),
         "lambdas": list(ch.lambdas),
-        "polys": [_poly_header(q) for q in ch.polys],
+        "polys": [{"p": q.p, "t": q.t, "delta": q.delta, "eps": q.eps}
+                  for q in ch.polys],
         "refinement": None,
         "meta": meta or {},
     }
     blocks: list[bytes] = []
     for level in ch.levels:
-        blocks.append(write_matrix_string(level).encode("utf-8"))
+        blocks += _matrix_blocks(level)
     for q in ch.polys:
         blocks.append(np.asarray(q.coeffs, dtype="<f8").tobytes())
     if refined is not None:
-        info = refined.info
-        header["refinement"] = {
-            "degree": info.degree, "scale": info.scale, "delta": info.delta,
-            "eps": info.eps, "spectrum_lo": info.spectrum_lo,
-            "spectrum_hi": info.spectrum_hi,
-        }
-        blocks.append(write_matrix_string(refined.matrix).encode("utf-8"))
+        header["refinement"] = asdict(refined.info)
+        blocks += _matrix_blocks(refined.matrix)
         blocks.append(np.asarray(refined.poly.coeffs, dtype="<f8").tobytes())
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
-    return MAGIC + _block(head) + b"".join(_block(b) for b in blocks)
+    blocks.insert(0, json.dumps(header, sort_keys=True).encode("utf-8"))
+    return MAGIC + b"".join(struct.pack("<Q", len(b)) + b for b in blocks)
 
 
-def operator_from_bytes(buf: bytes):
+def _split(buf: bytes) -> list[bytes]:
     if not buf.startswith(MAGIC):
         raise SerializationError("not a factor-operator container")
-    pos = len(MAGIC)
-    head, pos = _take(buf, pos)
+    blocks, pos = [], len(MAGIC)
+    while not blocks or pos < len(buf):
+        if pos + 8 > len(buf):
+            raise SerializationError("truncated container: missing block length")
+        (length,) = struct.unpack_from("<Q", buf, pos)
+        pos += 8 + length
+        if pos > len(buf):
+            raise SerializationError("truncated container: block shorter than declared")
+        blocks.append(buf[pos - length:pos])
+    return blocks
+
+
+def _read_header(head: bytes) -> dict:
     try:
         header = json.loads(head.decode("utf-8"))
     except ValueError as exc:
         raise SerializationError("malformed container header") from exc
+    if type(header) is not dict:
+        raise SerializationError("malformed container header: not a JSON object")
     if header.get("schema") != SCHEMA:
         raise SerializationError(f"unsupported schema {header.get('schema')!r}")
-    d = header["d"]
-    levels = []
-    for _ in range(d + 1):
-        raw, pos = _take(buf, pos)
-        matrix, _ = read_matrix_string(raw.decode("utf-8"))
-        levels.append(matrix)
-    polys = []
-    for ph in header["polys"]:
-        raw, pos = _take(buf, pos)
-        polys.append(_poly_from(ph, raw))
-    chain = FactorChain(
-        levels=tuple(levels),
-        eps_schedule=tuple(header["eps_schedule"]),
-        polys=tuple(polys),
-        p=header["p"],
-        d=d,
-        kappa_used=header["kappa_used"],
-        eps_total=header["eps_total"],
-        lambdas=tuple(header["lambdas"]),
-        reports=(),
-    )
-    op = ChainOperator(chain, out_scale=header["out_scale"])
-    if header["refinement"] is not None:
-        rh = header["refinement"]
-        raw, pos = _take(buf, pos)
-        matrix, _ = read_matrix_string(raw.decode("utf-8"))
-        raw, pos = _take(buf, pos)
-        poly = _poly_from({"p": -0.5, "t": rh["degree"], "delta": rh["delta"],
-                           "eps": rh["eps"] / 2.0}, raw)
-        info = RefinementInfo(degree=rh["degree"], scale=rh["scale"],
-                              delta=rh["delta"], eps=rh["eps"],
-                              spectrum_lo=rh["spectrum_lo"],
-                              spectrum_hi=rh["spectrum_hi"])
-        op = RefinedOperator(op, matrix, poly, rh["scale"], info)
-    if pos != len(buf):
-        raise SerializationError("trailing bytes after final block")
+    if not (_HEADER(header) and 0 <= header["n"] < INDEX_LIMIT and header["d"] >= 0):
+        raise SerializationError(f"malformed container header for schema {SCHEMA}")
+    return header
+
+
+def _array(raw: bytes, dtype: str) -> np.ndarray:
+    if len(raw) % np.dtype(dtype).itemsize:
+        raise SerializationError(f"{dtype} block of {len(raw)} bytes")
+    return np.frombuffer(raw, dtype=dtype)
+
+
+def _matrix(n: int, blocks) -> SparseSymMatrix:
+    stored = [_array(next(blocks), t) for t in _MATRIX_DTYPES]
+    m = SparseSymMatrix(n, *stored)
+    # the constructor sorts, sums duplicates and drops zeros, so only the
+    # canonical triangle comes back unchanged
+    if not all(map(np.array_equal, (m.rows, m.cols, m.vals), stored)):
+        raise SerializationError("matrix arrays are not a sorted upper "
+                                 "triangle without duplicates or zeros")
+    return m
+
+
+def _poly(ph: dict, blocks) -> MaclaurinPoly:
+    return MaclaurinPoly(p=ph["p"], t=ph["t"], coeffs=_array(next(blocks), "<f8"),
+                         delta=ph["delta"], eps=ph["eps"])
+
+
+def operator_from_bytes(buf: bytes):
+    blocks = _split(buf)
+    header = _read_header(blocks[0])
+    n, d, rh = header["n"], header["d"], header["refinement"]
+    expect = 1 + 3 * (d + 1) + len(header["polys"]) + (0 if rh is None else 4)
+    if len(blocks) != expect:
+        raise SerializationError(
+            f"container holds {len(blocks)} blocks, its header implies {expect}")
+    it = iter(blocks[1:])
+    try:
+        levels = tuple(_matrix(n, it) for _ in range(d + 1))
+        chain = FactorChain(
+            levels=levels,
+            eps_schedule=tuple(header["eps_schedule"]),
+            polys=tuple(_poly(ph, it) for ph in header["polys"]),
+            p=header["p"],
+            d=d,
+            kappa_used=header["kappa_used"],
+            eps_total=header["eps_total"],
+            lambdas=tuple(header["lambdas"]),
+            reports=(),
+        )
+        op = ChainOperator(chain, out_scale=header["out_scale"])
+        if rh is not None:
+            info = RefinementInfo(**rh)
+            matrix = _matrix(n, it)
+            poly = _poly({"p": -0.5, "t": info.degree, "delta": info.delta,
+                          "eps": info.eps / 2.0}, it)
+            op = RefinedOperator(op, matrix, poly, info.scale, info)
+    except SerializationError:
+        raise
+    except FactorChainError as exc:
+        raise SerializationError(f"inconsistent container: {exc}") from exc
     return op, header["meta"]
 
 
 def save_operator(path, op, meta: dict | None = None) -> None:
-    data = operator_bytes(op, meta)
-    with open(path, "wb") as fh:
-        fh.write(data)
+    Path(path).write_bytes(operator_bytes(op, meta))
 
 
 def load_operator(path):
     """Returns (operator, meta dict)."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    return operator_from_bytes(buf)
+    return operator_from_bytes(Path(path).read_bytes())

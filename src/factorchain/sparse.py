@@ -4,8 +4,8 @@ The carrier type stores one matrix: the full symmetric expansion as a
 scipy CSR with sorted column indices, no duplicates and no explicit
 zeros.  Matvecs, row sums and products run on it directly, and every
 arithmetic result is canonicalized straight from scipy's output.  The
-upper triangle, which Matrix Market files, the edge factor and the
-Gremban lift consume, is derived from the CSR on first use.
+upper triangle, which Matrix Market files, the operator container, the
+edge factor and the Gremban lift read, is derived from it on first use.
 
 Arithmetic keeps the expansion bitwise symmetric: scipy's sparse product
 of a symmetric CSR with sorted indices accumulates entries (i, j) and
@@ -29,7 +29,6 @@ import scipy.sparse as sp
 
 from .errors import (
     DimensionMismatchError,
-    NoConvergenceError,
     NonFiniteError,
     NonSymmetricError,
     NotSddError,
@@ -280,8 +279,8 @@ class Splitting:
     kappa_bound: float
 
 
-def power_iteration(matvec, n: int, *, tol: float = 1e-9, maxiter: int = 500,
-                    start: np.ndarray | None = None) -> tuple[float, np.ndarray, bool]:
+def power_iteration(matvec, n: int, *, tol: float = 1e-9,
+                    maxiter: int = 500) -> tuple[float, np.ndarray, bool]:
     """Largest-eigenvalue estimate for a symmetric PSD operator.
 
     Returns (estimate, vector, converged).  The starting vector is a fixed
@@ -289,7 +288,7 @@ def power_iteration(matvec, n: int, *, tol: float = 1e-9, maxiter: int = 500,
     """
     if n == 0:
         return 0.0, np.zeros(0), True
-    v = start if start is not None else stream(TAG_PROBE, n).standard_normal(n)
+    v = stream(TAG_PROBE, n).standard_normal(n)
     v = v / np.linalg.norm(v)
     lam = 0.0
     for _ in range(maxiter):
@@ -320,8 +319,7 @@ def nonneg_spectral_radius(x: SparseSymMatrix, *, tol: float = 1e-10, maxiter: i
     return max(lam - 1.0, 0.0)
 
 
-def kappa_estimate(m: SparseSymMatrix, *, tol: float = 1e-6, maxiter: int = 500,
-                   strict: bool = False) -> float:
+def kappa_estimate(m: SparseSymMatrix) -> float:
     """Upper estimate of the condition number of an SDDM matrix.
 
     lambda_max comes from power iteration; lambda_min is lower-bounded by
@@ -331,11 +329,9 @@ def kappa_estimate(m: SparseSymMatrix, *, tol: float = 1e-6, maxiter: int = 500,
     cert = validate_sddm(m)
     if not cert.is_sddm:
         raise NotSddmError("kappa_estimate requires an SDDM matrix")
-    lam_max, _, ok = power_iteration(m.matvec, m.n, tol=tol, maxiter=maxiter)
+    lam_max, _, ok = power_iteration(m.matvec, m.n, tol=1e-6, maxiter=500)
     est = 2.0 * lam_max / cert.min_slack
     if not ok:
-        if strict:
-            raise NoConvergenceError("power iteration did not converge", best=est)
         log.warning("kappa_estimate: power iteration hit maxiter, returning best bound %.3g", est)
     return float(est)
 

@@ -39,6 +39,10 @@ MEASURE_LIMIT = 256
 # empirical, balancing certification noise against output sparsity
 MERGE_CONSTANT = 0.5
 
+# mode "auto" squares exactly up to this size; sampled mode computes
+# effective resistances densely up to it and sketches them above
+EXACT_THRESHOLD = 4096
+
 
 @dataclass(frozen=True)
 class SparsifyParams:
@@ -46,17 +50,15 @@ class SparsifyParams:
 
     eps is the multiplicative target for the whole step, allocated
     split : (1 - split) between the walk and merge stages.  mode "auto"
-    picks the exact path for n <= exact_threshold; exact_threshold also
-    bounds the dense effective-resistance computation in sampled mode.
-    samples_per_edge overrides the walk-stage draw count per incident
-    entry, merge_oversample the per-node draw count of the merge stage.
+    picks the exact path for n <= EXACT_THRESHOLD.  samples_per_edge
+    overrides the walk-stage draw count per incident entry,
+    merge_oversample the per-node draw count of the merge stage.
     """
 
     eps: float
     seed: int = 0
     samples_per_edge: int | None = None
     mode: str = "auto"
-    exact_threshold: int = 4096
     split: float = 0.5
     merge_oversample: float | None = None
     measure: bool = False
@@ -70,8 +72,6 @@ class SparsifyParams:
             raise InvalidParamsError(f"unknown mode {self.mode!r}")
         if not (0.0 < self.split < 1.0):
             raise InvalidParamsError("split must lie in (0, 1)")
-        if self.exact_threshold < 0:
-            raise InvalidParamsError("exact_threshold must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def use_exact(params: SparsifyParams, n: int) -> bool:
         return True
     if params.mode == "sampled":
         return False
-    return n <= params.exact_threshold
+    return n <= EXACT_THRESHOLD
 
 
 def walk_sample_count(params: SparsifyParams, n: int) -> int:
@@ -213,7 +213,7 @@ def average_and_sparsify(x: SparseSymMatrix, xp: SparseSymMatrix,
         return t_avg
     m_tilde = identity_minus_scaled(1.0, t_avg)
     r_eff = _effective_resistances(
-        m_tilde, eu, ev, w, sigma, n <= params.exact_threshold, params.seed
+        m_tilde, eu, ev, w, sigma, n <= EXACT_THRESHOLD, params.seed
     )
     scores = w * np.maximum(r_eff, 0.0)
     scores = np.maximum(scores, 1e-12 * scores.max())

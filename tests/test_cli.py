@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from factorchain import (
     write_matrix,
 )
 from factorchain.cli import main
+from factorchain.serialize import MAGIC
 
 
 @pytest.fixture
@@ -223,6 +225,15 @@ def test_sample_rejects_non_inverse_operator(tmp_path, grid_file):
     assert main(["factor", str(grid_file), "--p", "0.5",
                  "--out", str(out)]) == 0
     rc = main(["sample", str(out), "--count", "2",
+               "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+
+
+def test_sample_malformed_container_exit_2(tmp_path):
+    # a header that is a JSON list, not an object
+    bad = tmp_path / "bad.fcop"
+    bad.write_bytes(MAGIC + struct.pack("<Q", 2) + b"[]")
+    rc = main(["sample", str(bad), "--count", "1",
                "--out", str(tmp_path / "s.csv")])
     assert rc == 2
 

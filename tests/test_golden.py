@@ -57,17 +57,17 @@ def direct_prepared():
 GOLDEN = {
     "grid2d_8": (
         grid_prepared,
-        "d7df88fc5ed1360f07a4d1503f9f97fd2c3a19ded6df16c722873aec7bb6772a",
+        "481999a0a17701bd2af91cfce295f0a648b3070c3b85875a2835fab5ec99fc28",
         "a3bbfa2b62c45a7fd2d6fc24c9cc9ecbc6c039d883adb0a90f9968de73005aef",
     ),
     "lifted_sdd_mixed_24": (
         lifted_prepared,
-        "b6364de3c63fcd345b7e092ee439f761681d2b20b9193c2f9f9410332b599604",
+        "7cea76fdcee1d948940f5b1c810e8eddea773aa0eb36eefff9f8107e5ade723f",
         "392fecbe1d0e18118a8588efbf00f21ee44ca672fb7612ab2d910cdd20047c20",
     ),
     "direct_p_half_random_regular_64": (
         direct_prepared,
-        "c6129db8cd8773c9988ef4dfa939a2bb915a67621c6c5715323c9ede8adbfe21",
+        "121d9e9e39263ccfa21d02a43eb0352767452363d62e4e54823c59b58fad296a",
         "8b0ef6eac41c8922854833a2d16994dd4dce26ca9d4a989e9501f3dadb16265d",
     ),
 }

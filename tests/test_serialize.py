@@ -1,7 +1,13 @@
+import json
+import struct
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from factorchain import (
+    ChainOperator,
+    FactorChain,
     EdgeOperator,
     SerializationError,
     SparsifyParams,
@@ -18,7 +24,7 @@ from factorchain import (
     save_operator,
     validate_sddm,
 )
-from factorchain.serialize import MAGIC
+from factorchain.serialize import MAGIC, SCHEMA
 
 
 def make_ops():
@@ -100,3 +106,138 @@ def test_trailing_garbage_rejected():
 def test_magic_prefix_present():
     _, crude, _ = make_ops()
     assert operator_bytes(crude).startswith(MAGIC)
+
+
+def blocks_of(blob):
+    out, pos = [], len(MAGIC)
+    while pos < len(blob):
+        (length,) = struct.unpack_from("<Q", blob, pos)
+        out.append(blob[pos + 8:pos + 8 + length])
+        pos += 8 + length
+    return out
+
+
+def container(blocks):
+    return MAGIC + b"".join(struct.pack("<Q", len(b)) + b for b in blocks)
+
+
+def test_layout_is_header_then_raw_arrays():
+    _, _, refined = make_ops()
+    blocks = blocks_of(operator_bytes(refined))
+    header = json.loads(blocks[0])
+    assert header["schema"] == SCHEMA == 2
+    chain = refined.chain
+    levels = [blocks[1 + 3 * i:4 + 3 * i] for i in range(chain.d + 1)]
+    levels.append(blocks[-4:-1])  # the refinement matrix
+    for (rows, cols, vals), m in zip(levels, [*chain.levels, refined.matrix]):
+        assert np.array_equal(np.frombuffer(rows, "<i4"), m.rows)
+        assert np.array_equal(np.frombuffer(cols, "<i4"), m.cols)
+        assert np.frombuffer(vals, "<f8").tobytes() == m.vals.tobytes()
+    assert len(blocks) == 1 + 3 * (chain.d + 1) + chain.d + 4
+
+
+def without(record, key):
+    return {k: v for k, v in record.items() if k != key}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: without(h, "d"),
+    lambda h: [h],
+    lambda h: {**h, "d": "3"},
+    lambda h: {**h, "d": True},
+    lambda h: {**h, "n": -1},
+    lambda h: {**h, "extra": 0},
+    lambda h: {**h, "lambdas": ["x"]},
+    lambda h: {**h, "polys": [{"p": 0.5}] * len(h["polys"])},
+    lambda h: {**h, "refinement": {**h["refinement"], "degree": 2.5}},
+    lambda h: {**h, "refinement": without(h["refinement"], "scale")},
+], ids=["missing_d", "list", "d_string", "d_bool", "negative_n", "extra_field",
+        "lambda_string", "poly_record", "degree_float", "missing_scale"])
+def test_malformed_header_rejected(edit):
+    _, _, refined = make_ops()
+    blocks = blocks_of(operator_bytes(refined))
+    blocks[0] = json.dumps(edit(json.loads(blocks[0]))).encode("utf-8")
+    with pytest.raises(SerializationError):
+        operator_from_bytes(container(blocks))
+
+
+def test_negative_degree_rejected():
+    # degree -1 with an empty coefficient block is consistent in length
+    _, _, refined = make_ops()
+    blocks = blocks_of(operator_bytes(refined))
+    header = json.loads(blocks[0])
+    header["refinement"]["degree"] = -1
+    blocks[0] = json.dumps(header).encode("utf-8")
+    blocks[-1] = b""
+    with pytest.raises(SerializationError):
+        operator_from_bytes(container(blocks))
+
+
+def test_schema_1_container_rejected():
+    _, crude, _ = make_ops()
+    blocks = blocks_of(operator_bytes(crude))
+    blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": 1}).encode("utf-8")
+    with pytest.raises(SerializationError, match="unsupported schema 1"):
+        operator_from_bytes(container(blocks))
+
+
+def edit_level0(rows, cols, vals, case):
+    if case == "unsorted":
+        return rows[::-1], cols[::-1], vals[::-1]
+    if case == "duplicate":
+        return (np.append(rows, rows[0]), np.append(cols, cols[0]),
+                np.append(vals, vals[0]))
+    if case == "explicit_zero":
+        return rows, cols, np.where(np.arange(vals.size) == 1, 0.0, vals)
+    if case == "lower_triangle":
+        return cols, rows, vals
+    if case == "out_of_range":
+        return rows, np.where(np.arange(cols.size) == cols.size - 1, 10, cols), vals
+    if case == "non_finite":
+        return rows, cols, np.where(np.arange(vals.size) == 0, np.nan, vals)
+    if case == "length_mismatch":
+        return rows, cols[:-1], vals
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case", ["unsorted", "duplicate", "explicit_zero",
+                                  "lower_triangle", "out_of_range",
+                                  "non_finite", "length_mismatch"])
+def test_non_canonical_matrix_block_rejected(case):
+    _, crude, _ = make_ops()
+    blocks = blocks_of(operator_bytes(crude))
+    arrays = (np.frombuffer(blocks[1], "<i4"), np.frombuffer(blocks[2], "<i4"),
+              np.frombuffer(blocks[3], "<f8"))
+    rows, cols, vals = edit_level0(*arrays, case)
+    blocks[1:4] = [rows.astype("<i4").tobytes(), cols.astype("<i4").tobytes(),
+                   vals.astype("<f8").tobytes()]
+    with pytest.raises(SerializationError):
+        operator_from_bytes(container(blocks))
+
+
+@pytest.mark.parametrize("index", [1, 3, -1], ids=["rows", "vals", "coeffs"])
+def test_block_not_a_whole_number_of_items_rejected(index):
+    _, _, refined = make_ops()
+    blocks = blocks_of(operator_bytes(refined))
+    blocks[index] = blocks[index][:-1]
+    with pytest.raises(SerializationError):
+        operator_from_bytes(container(blocks))
+
+
+def test_missing_or_extra_block_rejected():
+    _, crude, _ = make_ops()
+    blocks = blocks_of(operator_bytes(crude))
+    with pytest.raises(SerializationError):
+        operator_from_bytes(container(blocks[:-1]))
+    with pytest.raises(SerializationError):
+        operator_from_bytes(container(blocks + [b""]))
+
+
+def test_dimension_beyond_int32_indices_refused_on_save():
+    # a stand-in level: the check must fire before any entry is read
+    level = SimpleNamespace(n=2**31)
+    chain = FactorChain(levels=(level,), eps_schedule=(0.0,), polys=(), p=0.0,
+                        d=0, kappa_used=2.0, eps_total=0.0, lambdas=(1.0,),
+                        reports=())
+    with pytest.raises(SerializationError):
+        operator_bytes(ChainOperator(chain))
