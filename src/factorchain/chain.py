@@ -58,13 +58,16 @@ def chain_length_bound(kappa: float, eps: float) -> int:
 
 @dataclass(frozen=True)
 class FactorChain:
-    """Levels X_0..X_d with error schedule and per-level polynomials.
+    """Levels X_0..X_{d-1} that C applies, each paired with its polynomial.
 
-    eps_schedule lists the d per-level sparsification targets followed by
-    the measured terminal gap; eps_total is its sum.  lambdas records the
-    measured smallest eigenvalue 1 - rho(X_i) of each level.
+    The terminal level X_d is built only for its radius and then dropped:
+    lambdas records the measured smallest eigenvalue 1 - rho(X_i) of all
+    d + 1 levels, eps_schedule lists the d per-level sparsification
+    targets followed by the measured terminal gap, and eps_total is its
+    sum.
     """
 
+    n: int
     levels: tuple[SparseSymMatrix, ...]
     eps_schedule: tuple[float, ...]
     polys: tuple[MaclaurinPoly, ...]
@@ -76,20 +79,10 @@ class FactorChain:
     reports: tuple[SparsifyReport, ...]
 
     def __post_init__(self):
-        if len(self.levels) != self.d + 1:
-            raise InvalidParamsError("levels must hold d + 1 matrices")
+        if len(self.levels) != self.d or len(self.polys) != self.d:
+            raise InvalidParamsError("levels and polys must hold d entries each")
         if len(self.eps_schedule) != self.d + 1:
             raise InvalidParamsError("eps_schedule must hold d + 1 values")
-        if len(self.polys) != self.d:
-            raise InvalidParamsError("polys must hold d polynomials")
-
-    @property
-    def n(self) -> int:
-        return self.levels[0].n
-
-
-def _radius(x: SparseSymMatrix) -> float:
-    return nonneg_spectral_radius(x, tol=1e-8, maxiter=500)
 
 
 def build_chain(split: Splitting, p: float, eps: float,
@@ -107,23 +100,23 @@ def build_chain(split: Splitting, p: float, eps: float,
         raise InvalidParamsError("eps must be positive")
     if sp_params is None:
         sp_params = SparsifyParams(eps=1.0)
-    x0 = split.X
-    rho = _radius(x0)
+    x = split.X
+    rho = nonneg_spectral_radius(x)
     if p == 0.0:
         return FactorChain(
-            levels=(x0,), eps_schedule=(0.0,), polys=(), p=0.0, d=0,
+            n=x.n, levels=(), eps_schedule=(0.0,), polys=(), p=0.0, d=0,
             kappa_used=split.kappa_bound, eps_total=0.0,
             lambdas=(1.0 - rho,), reports=(),
         )
     d_max = chain_length_bound(split.kappa_bound, eps)
     rho_stop = min(eps * 5.0 / 6.0, RHO_STOP_CAP)
     eps_level = eps / (8.0 * max(d_max, 1))
-    levels = [x0]
+    levels: list[SparseSymMatrix] = []
     lambdas = [1.0 - rho]
     reports: list[SparsifyReport] = []
     stall = 0
     while rho > rho_stop:
-        i = len(levels) - 1
+        i = len(levels)
         if i >= d_max + 1:
             raise ChainDivergedError(
                 f"radius {rho:.3f} above {rho_stop:.3f} after {i} levels "
@@ -132,9 +125,10 @@ def build_chain(split: Splitting, p: float, eps: float,
         level_params = replace(
             sp_params, eps=eps_level, seed=substream_seed(sp_params.seed, TAG_LEVEL, i)
         )
-        x_next, report = sparsify_square_step(levels[-1], level_params)
-        rho_next = _radius(x_next)
-        levels.append(x_next)
+        x_next, report = sparsify_square_step(x, level_params)
+        rho_next = nonneg_spectral_radius(x_next)
+        levels.append(x)
+        x = x_next
         reports.append(report)
         lambdas.append(1.0 - rho_next)
         if lambdas[-1] <= lambdas[-2]:
@@ -146,12 +140,13 @@ def build_chain(split: Splitting, p: float, eps: float,
         else:
             stall = 0
         rho = rho_next
-    d = len(levels) - 1
+    # x is now the terminal level X_d: only its radius enters the chain
+    d = len(levels)
     eps_term = -math.log1p(-rho) if rho > 0.0 else 0.0
     poly = make(-p / 2.0, 0.5, eps_level)
     schedule = tuple([eps_level] * d + [eps_term])
     return FactorChain(
-        levels=tuple(levels), eps_schedule=schedule, polys=(poly,) * d,
+        n=x.n, levels=tuple(levels), eps_schedule=schedule, polys=(poly,) * d,
         p=p, d=d, kappa_used=split.kappa_bound, eps_total=sum(schedule),
         lambdas=tuple(lambdas), reports=tuple(reports),
     )

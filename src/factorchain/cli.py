@@ -49,7 +49,7 @@ from .errors import (
 from .generators import grid2d, path_graph, random_regular, sdd_mixed
 from .mmio import read_matrix, write_matrix
 from .oracle import dense_power, loewner_check
-from .sampler import _color, _mean_of, write_batch_bin, write_batch_csv
+from .sampler import _color, _mean_of, _potential, write_batch_bin, write_batch_csv
 from .serialize import load_operator, save_operator
 from .sparse import gremban_lift, gremban_project, normalize, validate_sddm
 from .sparsify import SparsifyParams
@@ -230,12 +230,7 @@ def cmd_factor(args) -> int:
 
 def _read_potential(path, n) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
-        vals = [float(line) for line in fh if line.strip()]
-    h = np.asarray(vals, dtype=np.float64)
-    if h.shape != (n,):
-        raise DimensionMismatchError(
-            f"potential has {h.size} entries, expected {n}")
-    return h
+        return _potential([float(line) for line in fh if line.strip()], n)
 
 
 def cmd_sample(args) -> int:

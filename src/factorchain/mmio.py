@@ -58,26 +58,20 @@ def read_matrix_string(text: str) -> tuple[SparseSymMatrix, list[str]]:
         raise SerializationError(f"bad size line: {lines[idx]!r}") from exc
     if nr != nc:
         raise NonSymmetricError("matrix market input is not square")
-    idx += 1
+    # allocate by the entries present, never by the size line alone
+    entries = [line for line in lines[idx + 1:] if line.strip()]
+    if len(entries) != nnz:
+        raise SerializationError(f"expected {nnz} entries, found {len(entries)}")
     rows = np.empty(nnz, dtype=np.int64)
     cols = np.empty(nnz, dtype=np.int64)
     vals = np.empty(nnz, dtype=np.float64)
-    k = 0
-    for line in lines[idx:]:
-        line = line.strip()
-        if not line:
-            continue
+    for k, line in enumerate(entries):
         parts = line.split()
         if len(parts) != 3:
-            raise SerializationError(f"bad entry line: {line!r}")
-        if k >= nnz:
-            raise SerializationError("more entries than declared")
+            raise SerializationError(f"bad entry line: {line.strip()!r}")
         rows[k] = int(parts[0]) - 1
         cols[k] = int(parts[1]) - 1
         vals[k] = float(parts[2])
-        k += 1
-    if k != nnz:
-        raise SerializationError(f"expected {nnz} entries, found {k}")
     # a symmetric file stores one triangle, a general one both; the
     # mirror-merge accepts either and raises on conflicting mirrors
     return SparseSymMatrix.from_entries(nr, rows, cols, vals), comments

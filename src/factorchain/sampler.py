@@ -27,7 +27,7 @@ from .chain import (
     refine_inverse_factor,
     solve,
 )
-from .errors import DimensionMismatchError, InvalidParamsError, NotSddError
+from .errors import DimensionMismatchError, InvalidParamsError, NonFiniteError, NotSddError
 from .rng import TAG_SAMPLE, stream
 from .sparse import (
     GrembanLift,
@@ -61,12 +61,19 @@ class GaussianField:
         return self.precision.n
 
 
+def _potential(values, n: int) -> np.ndarray:
+    h = np.asarray(values, dtype=np.float64)
+    if h.shape != (n,):
+        raise DimensionMismatchError(f"potential has shape {h.shape}, expected ({n},)")
+    if not np.all(np.isfinite(h)):
+        raise NonFiniteError("potential contains NaN or infinity")
+    return h
+
+
 def make_field(precision: SparseSymMatrix, potential=None) -> GaussianField:
     """Wrap a precision matrix, lifting it when it is SDD but not SDDM."""
     n = precision.n
-    h = np.zeros(n) if potential is None else np.asarray(potential, dtype=np.float64)
-    if h.shape != (n,):
-        raise DimensionMismatchError(f"potential must have shape ({n},)")
+    h = np.zeros(n) if potential is None else _potential(potential, n)
     cert = validate_sddm(precision)
     if cert.is_sddm:
         lift = None

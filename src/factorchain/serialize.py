@@ -1,4 +1,4 @@
-"""Binary container for factor operators, schema 2.
+"""Binary container for factor operators, schema 3.
 
 Layout: the magic ``FCOP1`` and a newline, then blocks, each a uint64
 little-endian byte count followed by that many bytes:
@@ -7,15 +7,17 @@ little-endian byte count followed by that many bytes:
   kappa_used, eps_total, eps_schedule and lambdas, out_scale, one
   {p, t, delta, eps} record per level polynomial, the RefinementInfo
   fields (or null) and the caller's meta dict;
-- each level X_0..X_d as three raw arrays holding its upper triangle as
-  SparseSymMatrix.rows / cols / vals gives it: rows ``<i4``, cols
-  ``<i4``, vals ``<f8``; every matrix has dimension n;
+- each level X_0..X_{d-1} as three raw arrays holding its upper
+  triangle as SparseSymMatrix.rows / cols / vals gives it: rows ``<i4``,
+  cols ``<i4``, vals ``<f8``; every matrix has dimension n;
 - each level polynomial's coefficients, ``<f8``;
 - for a refined operator, its matrix as three arrays and its
   polynomial's coefficients.
 
 Floats round-trip exactly and loading accepts only the canonical
 triangle, so saving a loaded operator reproduces the input byte for byte.
+Every stored matrix has a positive diagonal, hence at least 16 n bytes,
+so a header n beyond the file's size is rejected before any allocation.
 Every malformed input raises SerializationError.  Edge-based operators
 are not serialized; they are cheap to rebuild from the matrix and the
 wrapped operator.
@@ -41,7 +43,7 @@ from .maclaurin import MaclaurinPoly
 from .sparse import SparseSymMatrix
 
 MAGIC = b"FCOP1\n"
-SCHEMA = 2
+SCHEMA = 3
 
 # indices are stored as <i4
 INDEX_LIMIT = 2**31
@@ -176,15 +178,17 @@ def operator_from_bytes(buf: bytes):
     blocks = _split(buf)
     header = _read_header(blocks[0])
     n, d, rh = header["n"], header["d"], header["refinement"]
-    expect = 1 + 3 * (d + 1) + len(header["polys"]) + (0 if rh is None else 4)
+    expect = 1 + 3 * d + len(header["polys"]) + (0 if rh is None else 4)
     if len(blocks) != expect:
         raise SerializationError(
             f"container holds {len(blocks)} blocks, its header implies {expect}")
+    if n * (d + (rh is not None)) > len(buf):
+        raise SerializationError(f"n = {n} is too large for a {len(buf)}-byte container")
     it = iter(blocks[1:])
     try:
-        levels = tuple(_matrix(n, it) for _ in range(d + 1))
         chain = FactorChain(
-            levels=levels,
+            n=n,
+            levels=tuple(_matrix(n, it) for _ in range(d)),
             eps_schedule=tuple(header["eps_schedule"]),
             polys=tuple(_poly(ph, it) for ph in header["polys"]),
             p=header["p"],

@@ -304,7 +304,7 @@ def power_iteration(matvec, n: int, *, tol: float = 1e-9,
     return lam, v, False
 
 
-def nonneg_spectral_radius(x: SparseSymMatrix, *, tol: float = 1e-10, maxiter: int = 1000) -> float:
+def nonneg_spectral_radius(x: SparseSymMatrix) -> float:
     """Spectral radius of an entrywise nonnegative symmetric matrix.
 
     For nonnegative symmetric X the radius equals the largest eigenvalue,
@@ -313,9 +313,9 @@ def nonneg_spectral_radius(x: SparseSymMatrix, *, tol: float = 1e-10, maxiter: i
     """
     if x.nnz == 0:
         return 0.0
-    lam, _, ok = power_iteration(lambda v: x.matvec(v) + v, x.n, tol=tol, maxiter=maxiter)
+    lam, _, ok = power_iteration(lambda v: x.matvec(v) + v, x.n, tol=1e-8, maxiter=500)
     if not ok:
-        log.warning("spectral radius estimate did not reach tol=%.1e", tol)
+        log.warning("spectral radius estimate did not reach tol=1e-8")
     return max(lam - 1.0, 0.0)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,9 +26,11 @@ from factorchain import (
     random_sddm,
     refine_inverse_factor,
     solve,
+    sparsify_square_step,
     validate_sddm,
 )
-from factorchain.sparse import identity
+from factorchain.rng import TAG_LEVEL, substream_seed
+from factorchain.sparse import identity, nonneg_spectral_radius
 
 from conftest import random_sddm_dense
 
@@ -40,6 +43,13 @@ def exact_chain_op(m, p, eps):
     split = split_of(m)
     sp = SparsifyParams(eps=1.0, mode="exact")
     return split, chain_operator(split, build_chain(split, p, eps, sp))
+
+
+def terminal_level(chain, sp):
+    """X_d, which build_chain drops, rebuilt with the chain's own last step."""
+    params = replace(sp, eps=chain.eps_schedule[0],
+                     seed=substream_seed(sp.seed, TAG_LEVEL, chain.d - 1))
+    return sparsify_square_step(chain.levels[-1], params)[0]
 
 
 # ----------------------------------------------------------- chain building
@@ -86,10 +96,11 @@ def test_rejects_nonpositive_eps(grid9):
 def test_growth_and_termination_on_path():
     eps = 0.5
     split = split_of(path_graph(64))
-    chain = build_chain(split, -1.0, eps, SparsifyParams(eps=1.0, mode="exact"))
+    sp = SparsifyParams(eps=1.0, mode="exact")
+    chain = build_chain(split, -1.0, eps, sp)
     assert chain.d <= chain_length_bound(split.kappa_bound, eps)
     rhos = []
-    for x in chain.levels:
+    for x in [*chain.levels, terminal_level(chain, sp)]:
         w, _ = jacobi_eigh(x.to_dense(), vectors=False)
         rhos.append(max(abs(w[0]), abs(w[-1])))
         assert x.min_value() >= 0.0
@@ -104,12 +115,14 @@ def test_growth_and_termination_on_path():
 def test_levels_certify_against_exact_square():
     eps = 0.5
     split = split_of(grid2d(6))
-    chain = build_chain(split, -1.0, eps, SparsifyParams(eps=1.0, mode="auto"))
+    sp = SparsifyParams(eps=1.0, mode="auto")
+    chain = build_chain(split, -1.0, eps, sp)
     eps_level = chain.eps_schedule[0]
+    levels = [*chain.levels, terminal_level(chain, sp)]
     for i in range(chain.d):
-        xd = chain.levels[i].to_dense()
+        xd = levels[i].to_dense()
         target = np.eye(36) - 0.5 * xd - 0.5 * (xd @ xd)
-        got = np.eye(36) - chain.levels[i + 1].to_dense()
+        got = np.eye(36) - levels[i + 1].to_dense()
         res = loewner_check(got, target, eps_level)
         assert res.passed, f"level {i}: {res.eps_measured:.4f} > {eps_level}"
 
@@ -122,9 +135,10 @@ def test_sampled_levels_still_converge():
     sp = SparsifyParams(eps=1.0, seed=0, mode="sampled", samples_per_edge=800)
     chain = build_chain(split, -1.0, eps, sp)
     assert chain.d >= 1
-    for x in chain.levels:
+    levels = [*chain.levels, terminal_level(chain, sp)]
+    for x in levels:
         assert x.min_value() >= 0.0
-    w, _ = jacobi_eigh(chain.levels[-1].to_dense(), vectors=False)
+    w, _ = jacobi_eigh(levels[-1].to_dense(), vectors=False)
     assert max(abs(w[0]), abs(w[-1])) <= eps * 5.0 / 6.0 + 0.05
 
 
@@ -142,8 +156,11 @@ def test_schedule_sums_to_eps_total(grid9):
     chain = op.chain
     assert chain.eps_total == pytest.approx(sum(chain.eps_schedule), abs=0)
     assert len(chain.eps_schedule) == chain.d + 1
-    assert len(chain.levels) == chain.d + 1
-    assert len(chain.polys) == chain.d
+    assert len(chain.levels) == len(chain.polys) == chain.d
+    # the dropped terminal level is the one the last radius and nnz describe
+    terminal = terminal_level(chain, SparsifyParams(eps=1.0, mode="exact"))
+    assert terminal.nnz == chain.reports[-1].nnz_out
+    assert chain.lambdas[-1] == 1.0 - nonneg_spectral_radius(terminal)
 
 
 # -------------------------------------------------------- operator algebra

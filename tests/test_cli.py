@@ -20,6 +20,8 @@ from factorchain import (
 from factorchain.cli import main
 from factorchain.serialize import MAGIC
 
+from conftest import empty_level_container
+
 
 @pytest.fixture
 def grid_file(tmp_path):
@@ -236,6 +238,36 @@ def test_sample_malformed_container_exit_2(tmp_path):
     rc = main(["sample", str(bad), "--count", "1",
                "--out", str(tmp_path / "s.csv")])
     assert rc == 2
+
+
+def test_sample_container_smaller_than_its_n_exit_2(tmp_path, capsys):
+    bad = tmp_path / "big.fcop"
+    bad.write_bytes(empty_level_container(10**7, d=1))
+    rc = main(["sample", str(bad), "--count", "1",
+               "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert "too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_sample_non_finite_potential_exit_2(tmp_path, grid_file, bad, capsys):
+    _, out, _ = factored(tmp_path, grid_file)
+    hfile = tmp_path / "h.txt"
+    hfile.write_text("".join("1.0\n" for _ in range(15)) + bad + "\n")
+    rc = main(["sample", str(out), "--count", "2", "--h", str(hfile),
+               "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert "NaN or infinity" in capsys.readouterr().err
+
+
+def test_factor_size_line_beyond_entries_exit_2(tmp_path, capsys):
+    # the size line alone would ask for 10^12 entries
+    mfile = tmp_path / "m.mtx"
+    mfile.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                     "3 3 1000000000000\n1 1 2.0\n")
+    rc = main(["factor", str(mfile), "--out", str(tmp_path / "op.fcop")])
+    assert rc == 2
+    assert "expected 1000000000000 entries, found 1" in capsys.readouterr().err
 
 
 def test_sample_gremban_projected_width(tmp_path):

@@ -57,17 +57,17 @@ def direct_prepared():
 GOLDEN = {
     "grid2d_8": (
         grid_prepared,
-        "481999a0a17701bd2af91cfce295f0a648b3070c3b85875a2835fab5ec99fc28",
+        "597453fc8e48cadc2657d8d91d83726bdee809564392fb7bd8ab1219adbdd1d0",
         "a3bbfa2b62c45a7fd2d6fc24c9cc9ecbc6c039d883adb0a90f9968de73005aef",
     ),
     "lifted_sdd_mixed_24": (
         lifted_prepared,
-        "7cea76fdcee1d948940f5b1c810e8eddea773aa0eb36eefff9f8107e5ade723f",
+        "21eca35b41dc804917f9b0820684d43eaea820fb8f09021d5b322d1e526a2e6f",
         "392fecbe1d0e18118a8588efbf00f21ee44ca672fb7612ab2d910cdd20047c20",
     ),
     "direct_p_half_random_regular_64": (
         direct_prepared,
-        "121d9e9e39263ccfa21d02a43eb0352767452363d62e4e54823c59b58fad296a",
+        "de49333c7b03e953caf9c1391e122b3ca3e187981e9b48e32767fea31b412101",
         "8b0ef6eac41c8922854833a2d16994dd4dce26ca9d4a989e9501f3dadb16265d",
     ),
 }

@@ -80,6 +80,13 @@ def test_wrong_entry_count_rejected():
         read_matrix_string(text)
 
 
+def test_size_line_beyond_entries_rejected():
+    # allocation follows the entries present, not the declared count
+    text = "%%MatrixMarket matrix coordinate real symmetric\n3 3 1000000000000\n1 1 2.0\n"
+    with pytest.raises(SerializationError, match="found 1"):
+        read_matrix_string(text)
+
+
 def test_non_square_rejected():
     text = "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 1 1.0\n"
     with pytest.raises(NonSymmetricError):

@@ -6,6 +6,7 @@ import pytest
 from factorchain import (
     DimensionMismatchError,
     InvalidParamsError,
+    NonFiniteError,
     NotSddError,
     SparseSymMatrix,
     covariance_check,
@@ -50,6 +51,14 @@ def test_make_field_rejects_non_sdd():
 def test_make_field_rejects_wrong_potential(grid9):
     with pytest.raises(DimensionMismatchError):
         make_field(grid9, np.ones(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_make_field_rejects_non_finite_potential(grid9, bad):
+    h = np.ones(9)
+    h[4] = bad
+    with pytest.raises(NonFiniteError):
+        make_field(grid9, h)
 
 
 # ----------------------------------------------------------------- prepare

@@ -1,6 +1,5 @@
 import json
 import struct
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +24,8 @@ from factorchain import (
     validate_sddm,
 )
 from factorchain.serialize import MAGIC, SCHEMA
+
+from conftest import empty_level_container
 
 
 def make_ops():
@@ -125,15 +126,15 @@ def test_layout_is_header_then_raw_arrays():
     _, _, refined = make_ops()
     blocks = blocks_of(operator_bytes(refined))
     header = json.loads(blocks[0])
-    assert header["schema"] == SCHEMA == 2
+    assert header["schema"] == SCHEMA == 3
     chain = refined.chain
-    levels = [blocks[1 + 3 * i:4 + 3 * i] for i in range(chain.d + 1)]
+    levels = [blocks[1 + 3 * i:4 + 3 * i] for i in range(chain.d)]
     levels.append(blocks[-4:-1])  # the refinement matrix
     for (rows, cols, vals), m in zip(levels, [*chain.levels, refined.matrix]):
         assert np.array_equal(np.frombuffer(rows, "<i4"), m.rows)
         assert np.array_equal(np.frombuffer(cols, "<i4"), m.cols)
         assert np.frombuffer(vals, "<f8").tobytes() == m.vals.tobytes()
-    assert len(blocks) == 1 + 3 * (chain.d + 1) + chain.d + 4
+    assert len(blocks) == 1 + 3 * chain.d + chain.d + 4
 
 
 def without(record, key):
@@ -179,6 +180,25 @@ def test_schema_1_container_rejected():
     blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": 1}).encode("utf-8")
     with pytest.raises(SerializationError, match="unsupported schema 1"):
         operator_from_bytes(container(blocks))
+
+
+def test_schema_2_container_rejected():
+    # schema 2 also stored the terminal level X_d; it has no reader
+    _, crude, _ = make_ops()
+    blocks = blocks_of(operator_bytes(crude))
+    blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": 2}).encode("utf-8")
+    with pytest.raises(SerializationError, match="unsupported schema 2"):
+        operator_from_bytes(container(blocks))
+
+
+def test_container_smaller_than_its_n_rejected():
+    # every stored matrix has at least n entries, so 10^7 rows cannot fit
+    # in a few hundred bytes; refused before any matrix is allocated
+    with pytest.raises(SerializationError, match="too large"):
+        operator_from_bytes(empty_level_container(10**7, d=1))
+    # a d = 0 chain stores no matrix and allocates nothing
+    op, _ = operator_from_bytes(empty_level_container(10**7, d=0))
+    assert op.input_dim == 10**7
 
 
 def edit_level0(rows, cols, vals, case):
@@ -234,9 +254,7 @@ def test_missing_or_extra_block_rejected():
 
 
 def test_dimension_beyond_int32_indices_refused_on_save():
-    # a stand-in level: the check must fire before any entry is read
-    level = SimpleNamespace(n=2**31)
-    chain = FactorChain(levels=(level,), eps_schedule=(0.0,), polys=(), p=0.0,
+    chain = FactorChain(n=2**31, levels=(), eps_schedule=(0.0,), polys=(), p=0.0,
                         d=0, kappa_used=2.0, eps_total=0.0, lambdas=(1.0,),
                         reports=())
     with pytest.raises(SerializationError):
