@@ -81,8 +81,8 @@ class FactorChain:
     def __post_init__(self):
         if len(self.levels) != self.d or len(self.polys) != self.d:
             raise InvalidParamsError("levels and polys must hold d entries each")
-        if len(self.eps_schedule) != self.d + 1:
-            raise InvalidParamsError("eps_schedule must hold d + 1 values")
+        if len(self.eps_schedule) != self.d + 1 or len(self.lambdas) != self.d + 1:
+            raise InvalidParamsError("eps_schedule and lambdas must hold d + 1 values each")
 
 
 def build_chain(split: Splitting, p: float, eps: float,

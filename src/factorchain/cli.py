@@ -48,13 +48,11 @@ from .errors import (
 )
 from .generators import grid2d, path_graph, random_regular, sdd_mixed
 from .mmio import read_matrix, write_matrix
-from .oracle import dense_power, loewner_check
-from .sampler import _color, _mean_of, _potential, write_batch_bin, write_batch_csv
+from .oracle import DENSE_CHECK_LIMIT, dense_power, loewner_check
+from .sampler import _block_columns, _color, _mean_of, _potential, write_batch_bin, write_batch_csv
 from .serialize import load_operator, save_operator
 from .sparse import gremban_lift, gremban_project, normalize, validate_sddm
 from .sparsify import SparsifyParams
-
-DENSE_CHECK_LIMIT = 512
 
 _INPUT_ERRORS = (
     NonSymmetricError,
@@ -244,6 +242,7 @@ def cmd_sample(args) -> int:
     if op.chain.p != -1.0:
         raise WrongExponentError(
             f"sampling needs an inverse factor (p = -1), chain has p = {op.chain.p}")
+    _block_columns(op.input_dim)  # refuse before allocating anything n long
     lifted = bool(meta.get("lifted", False))
     n_out = int(meta.get("n_original", op.output_dim)) if lifted else op.output_dim
 

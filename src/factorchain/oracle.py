@@ -22,8 +22,12 @@ from .errors import (
     NonFiniteError,
     NonSymmetricError,
     NotPositiveDefiniteError,
+    TooLargeForDenseCheckError,
 )
-from .sparse import SparseSymMatrix, power_iteration
+from .sparse import SparseSymMatrix
+
+# the largest n any dense check here is asked to handle
+DENSE_CHECK_LIMIT = 512
 
 
 class DenseSym:
@@ -184,29 +188,19 @@ def loewner_check(a, b, eps: float, *, vectors: bool = False) -> LoewnerResult:
     return LoewnerResult(measured <= eps * (1.0 + 1e-10) + 1e-14, measured)
 
 
-def spectral_radius(x, *, dense_threshold: int = 512) -> float:
-    """Spectral radius of a symmetric matrix.
+def spectral_radius(x) -> float:
+    """Spectral radius of a symmetric matrix by a dense Jacobi eigensolve.
 
-    Dense Jacobi eigensolve up to dense_threshold, norm-growth power
-    iteration above it.
+    Raises TooLargeForDenseCheckError above DENSE_CHECK_LIMIT rows.
     """
-    if isinstance(x, SparseSymMatrix):
-        n = x.n
-        mv = x.matvec
-        dense = x.to_dense if n <= dense_threshold else None
-    else:
-        arr = _as_dense_array(x)
-        n = arr.shape[0]
-        mv = lambda v: arr @ v  # noqa: E731
-        dense = (lambda: arr) if n <= dense_threshold else None
+    n = x.n if isinstance(x, (SparseSymMatrix, DenseSym)) else len(x)
+    if n > DENSE_CHECK_LIMIT:
+        raise TooLargeForDenseCheckError(
+            f"n = {n} exceeds the dense check limit {DENSE_CHECK_LIMIT}")
     if n == 0:
         return 0.0
-    if dense is not None:
-        w, _ = jacobi_eigh(dense(), vectors=False)
-        return float(np.max(np.abs(w)))
-    # power iteration on X^2 tracks |lambda|_max regardless of its sign
-    lam2, _, _ = power_iteration(lambda v: mv(mv(v)), n, tol=1e-8, maxiter=5000)
-    return math.sqrt(max(lam2, 0.0))
+    w, _ = jacobi_eigh(x, vectors=False)
+    return float(np.max(np.abs(w)))
 
 
 # -- randomized property suite -------------------------------------------------

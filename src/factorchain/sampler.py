@@ -45,7 +45,8 @@ from .sparsify import SparsifyParams
 # statistical tests on the samples see noise rather than operator bias
 REFINE_SHARE = 8.0
 
-_CHUNK = 16384
+# bytes of noise one colouring block may hold
+_BLOCK_BYTES = 2**27
 
 
 @dataclass(frozen=True)
@@ -129,6 +130,15 @@ class SampleBatch:
     eps: float
 
 
+def _block_columns(dim: int) -> int:
+    """Samples per colouring block; refuses a sample too large for one block."""
+    cols = _BLOCK_BYTES // (8 * max(dim, 1))
+    if cols == 0:
+        raise InvalidParamsError(
+            f"a sample of {dim} normals exceeds the {_BLOCK_BYTES}-byte colouring block")
+    return cols
+
+
 def _color(op, mean: np.ndarray, count: int, seed: int, eps: float,
            lifted: bool) -> SampleBatch:
     """Color per-sample noise through op, project if lifted, add the mean.
@@ -137,9 +147,10 @@ def _color(op, mean: np.ndarray, count: int, seed: int, eps: float,
     so a batch is a prefix of any longer batch with the same seed.
     """
     dim = op.input_dim
+    block = _block_columns(dim)
     out = np.empty((count, mean.size))
-    for start in range(0, count, _CHUNK):
-        stop = min(start + _CHUNK, count)
+    for start in range(0, count, block):
+        stop = min(start + block, count)
         z = np.empty((dim, stop - start))
         for j in range(start, stop):
             z[:, j - start] = stream(seed, TAG_SAMPLE, j).standard_normal(dim)

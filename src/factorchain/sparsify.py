@@ -9,7 +9,9 @@ nonnegative X~ with I - X~ close to I - X/2 - X^2/2 in the multiplicative
   2. effective-resistance subsampling of the averaged matrix, where only
      the off-diagonal (Laplacian) part is resampled and the diagonal
      dominance slack is carried through exactly, so I - X~ stays SDDM and
-     X~ stays nonnegative.
+     X~ stays nonnegative.  The resistances come from a Johnson-
+     Lindenstrauss sketch with one conjugate-gradient solve per sketch
+     row (Spielman & Srivastava), at every size.
 
 Both stages draw from counter-based per-midpoint / per-attempt streams, so
 results are reproducible for a given seed regardless of execution order.
@@ -27,6 +29,7 @@ import scipy.sparse.linalg
 from .errors import (
     DimensionMismatchError,
     InvalidParamsError,
+    NoConvergenceError,
     NotPositiveDefiniteError,
 )
 from .rng import stream, TAG_MERGE, TAG_WALK
@@ -39,8 +42,7 @@ MEASURE_LIMIT = 256
 # empirical, balancing certification noise against output sparsity
 MERGE_CONSTANT = 0.5
 
-# mode "auto" squares exactly up to this size; sampled mode computes
-# effective resistances densely up to it and sketches them above
+# mode "auto" squares exactly up to this size and samples above it
 EXACT_THRESHOLD = 4096
 
 
@@ -48,19 +50,17 @@ EXACT_THRESHOLD = 4096
 class SparsifyParams:
     """Knobs of one sparsified squaring step.
 
-    eps is the multiplicative target for the whole step, allocated
-    split : (1 - split) between the walk and merge stages.  mode "auto"
-    picks the exact path for n <= EXACT_THRESHOLD.  samples_per_edge
-    overrides the walk-stage draw count per incident entry,
-    merge_oversample the per-node draw count of the merge stage.
+    eps is the multiplicative target for the whole step, half of it for
+    the walk stage and half for the merge stage.  mode "auto" picks the
+    exact path for n <= EXACT_THRESHOLD.  samples_per_edge overrides the
+    walk-stage draw count per incident entry.  measure certifies a
+    sampled step densely (n <= MEASURE_LIMIT) into its report.
     """
 
     eps: float
     seed: int = 0
     samples_per_edge: int | None = None
     mode: str = "auto"
-    split: float = 0.5
-    merge_oversample: float | None = None
     measure: bool = False
 
     def __post_init__(self):
@@ -70,8 +70,6 @@ class SparsifyParams:
             raise InvalidParamsError("samples_per_edge must be >= 1")
         if self.mode not in ("exact", "sampled", "auto"):
             raise InvalidParamsError(f"unknown mode {self.mode!r}")
-        if not (0.0 < self.split < 1.0):
-            raise InvalidParamsError("split must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -91,20 +89,15 @@ def use_exact(params: SparsifyParams, n: int) -> bool:
 
 
 def walk_sample_count(params: SparsifyParams, n: int) -> int:
-    """Walk-stage draws per incident entry: ceil(9 ln n / eps_w^2)."""
+    """Walk-stage draws per incident entry: ceil(9 ln n / eps^2)."""
     if params.samples_per_edge is not None:
         return params.samples_per_edge
-    eps_w = 2.0 * params.split * params.eps
-    return int(math.ceil(9.0 * math.log(max(n, 2)) / eps_w**2))
+    return int(math.ceil(9.0 * math.log(max(n, 2)) / params.eps**2))
 
 
 def merge_sample_count(params: SparsifyParams, n: int) -> int:
-    """Merge-stage total draws: n * ceil(C ln n / eps_m^2)."""
-    if params.merge_oversample is not None:
-        per_node = params.merge_oversample
-    else:
-        eps_m = 2.0 * (1.0 - params.split) * params.eps
-        per_node = MERGE_CONSTANT * math.log(max(n, 2)) / eps_m**2
+    """Merge-stage total draws: ceil(n C ln n / eps^2)."""
+    per_node = MERGE_CONSTANT * math.log(max(n, 2)) / params.eps**2
     return int(math.ceil(per_node * n))
 
 
@@ -160,13 +153,8 @@ def _edge_columns(n: int, eu: np.ndarray, ev: np.ndarray, w: np.ndarray,
 
 
 def _effective_resistances(m_tilde: SparseSymMatrix, eu: np.ndarray, ev: np.ndarray,
-                           w: np.ndarray, sigma: np.ndarray, exact: bool,
-                           seed: int) -> np.ndarray:
-    """R_e = b_e^T M~^{-1} b_e for each edge; sketched when not exact."""
-    if exact:
-        inv = np.linalg.inv(m_tilde.to_dense())
-        return inv[eu, eu] + inv[ev, ev] - 2.0 * inv[eu, ev]
-    # R_e = ||B^T M~^{-1} b_e||^2; project B^T to O(log n) rows
+                           w: np.ndarray, sigma: np.ndarray, seed: int) -> np.ndarray:
+    """R_e = ||B^T M~^{-1} b_e||^2 (B B^T = M~), with B^T sketched to O(log n) rows."""
     n = m_tilde.n
     b = _edge_columns(n, eu, ev, w, sigma)
     t = max(16, int(math.ceil(8.0 * math.log(max(n, 2)))))
@@ -178,6 +166,9 @@ def _effective_resistances(m_tilde: SparseSymMatrix, eu: np.ndarray, ev: np.ndar
     for j in range(t):
         zj, info = scipy.sparse.linalg.cg(a, probes[:, j], M=precond,
                                           rtol=1e-10, atol=0.0, maxiter=2000)
+        if info != 0:
+            raise NoConvergenceError(
+                f"resistance sketch: CG solve {j} of {t} stopped with info = {info}")
         z[:, j] = zj
     diff = z[eu, :] - z[ev, :]
     return np.sum(diff * diff, axis=1)
@@ -212,9 +203,7 @@ def average_and_sparsify(x: SparseSymMatrix, xp: SparseSymMatrix,
     if n <= 2 or eu.size <= 2:
         return t_avg
     m_tilde = identity_minus_scaled(1.0, t_avg)
-    r_eff = _effective_resistances(
-        m_tilde, eu, ev, w, sigma, n <= EXACT_THRESHOLD, params.seed
-    )
+    r_eff = _effective_resistances(m_tilde, eu, ev, w, sigma, params.seed)
     scores = w * np.maximum(r_eff, 0.0)
     scores = np.maximum(scores, 1e-12 * scores.max())
     probs = scores / scores.sum()

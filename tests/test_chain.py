@@ -163,6 +163,12 @@ def test_schedule_sums_to_eps_total(grid9):
     assert chain.lambdas[-1] == 1.0 - nonneg_spectral_radius(terminal)
 
 
+def test_chain_requires_d_plus_one_lambdas(grid9):
+    chain = exact_chain_op(grid9, -1.0, 0.5)[1].chain
+    with pytest.raises(InvalidParamsError, match="lambdas"):
+        replace(chain, lambdas=chain.lambdas * 7)
+
+
 # -------------------------------------------------------- operator algebra
 
 

@@ -249,6 +249,17 @@ def test_sample_container_smaller_than_its_n_exit_2(tmp_path, capsys):
     assert "too large" in capsys.readouterr().err
 
 
+def test_sample_beyond_colouring_block_exit_2(tmp_path, capsys):
+    # a d = 0 container stores no matrix, so only its n is large: refused
+    # before the potential, the mean or any noise is allocated
+    bad = tmp_path / "huge.fcop"
+    bad.write_bytes(empty_level_container(10**9, d=0))
+    rc = main(["sample", str(bad), "--count", "1",
+               "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert "colouring block" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_sample_non_finite_potential_exit_2(tmp_path, grid_file, bad, capsys):
     _, out, _ = factored(tmp_path, grid_file)

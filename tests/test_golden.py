@@ -85,8 +85,7 @@ def test_sampled_square_step_bytes_are_pinned():
     # the walk estimate and the resistance subsampling, both stages drawn
     m = grid2d(6)
     x = normalize(m, validate_sddm(m)).X
-    params = SparsifyParams(eps=0.5, seed=9, mode="sampled",
-                            samples_per_edge=4, merge_oversample=3.0)
+    params = SparsifyParams(eps=0.5, seed=9, mode="sampled", samples_per_edge=4)
     xt, _ = sparsify_square_step(x, params)
     assert sha(write_matrix_string(xt).encode("utf-8")) == (
-        "8128650d111984e408cec010305fec0bb5d23af28e503ada2d53d1dbf565573d")
+        "2088acc221edd147ed51ca0b3f94fb4730c4cba4002d0a50349854ad97928116")

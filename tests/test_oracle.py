@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 from factorchain import (
     NoConvergenceError,
     NotPositiveDefiniteError,
+    TooLargeForDenseCheckError,
     dense_power,
     fact_suite,
-    grid2d,
     jacobi_eigh,
     loewner_check,
     spectral_radius,
 )
-from factorchain.sparse import SparseSymMatrix, normalize, validate_sddm
+from factorchain.sparse import SparseSymMatrix
 
 from conftest import random_sddm_dense
 
@@ -150,18 +150,15 @@ def test_spectral_radius_small_dense_route():
     assert spectral_radius(a) == pytest.approx(0.9, abs=1e-10)
 
 
-def test_spectral_radius_iterative_route_matches_dense():
-    m = grid2d(4)
-    split = normalize(m, validate_sddm(m))
-    exact = np.max(np.abs(np.linalg.eigvalsh(split.X.to_dense())))
-    iterative = spectral_radius(split.X, dense_threshold=1)
-    assert iterative == pytest.approx(exact, rel=1e-5)
-
-
 def test_spectral_radius_accepts_negative_extreme():
     # dominant eigenvalue by magnitude is negative; radius is its magnitude
     a = SparseSymMatrix.from_dense(np.diag([-2.0, 1.0]))
-    assert spectral_radius(a, dense_threshold=1) == pytest.approx(2.0, rel=1e-6)
+    assert spectral_radius(a) == pytest.approx(2.0, rel=1e-6)
+
+
+def test_spectral_radius_refuses_beyond_dense_limit():
+    with pytest.raises(TooLargeForDenseCheckError):
+        spectral_radius(SparseSymMatrix.from_dense(np.eye(513)))
 
 
 # ----------------------------------------------------------- self checking

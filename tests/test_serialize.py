@@ -149,11 +149,12 @@ def without(record, key):
     lambda h: {**h, "n": -1},
     lambda h: {**h, "extra": 0},
     lambda h: {**h, "lambdas": ["x"]},
+    lambda h: {**h, "lambdas": [0.5] * (h["d"] + 7)},
     lambda h: {**h, "polys": [{"p": 0.5}] * len(h["polys"])},
     lambda h: {**h, "refinement": {**h["refinement"], "degree": 2.5}},
     lambda h: {**h, "refinement": without(h["refinement"], "scale")},
 ], ids=["missing_d", "list", "d_string", "d_bool", "negative_n", "extra_field",
-        "lambda_string", "poly_record", "degree_float", "missing_scale"])
+        "lambda_string", "lambda_count", "poly_record", "degree_float", "missing_scale"])
 def test_malformed_header_rejected(edit):
     _, _, refined = make_ops()
     blocks = blocks_of(operator_bytes(refined))

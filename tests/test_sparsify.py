@@ -5,6 +5,7 @@ import pytest
 
 from factorchain import (
     InvalidParamsError,
+    NoConvergenceError,
     NotPositiveDefiniteError,
     SparseSymMatrix,
     SparsifyParams,
@@ -18,8 +19,10 @@ from factorchain import (
     square_walk_sparsify,
     validate_sddm,
 )
-from factorchain.sparse import blend, identity, square
+from factorchain.sparse import blend, identity, identity_minus_scaled, square
 from factorchain.sparsify import (
+    MERGE_CONSTANT,
+    _effective_resistances,
     measure_step,
     merge_sample_count,
     use_exact,
@@ -57,9 +60,16 @@ def test_params_reject_unknown_mode():
 
 
 def test_walk_sample_count_default_formula():
-    p = SparsifyParams(eps=0.5, split=0.5)
+    p = SparsifyParams(eps=0.5)
     n = 100
     assert walk_sample_count(p, n) == math.ceil(9.0 * math.log(n) / 0.25)
+
+
+def test_merge_sample_count_default_formula():
+    p = SparsifyParams(eps=0.5)
+    n = 100
+    assert merge_sample_count(p, n) == math.ceil(
+        MERGE_CONSTANT * math.log(n) / 0.25 * n)
 
 
 def test_walk_sample_count_override():
@@ -163,6 +173,38 @@ def test_average_rejects_exhausted_slack():
 def test_merge_sample_count_grows_with_n():
     p = SparsifyParams(eps=0.5)
     assert merge_sample_count(p, 400) > merge_sample_count(p, 100)
+
+
+def resistance_inputs(x):
+    """The merge stage's view of T = X/2 + X^2/2: M~ = I - T and its edges."""
+    t_avg = blend(x, square(x))
+    off = t_avg.rows != t_avg.cols
+    return (identity_minus_scaled(1.0, t_avg), t_avg.rows[off], t_avg.cols[off],
+            t_avg.vals[off], 1.0 - t_avg.row_sums())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 9])
+@pytest.mark.parametrize("m", [grid2d(6), random_sddm(200)], ids=["grid6", "sddm200"])
+def test_sketched_resistances_track_dense_inverse(m, seed):
+    m_tilde, eu, ev, w, sigma = resistance_inputs(split_of(m).X)
+    inv = np.linalg.inv(m_tilde.to_dense())
+    dense = inv[eu, eu] + inv[ev, ev] - 2.0 * inv[eu, ev]
+    ratio = _effective_resistances(m_tilde, eu, ev, w, sigma, seed) / dense
+    assert np.all((ratio >= 0.25) & (ratio <= 4.0))
+    assert 0.8 <= np.median(ratio) <= 1.25
+
+
+def test_unconverged_resistance_solve_raises(monkeypatch):
+    import scipy.sparse.linalg
+
+    def stalled_cg(a, b, **kwargs):
+        return np.zeros_like(b), 1
+
+    monkeypatch.setattr(scipy.sparse.linalg, "cg", stalled_cg)
+    split = split_of(grid2d(4))
+    with pytest.raises(NoConvergenceError):
+        average_and_sparsify(split.X, square(split.X),
+                             SparsifyParams(eps=0.5, mode="sampled"))
 
 
 # --------------------------------------------------------------- full step
