@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from factorchain import (
     InvalidParamsError,
@@ -195,8 +196,6 @@ def test_sketched_resistances_track_dense_inverse(m, seed):
 
 
 def test_unconverged_resistance_solve_raises(monkeypatch):
-    import scipy.sparse.linalg
-
     def stalled_cg(a, b, **kwargs):
         return np.zeros_like(b), 1
 
