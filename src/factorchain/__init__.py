@@ -2,7 +2,6 @@
 
 from .chain import (
     ChainOperator,
-    EdgeFactor,
     EdgeOperator,
     FactorChain,
     RefinedOperator,
@@ -10,7 +9,6 @@ from .chain import (
     build_chain,
     chain_length_bound,
     chain_operator,
-    edge_factor,
     refine_inverse_factor,
     solve,
 )
@@ -72,10 +70,12 @@ from .serialize import (
     save_operator,
 )
 from .sparse import (
+    EdgeFactor,
     GrembanLift,
     SddmCertificate,
     SparseSymMatrix,
     Splitting,
+    edge_factor,
     gremban_embed,
     gremban_lift,
     gremban_project,

@@ -20,24 +20,23 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     ChainDivergedError,
     DimensionMismatchError,
     InvalidParamsError,
-    NotSddmError,
     SpectrumEstimateFailedError,
     WrongExponentError,
 )
 from .maclaurin import MaclaurinPoly, apply_operator_poly, make
 from .rng import TAG_LEVEL, substream_seed
 from .sparse import (
+    EdgeFactor,
     SparseSymMatrix,
     Splitting,
+    edge_factor,
     nonneg_spectral_radius,
     power_iteration,
-    validate_sddm,
 )
 from .sparsify import SparsifyParams, SparsifyReport, sparsify_square_step
 
@@ -269,38 +268,6 @@ class RefinedOperator:
         return self.apply(np.eye(self.matrix.n))
 
 
-@dataclass(frozen=True)
-class EdgeFactor:
-    """B with B B^T = M exactly; at most 2 nonzeros per column.
-
-    Edge columns sqrt(|M_ij|) (e_i - e_j) come first in the stored entry
-    order, then one slack column sqrt(a_i) e_i per row with positive
-    dominance slack a_i.
-    """
-
-    b: sp.csc_matrix
-    n: int
-    m_prime: int
-    n_edges: int
-    n_slack: int
-
-
-def edge_factor(m: SparseSymMatrix) -> EdgeFactor:
-    cert = validate_sddm(m)
-    if not cert.is_sddm:
-        raise NotSddmError("edge_factor requires an SDDM matrix")
-    off = m.rows != m.cols
-    eu, ev, w = m.rows[off], m.cols[off], -m.vals[off]
-    slack_rows = np.flatnonzero(cert.row_slack > 0.0)
-    n_e, n_s = eu.size, slack_rows.size
-    sw = np.sqrt(w)
-    rows = np.concatenate([eu, ev, slack_rows])
-    cols = np.concatenate([np.arange(n_e), np.arange(n_e), n_e + np.arange(n_s)])
-    vals = np.concatenate([sw, -sw, np.sqrt(cert.row_slack[slack_rows])])
-    b = sp.csc_matrix((vals, (rows, cols)), shape=(m.n, n_e + n_s))
-    return EdgeFactor(b=b, n=m.n, m_prime=n_e + n_s, n_edges=n_e, n_slack=n_s)
-
-
 class EdgeOperator:
     """C = Z B for symmetric Z = (factor)(factor)^T approximating M^{-1}.
 
@@ -357,14 +324,13 @@ def chain_operator(split: Splitting, chain: FactorChain) -> ChainOperator:
     return ChainOperator(chain, out_scale=split.c ** (-chain.p / 2.0))
 
 
-def refine_inverse_factor(m: SparseSymMatrix, crude, eps: float, *,
-                          spectrum_bounds: tuple[float, float] | None = None):
+def refine_inverse_factor(m: SparseSymMatrix, crude, eps: float):
     """Tighten a crude inverse factor to C C^T within exp(+-eps) of M^{-1}.
 
     The inner matrix A = Z^T M Z is scaled by s = 2/(lo + hi) so its
-    spectrum sits in [1 - delta, 1 + delta]; lo/hi come from power
-    iteration (direct, then shifted for the bottom) unless supplied.  Each
-    of the two polynomial factors in C C^T carries half the budget.
+    spectrum sits in [1 - delta, 1 + delta]; lo and hi bound A's spectrum
+    from one Lanczos run.  Each of the two polynomial factors in C C^T
+    carries half the budget.
     """
     if eps <= 0.0:
         raise InvalidParamsError("eps must be positive")
@@ -373,26 +339,11 @@ def refine_inverse_factor(m: SparseSymMatrix, crude, eps: float, *,
     if crude.input_dim != m.n:
         raise DimensionMismatchError("operator and matrix dimensions differ")
 
-    def inner(u):
-        return crude.apply_transpose(m.matvec(crude.apply(u)))
-
-    if spectrum_bounds is None:
-        hi_est, _, ok_hi = power_iteration(inner, m.n, tol=1e-9, maxiter=1000)
-        if hi_est <= 0.0:
-            raise SpectrumEstimateFailedError("top eigenvalue estimate is nonpositive")
-        shift = 1.05 * hi_est
-        sh_est, _, ok_lo = power_iteration(
-            lambda u: shift * u - inner(u), m.n, tol=1e-9, maxiter=1000
-        )
-        widen = 1.02 if (ok_hi and ok_lo) else 1.10
-        lo = (shift - sh_est) / widen
-        hi = hi_est * widen
-    else:
-        lo, hi = spectrum_bounds
+    bounds = power_iteration(lambda u: crude.apply_transpose(m.matvec(crude.apply(u))), m.n)
+    lo, hi = bounds.lo, bounds.hi
     if not (0.0 < lo <= hi) or not (math.isfinite(lo) and math.isfinite(hi)):
         raise SpectrumEstimateFailedError(
-            f"inconsistent spectrum bounds lo={lo:.3e}, hi={hi:.3e}"
-        )
+            f"inconsistent spectrum bounds lo={lo:.3e}, hi={hi:.3e}")
     s = 2.0 / (lo + hi)
     delta_used = max((hi - lo) / (hi + lo), 1e-9)
     poly = make(-0.5, delta_used, eps / 2.0)

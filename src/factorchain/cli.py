@@ -242,9 +242,9 @@ def cmd_sample(args) -> int:
     if op.chain.p != -1.0:
         raise WrongExponentError(
             f"sampling needs an inverse factor (p = -1), chain has p = {op.chain.p}")
-    _block_columns(op.input_dim)  # refuse before allocating anything n long
     lifted = bool(meta.get("lifted", False))
     n_out = int(meta.get("n_original", op.output_dim)) if lifted else op.output_dim
+    _block_columns(op.input_dim, args.count, n_out)  # refuse before allocating
 
     h = _read_potential(args.h, n_out) if args.h is not None else np.zeros(n_out)
     eps_cert = op.refinement.eps if op.refinement is not None else op.chain.eps_total

@@ -51,7 +51,7 @@ class ChainDivergedError(FactorChainError):
 
 
 class SpectrumEstimateFailedError(FactorChainError):
-    """Power-iteration bounds for a refinement spectrum are inconsistent."""
+    """Lanczos bounds for a refinement spectrum are inconsistent."""
 
 
 class WrongExponentError(FactorChainError):

@@ -23,7 +23,6 @@ from .chain import (
     EdgeOperator,
     build_chain,
     chain_operator,
-    edge_factor,
     refine_inverse_factor,
     solve,
 )
@@ -32,6 +31,7 @@ from .rng import TAG_SAMPLE, stream
 from .sparse import (
     GrembanLift,
     SparseSymMatrix,
+    edge_factor,
     gremban_embed,
     gremban_lift,
     gremban_project,
@@ -45,8 +45,9 @@ from .sparsify import SparsifyParams
 # statistical tests on the samples see noise rather than operator bias
 REFINE_SHARE = 8.0
 
-# bytes of noise one colouring block may hold
+# bytes of noise one colouring block, and of samples one batch, may hold
 _BLOCK_BYTES = 2**27
+_OUTPUT_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -130,12 +131,15 @@ class SampleBatch:
     eps: float
 
 
-def _block_columns(dim: int) -> int:
-    """Samples per colouring block; refuses a sample too large for one block."""
+def _block_columns(dim: int, count: int, n_out: int) -> int:
+    """Samples per colouring block; refuses oversized samples and batches."""
     cols = _BLOCK_BYTES // (8 * max(dim, 1))
     if cols == 0:
         raise InvalidParamsError(
             f"a sample of {dim} normals exceeds the {_BLOCK_BYTES}-byte colouring block")
+    if 8 * count * n_out > _OUTPUT_BYTES:
+        raise InvalidParamsError(
+            f"{count} samples of {n_out} values exceed the {_OUTPUT_BYTES}-byte output budget")
     return cols
 
 
@@ -147,7 +151,7 @@ def _color(op, mean: np.ndarray, count: int, seed: int, eps: float,
     so a batch is a prefix of any longer batch with the same seed.
     """
     dim = op.input_dim
-    block = _block_columns(dim)
+    block = _block_columns(dim, count, mean.size)
     out = np.empty((count, mean.size))
     for start in range(0, count, block):
         stop = min(start + block, count)

@@ -33,7 +33,7 @@ from .errors import (
     NotPositiveDefiniteError,
 )
 from .rng import stream, TAG_MERGE, TAG_WALK
-from .sparse import SparseSymMatrix, blend, identity_minus_scaled, square
+from .sparse import SparseSymMatrix, blend, edge_factor, identity_minus_scaled, square
 
 # dense certification is only attempted below this size
 MEASURE_LIMIT = 256
@@ -141,22 +141,11 @@ def square_walk_sparsify(x: SparseSymMatrix, params: SparsifyParams) -> SparseSy
     return SparseSymMatrix._from_scipy(0.5 * (est + est.T))
 
 
-def _edge_columns(n: int, eu: np.ndarray, ev: np.ndarray, w: np.ndarray,
-                  sigma: np.ndarray) -> sp.csc_matrix:
-    """B with B B^T = Laplacian(eu, ev, w) + diag(sigma)."""
-    m = eu.size
-    rows = np.concatenate([eu, ev, np.arange(n)])
-    cols = np.concatenate([np.arange(m), np.arange(m), m + np.arange(n)])
-    sw = np.sqrt(w)
-    vals = np.concatenate([sw, -sw, np.sqrt(np.maximum(sigma, 0.0))])
-    return sp.csc_matrix((vals, (rows, cols)), shape=(n, m + n))
-
-
 def _effective_resistances(m_tilde: SparseSymMatrix, eu: np.ndarray, ev: np.ndarray,
-                           w: np.ndarray, sigma: np.ndarray, seed: int) -> np.ndarray:
+                           seed: int) -> np.ndarray:
     """R_e = ||B^T M~^{-1} b_e||^2 (B B^T = M~), with B^T sketched to O(log n) rows."""
     n = m_tilde.n
-    b = _edge_columns(n, eu, ev, w, sigma)
+    b = edge_factor(m_tilde).b
     t = max(16, int(math.ceil(8.0 * math.log(max(n, 2)))))
     g = stream(seed, TAG_MERGE, 0x5E7C).standard_normal((b.shape[1], t))
     probes = b @ (g / math.sqrt(t))
@@ -203,7 +192,7 @@ def average_and_sparsify(x: SparseSymMatrix, xp: SparseSymMatrix,
     if n <= 2 or eu.size <= 2:
         return t_avg
     m_tilde = identity_minus_scaled(1.0, t_avg)
-    r_eff = _effective_resistances(m_tilde, eu, ev, w, sigma, params.seed)
+    r_eff = _effective_resistances(m_tilde, eu, ev, params.seed)
     scores = w * np.maximum(r_eff, 0.0)
     scores = np.maximum(scores, 1e-12 * scores.max())
     probs = scores / scores.sum()

@@ -1,3 +1,4 @@
+import logging
 import math
 from dataclasses import replace
 
@@ -21,8 +22,10 @@ from factorchain import (
     grid2d,
     jacobi_eigh,
     loewner_check,
+    make_field,
     normalize,
     path_graph,
+    prepare,
     random_sddm,
     refine_inverse_factor,
     solve,
@@ -344,10 +347,39 @@ def test_refinement_degree_tracks_log_eps():
 
 
 def test_refinement_rejects_bad_bounds():
+    # a crude factor mapping everything to zero makes Z^T M Z = 0, whose
+    # bottom bound lo = 0 cannot set the refinement's scale
     m = grid2d(3)
-    _, crude = exact_chain_op(m, -1.0, 1.0)
+
+    class ZeroFactor:
+        chain = type("c", (), {"p": -1.0})()
+        input_dim = m.n
+
+        def apply(self, v):
+            return np.zeros_like(v)
+
+        apply_transpose = apply
+
     with pytest.raises(SpectrumEstimateFailedError):
-        refine_inverse_factor(m, crude, 0.1, spectrum_bounds=(2.0, 1.0))
+        refine_inverse_factor(m, ZeroFactor(), 0.1)
+
+
+def test_refinement_bounds_bracket_inner_spectrum():
+    m = grid2d(32)
+    _, crude = exact_chain_op(m, -1.0, 1.0)
+    info = refine_inverse_factor(m, crude, 0.1).refinement
+    z = crude.as_dense()
+    lam = np.linalg.eigvalsh(z.T @ m.to_dense() @ z)
+    assert info.spectrum_lo <= lam[0] and lam[-1] <= info.spectrum_hi
+    # the padding is the residual, about 1e-3 of each end, not a blanket widening
+    assert info.spectrum_lo >= 0.99 * lam[0] and info.spectrum_hi <= 1.01 * lam[-1]
+
+
+def test_prepare_logs_nothing(caplog):
+    m = grid2d(32)
+    with caplog.at_level(logging.DEBUG):
+        prepare(make_field(m, np.ones(m.n)), 0.1)
+    assert caplog.records == []
 
 
 def test_refinement_rejects_wrong_exponent():

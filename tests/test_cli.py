@@ -260,6 +260,17 @@ def test_sample_beyond_colouring_block_exit_2(tmp_path, capsys):
     assert "colouring block" in capsys.readouterr().err
 
 
+def test_sample_beyond_output_budget_exit_2(tmp_path, grid_file, capsys):
+    rc, op, _ = factored(tmp_path, grid_file)
+    assert rc == 0
+    out = tmp_path / "s.bin"
+    rc = main(["sample", str(op), "--count", "100000000",
+               "--format", "bin", "--out", str(out)])
+    assert rc == 2
+    assert "output budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_sample_non_finite_potential_exit_2(tmp_path, grid_file, bad, capsys):
     _, out, _ = factored(tmp_path, grid_file)

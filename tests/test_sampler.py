@@ -118,6 +118,13 @@ def test_sample_deterministic_and_prefix_stable(grid9):
     assert not np.array_equal(a.samples, d.samples)
 
 
+def test_sample_beyond_output_budget_refused(grid9):
+    # 10**8 samples of 9 values need 7.2 GB: refused before the output exists
+    prep = prepare(make_field(grid9), 0.5)
+    with pytest.raises(InvalidParamsError, match="output budget"):
+        sample(prep, 10**8, seed=1)
+
+
 def test_sample_gaussian_accounting(grid9):
     prep = prepare(make_field(grid9), 0.5)
     batch = sample(prep, 7, seed=0)

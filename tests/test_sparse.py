@@ -12,6 +12,7 @@ from factorchain import (
     NotSddmError,
     SparseSymMatrix,
     SparsifyParams,
+    build_chain,
     gremban_embed,
     gremban_lift,
     gremban_project,
@@ -21,10 +22,13 @@ from factorchain import (
     path_graph,
     random_sddm,
     sdd_slack,
+    sparsify_square_step,
     square_walk_sparsify,
     validate_sddm,
 )
 from factorchain.sparse import (
+    LANCZOS_MAX_STEPS,
+    SpectrumBounds,
     blend,
     identity,
     identity_minus_scaled,
@@ -225,15 +229,27 @@ def test_kappa_estimate_within_factor_four_of_truth():
     assert exact / 4.0 <= est <= exact * 4.0
 
 
-# --------------------------------------------------------- power iteration
+# ------------------------------------------------------ spectral estimate
 
 
-def test_power_iteration_dominant_eigenvalue():
-    a = np.diag([3.0, 1.0, 0.5])
-    lam, vec, ok = power_iteration(lambda v: a @ v, 3, tol=1e-12, maxiter=2000)
-    assert ok
-    assert lam == pytest.approx(3.0, abs=1e-9)
-    assert abs(vec[0]) == pytest.approx(1.0, abs=1e-6)
+def test_power_iteration_brackets_diagonal_spectrum():
+    assert power_iteration(lambda v: v, 0) == SpectrumBounds(0.0, 0.0, 0, 0.0, True)
+    # three distinct values: the Krylov space is invariant after three steps
+    d = np.repeat([3.0, 1.0, 0.5], 4)
+    b = power_iteration(lambda v: d * v, d.size)
+    assert b.converged and b.steps == 3 and b.residual <= 1e-12
+    assert 0.5 - 1e-12 <= b.lo <= 0.5 and 3.0 <= b.hi <= 3.0 + 1e-12
+    # a spread spectrum stops on the residual test, bracketing both ends
+    e = np.linspace(1.0, 2.0, 300)
+    b = power_iteration(lambda v: e * v, e.size)
+    assert b.converged and b.steps < LANCZOS_MAX_STEPS
+    assert 1.0 - 1e-3 <= b.lo <= 1.0 and 2.0 <= b.hi <= 2.0 + 1e-3
+    # eigenvalues crowding zero never meet the relative test: the run stops
+    # at the cap, and the padded bounds still hold
+    g = np.geomspace(1e-6, 1.0, 400)
+    b = power_iteration(lambda v: g * v, g.size)
+    assert not b.converged and b.steps == LANCZOS_MAX_STEPS
+    assert b.lo <= 1e-6 and b.hi >= 1.0
 
 
 def test_nonneg_spectral_radius_matches_dense(grid9):
@@ -241,6 +257,32 @@ def test_nonneg_spectral_radius_matches_dense(grid9):
     rho = nonneg_spectral_radius(split.X)
     exact = np.max(np.abs(np.linalg.eigvalsh(split.X.to_dense())))
     assert rho == pytest.approx(exact, rel=1e-6)
+
+
+def exact_chain_levels(m):
+    """X_0 .. X_d of the exact p = -1 chain, with the recorded 1 - rho(X_i)."""
+    params = SparsifyParams(eps=1.0, mode="exact")
+    chain = build_chain(normalize(m, validate_sddm(m)), -1.0, 1.0, params)
+    terminal = sparsify_square_step(chain.levels[-1], params)[0]
+    return chain.levels + (terminal,), chain.lambdas
+
+
+@pytest.mark.parametrize("m", [grid2d(8), grid2d(16), grid2d(32), grid2d(16, slack=1e-2)],
+                         ids=["grid8", "grid16", "grid32", "grid16_slack1e-2"])
+def test_radius_bound_holds_on_every_chain_level(m):
+    levels, lambdas = exact_chain_levels(m)
+    assert len(levels) == len(lambdas)
+    for x, lam in zip(levels, lambdas):
+        # the recorded radius, 1 - lambda, bounds the top eigenvalue
+        assert 1.0 - lam >= np.linalg.eigvalsh(x.to_dense())[-1] - 1e-12
+
+
+@pytest.mark.parametrize("m", [grid2d(8), grid2d(16, slack=1e-2), random_sddm(120),
+                               path_graph(50)],
+                         ids=["grid8", "grid16_slack1e-2", "sddm120", "path50"])
+def test_kappa_estimate_bounds_dense_condition_number(m):
+    lam = np.linalg.eigvalsh(m.to_dense())
+    assert kappa_estimate(m) >= lam[-1] / lam[0]
 
 
 # ------------------------------------------------------------ gremban lift
