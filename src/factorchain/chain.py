@@ -12,10 +12,20 @@ operator C with C C^T close to (I - X_0)^p, rescaled to M^p through the
 normalization constant.  The p = -1 case additionally supports refinement
 to much tighter tolerances and a combinatorial edge factor for
 edge-indexed randomness.
+
+Refinement needs only an invertible crude factor Z, since
+Z (Z^T M Z)^{-1} Z^T = M^{-1} for any such Z; the level polynomials then
+set only the spread of Z^T M Z, so refine_by_cost picks their degree t by
+the predicted cost per sample.  Z is invertible at every t: the truncated
+series of (1 - x)^{1/2} has a_0 = 1 and only negative later coefficients,
+so for |x| < 1 it is at least 1 - sum_k |a_k| |x|^k >= sqrt(1 - |x|) > 0.
+A level applies it at x = -X_i/2 with rho(X_i) < 1, so each factor
+poly_t(I + X_i/2) is positive definite.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -25,10 +35,17 @@ from .errors import (
     ChainDivergedError,
     DimensionMismatchError,
     InvalidParamsError,
+    NoConvergenceError,
     SpectrumEstimateFailedError,
     WrongExponentError,
 )
-from .maclaurin import MaclaurinPoly, apply_operator_poly, make
+from .maclaurin import (
+    MaclaurinPoly,
+    apply_operator_poly,
+    coeffs,
+    make,
+    sandwich_criterion,
+)
 from .rng import TAG_LEVEL, substream_seed
 from .sparse import (
     EdgeFactor,
@@ -61,9 +78,9 @@ class FactorChain:
 
     The terminal level X_d is built only for its radius and then dropped:
     lambdas records the measured smallest eigenvalue 1 - rho(X_i) of all
-    d + 1 levels, eps_schedule lists the d per-level sparsification
-    targets followed by the measured terminal gap, and eps_total is its
-    sum.
+    d + 1 levels, eps_schedule lists the d per-level targets (build_chain's
+    budget, or the sandwich bound of a degree refine_by_cost chose)
+    followed by the measured terminal gap, and eps_total is its sum.
     """
 
     n: int
@@ -339,7 +356,8 @@ def refine_inverse_factor(m: SparseSymMatrix, crude, eps: float):
     if crude.input_dim != m.n:
         raise DimensionMismatchError("operator and matrix dimensions differ")
 
-    bounds = power_iteration(lambda u: crude.apply_transpose(m.matvec(crude.apply(u))), m.n)
+    bounds = power_iteration(lambda u: crude.apply_transpose(m.matvec(crude.apply(u))),
+                             m.n, "both")
     lo, hi = bounds.lo, bounds.hi
     if not (0.0 < lo <= hi) or not (math.isfinite(lo) and math.isfinite(hi)):
         raise SpectrumEstimateFailedError(
@@ -350,6 +368,65 @@ def refine_inverse_factor(m: SparseSymMatrix, crude, eps: float):
     info = RefinementInfo(degree=poly.t, scale=s, delta=delta_used, eps=eps,
                           spectrum_lo=lo, spectrum_hi=hi)
     return RefinedOperator(crude, m, poly, s, info)
+
+
+def flops_per_sample(op: RefinedOperator) -> int:
+    """Predicted nnz-weighted flops of one sample through a refined operator.
+
+    One apply of Z costs L = sum_i t_i nnz(X_i), so each of the t_ref inner
+    applies Z^T M Z costs 2 L + nnz(M), and the final Z one more L.
+    """
+    ch = op.chain
+    level = sum(q.t * x.full_nnz for q, x in zip(ch.polys, ch.levels))
+    return op.info.degree * (2 * level + op.matrix.full_nnz) + level
+
+
+def _at_level_degree(crude: ChainOperator, t: int) -> ChainOperator:
+    """The crude chain with every level polynomial at degree t.
+
+    Each polynomial records its own sandwich bound at delta = 1/2, so
+    eps_total stays truthful.  At t = 0 every factor is the identity and
+    the chain keeps no level: Z = out_scale I, whose gap is that of X_0.
+    """
+    ch = crude.chain
+    if t == 0:
+        gap = max(0.0, -math.log(ch.lambdas[0]))
+        chain = replace(ch, levels=(), polys=(), d=0, eps_schedule=(gap,),
+                        eps_total=gap, lambdas=ch.lambdas[:1], reports=())
+    else:
+        q = -ch.p / 2.0
+        poly = MaclaurinPoly(p=q, t=t, coeffs=coeffs(q, t), delta=0.5,
+                             eps=sandwich_criterion(0.5, t))
+        schedule = (poly.eps,) * ch.d + ch.eps_schedule[-1:]
+        chain = replace(ch, polys=(poly,) * ch.d, eps_schedule=schedule,
+                        eps_total=sum(schedule))
+    return ChainOperator(chain, crude.out_scale)
+
+
+def refine_by_cost(m: SparseSymMatrix, crude: ChainOperator, eps: float) -> RefinedOperator:
+    """Refine the crude p = -1 chain at the level degree cheapest per sample.
+
+    Tries t = 0, 1, 2, ... and stops at the first t whose flops_per_sample
+    is not below the best so far; each candidate's refinement degree comes
+    from its own refine_inverse_factor run, so the winner's spectrum run is
+    its refinement.  A candidate whose spectrum estimate fails or whose
+    refinement degree exceeds the series' cap costs infinity.  The cost
+    grows at least as t sum_i nnz(X_i), so the search ends; if no
+    candidate up to the stop is finite, the last failure is raised.
+    """
+    best, best_cost, failure = None, math.inf, None
+    for t in itertools.count():
+        try:
+            op = refine_inverse_factor(m, _at_level_degree(crude, t), eps)
+            cost = flops_per_sample(op)
+        except (SpectrumEstimateFailedError, NoConvergenceError) as exc:
+            op, cost, failure = None, math.inf, exc
+        if t > 0 and cost >= best_cost:
+            break
+        best, best_cost = op, cost
+    if best is None:
+        raise failure
+    return best
 
 
 def solve(op, b: np.ndarray) -> np.ndarray:

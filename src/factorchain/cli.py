@@ -30,7 +30,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .chain import build_chain, chain_operator, refine_inverse_factor
+from .chain import build_chain, chain_operator, flops_per_sample, refine_by_cost
 from .errors import (
     ChainDivergedError,
     DimensionMismatchError,
@@ -191,7 +191,7 @@ def cmd_factor(args) -> int:
     if p == -1.0 and not args.no_refine:
         chain = build_chain(split, -1.0, 1.0, sp)
         t_chain = time.perf_counter()
-        op = refine_inverse_factor(target, chain_operator(split, chain), eps)
+        op = refine_by_cost(target, chain_operator(split, chain), eps)
     else:
         chain = build_chain(split, p, eps, sp)
         t_chain = time.perf_counter()
@@ -201,8 +201,14 @@ def cmd_factor(args) -> int:
     meta = {"lifted": lifted, "n_original": m.n}
     save_operator(args.out, op, meta=meta)
     refinement = getattr(op, "refinement", None)
-    print(f"wrote {args.out}: n={target.n} d={chain.d} "
-          f"eps_total={chain.eps_total:.6g}"
+    summary = _chain_summary(chain)
+    if refinement:
+        # the stored operator keeps the built levels at one chosen degree,
+        # or none at degree 0
+        summary["chosen_degree"] = op.chain.polys[0].t if op.chain.d else 0
+        summary["flops_per_sample"] = flops_per_sample(op)
+    print(f"wrote {args.out}: n={target.n} d={op.chain.d} "
+          f"eps_total={op.chain.eps_total:.6g}"
           + (f" refine_degree={refinement.degree}" if refinement else ""))
     _write_report(args.report, {
         "command": "factor",
@@ -213,7 +219,7 @@ def cmd_factor(args) -> int:
         "n": target.n,
         "n_original": m.n,
         "kappa_used": chain.kappa_used,
-        "chain": _chain_summary(chain),
+        "chain": summary,
         "refinement": asdict(refinement) if refinement else None,
         "seed": seed,
         "timings": {

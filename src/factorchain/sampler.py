@@ -1,11 +1,12 @@
 """Gaussian random field sampling with SDDM or SDD precision matrices.
 
 Pipeline: validate the precision matrix (lifting SDD inputs with positive
-off-diagonals to twice the dimension), build a crude inverse-factor chain
-at unit tolerance, refine it, solve for the mean, then color per-sample
-white noise through the refined factor.  Lifted fields project each
-colored vector back to the original coordinates; the projection and its
-adjoint embedding live in the core matrix module.
+off-diagonals to twice the dimension), build a crude inverse-factor chain,
+refine it at the level degree with the fewest predicted flops per sample
+(down to depth 0, a polynomial in the matrix alone), solve for the mean,
+then color per-sample white noise through the refined factor.  Lifted
+fields project each colored vector back to the original coordinates; the
+projection and its adjoint embedding live in the core matrix module.
 
 Per-sample noise comes from counter-based streams keyed (seed, tag,
 sample index), so a batch is reproducible for a given seed no matter how
@@ -23,7 +24,7 @@ from .chain import (
     EdgeOperator,
     build_chain,
     chain_operator,
-    refine_inverse_factor,
+    refine_by_cost,
     solve,
 )
 from .errors import DimensionMismatchError, InvalidParamsError, NonFiniteError, NotSddError
@@ -100,7 +101,7 @@ def _refined_operator(field: GaussianField, eps: float,
     cert = validate_sddm(target)
     split = normalize(target, cert)
     crude = chain_operator(split, build_chain(split, -1.0, 1.0, sp_params))
-    return target, refine_inverse_factor(target, crude, eps / REFINE_SHARE)
+    return target, refine_by_cost(target, crude, eps / REFINE_SHARE)
 
 
 def _mean_of(op, potential: np.ndarray, lifted: bool) -> np.ndarray:

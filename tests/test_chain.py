@@ -7,6 +7,7 @@ import pytest
 
 from factorchain import (
     ChainDivergedError,
+    ChainOperator,
     EdgeOperator,
     InvalidParamsError,
     SparseSymMatrix,
@@ -19,20 +20,27 @@ from factorchain import (
     chain_operator,
     dense_power,
     edge_factor,
+    gremban_lift,
     grid2d,
     jacobi_eigh,
     loewner_check,
     make_field,
     normalize,
+    operator_bytes,
+    operator_from_bytes,
     path_graph,
     prepare,
     random_sddm,
     refine_inverse_factor,
+    sdd_mixed,
     solve,
     sparsify_square_step,
     validate_sddm,
 )
+from factorchain.chain import flops_per_sample, refine_by_cost
+from factorchain.maclaurin import apply_operator_poly, coeffs, eval_series, make
 from factorchain.rng import TAG_LEVEL, substream_seed
+from factorchain.sampler import REFINE_SHARE
 from factorchain.sparse import identity, nonneg_spectral_radius
 
 from conftest import random_sddm_dense
@@ -380,6 +388,101 @@ def test_prepare_logs_nothing(caplog):
     with caplog.at_level(logging.DEBUG):
         prepare(make_field(m, np.ones(m.n)), 0.1)
     assert caplog.records == []
+
+
+# ------------------------------------------------- level degree by cost
+
+
+@pytest.mark.parametrize("t", range(13))
+def test_level_polynomial_is_positive_on_half_interval(t):
+    # a_0 = 1 and every later coefficient is negative, so the truncated
+    # series of (1 - x)^{1/2} stays at or above sqrt(1 - |x|) > 0
+    a = coeffs(0.5, t)
+    assert a[0] == 1.0 and np.all(a[1:] < 0.0)
+    x = np.linspace(-0.5, 0.5, 2001)
+    poly = make(0.5, 0.5, 0.5 ** (t - 1))
+    assert poly.t == t
+    assert np.all(eval_series(poly, x) >= np.sqrt(1.0 - np.abs(x)) - 1e-15)
+
+
+def test_level_factor_is_positive_definite_at_every_degree():
+    _, crude = exact_chain_op(grid2d(8), -1.0, 1.0)
+    x0 = crude.chain.levels[0]
+    for t in range(13):
+        poly = make(0.5, 0.5, 0.5 ** (t - 1))
+        factor = apply_operator_poly(poly, x0, (1.0, 0.5), np.eye(x0.n))
+        assert np.linalg.eigvalsh(factor)[0] > 0.0
+
+
+def prepared_operator(m):
+    return prepare(make_field(m), 0.1).operator
+
+
+def level_degree(op):
+    degrees = {q.t for q in op.chain.polys}
+    assert len(degrees) <= 1
+    return degrees.pop() if degrees else 0
+
+
+def test_prepare_stores_a_depth_zero_chain_on_grid32():
+    op = prepared_operator(grid2d(32))
+    assert op.chain.d == 0 and op.chain.levels == ()
+    loaded, _ = operator_from_bytes(operator_bytes(op))
+    assert loaded.chain.d == 0
+    # a polynomial in M alone: 37 applies of M, 0.18 M flops per sample
+    assert flops_per_sample(op) == op.info.degree * op.matrix.full_nnz < 200_000
+
+
+def test_prepare_picks_degree_one_on_ill_conditioned_grid():
+    m = grid2d(16, slack=1e-2)
+    op = prepared_operator(m)
+    built = build_chain(split_of(m), -1.0, 1.0)
+    assert level_degree(op) == 1
+    assert all(a.same_entries(b) for a, b in zip(op.chain.levels, built.levels))
+    assert op.chain.d == built.d == 15
+    # each level records the sandwich bound of its own polynomial
+    assert op.chain.eps_schedule[:-1] == (op.chain.polys[0].eps,) * 15
+    assert op.chain.eps_schedule[-1] == built.eps_schedule[-1]
+    assert op.chain.eps_total == sum(op.chain.eps_schedule)
+
+
+RULE_INPUTS = {
+    "grid16": lambda: grid2d(16),
+    "grid16_slack1e-2": lambda: grid2d(16, slack=1e-2),
+    "lifted_sdd_mixed64": lambda: gremban_lift(sdd_mixed(64, seed=6)).S,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RULE_INPUTS))
+def test_cost_rule_certifies_and_beats_the_budget_degree(name):
+    m = RULE_INPUTS[name]()
+    _, crude = exact_chain_op(m, -1.0, 1.0)
+    eps = 0.1 / REFINE_SHARE
+    op = refine_by_cost(m, crude, eps)
+    # the budget degree, 9 or 10 per level, refined as before
+    budget = refine_inverse_factor(m, crude, eps)
+    assert level_degree(budget) >= 9
+    assert flops_per_sample(op) <= flops_per_sample(budget)
+    c = op.as_dense()
+    res = loewner_check(c @ c.T, dense_power(m.to_dense(), -1.0), eps)
+    assert res.passed, res.eps_measured
+
+
+def test_cost_rule_skips_an_infeasible_depth_zero():
+    # kappa 1.6e5: a polynomial in M alone would need a degree past the
+    # series' cap, so t = 0 costs infinity and the chain's levels stay
+    m = grid2d(16, slack=1e-4)
+    _, crude = exact_chain_op(m, -1.0, 1.0)
+    op = refine_by_cost(m, crude, 0.1 / REFINE_SHARE)
+    assert op.chain.d == crude.chain.d and level_degree(op) == 1
+
+
+def test_cost_rule_raises_when_no_candidate_is_finite():
+    # Z = 0 makes Z^T M Z = 0 at every degree
+    m = grid2d(3)
+    crude = ChainOperator(build_chain(split_of(m), -1.0, 1.0), out_scale=0.0)
+    with pytest.raises(SpectrumEstimateFailedError):
+        refine_by_cost(m, crude, 0.1)
 
 
 def test_refinement_rejects_wrong_exponent():

@@ -11,13 +11,17 @@ from factorchain import (
     grid2d,
     load_operator,
     make_field,
+    operator_bytes,
+    prepare,
     read_matrix,
     sample,
     sdd_mixed,
     solve,
     write_matrix,
 )
+from factorchain.chain import flops_per_sample
 from factorchain.cli import main
+from factorchain.sampler import REFINE_SHARE
 from factorchain.serialize import MAGIC
 
 from conftest import empty_level_container
@@ -362,6 +366,24 @@ def test_sample_bin_matches_library_colouring(tmp_path, gremban):
     batch = sample(prep, 6, seed=13)
     assert sfile.read_bytes() == np.ascontiguousarray(
         batch.samples, dtype="<f8").tobytes()
+
+
+@pytest.mark.parametrize("gremban", [False, True])
+def test_factor_writes_the_library_operator(tmp_path, gremban):
+    # one refined path: factor --eps e stores what prepare refines to e
+    mfile, out, rep = tmp_path / "m.mtx", tmp_path / "op.fcop", tmp_path / "r.json"
+    write_matrix(mfile, sdd_mixed(16, seed=1) if gremban else grid2d(16, slack=1e-2))
+    eps = 0.25
+    assert main(["factor", str(mfile), "--eps", str(eps), "--out", str(out),
+                 "--report", str(rep)] + (["--gremban"] if gremban else [])) == 0
+    m, _ = read_matrix(mfile)
+    op = prepare(make_field(m), eps * REFINE_SHARE).operator
+    assert out.read_bytes() == operator_bytes(op, {"lifted": gremban, "n_original": m.n})
+    # the report keeps the built chain and records the chosen degree beside it
+    chain = json.loads(rep.read_text())["chain"]
+    assert len(chain["poly_degrees"]) == chain["d"] >= 1
+    assert chain["chosen_degree"] == (0 if gremban else 1)
+    assert chain["flops_per_sample"] == flops_per_sample(op)
 
 
 def test_threads_flag_is_gone(tmp_path, grid_file):

@@ -233,23 +233,27 @@ def test_kappa_estimate_within_factor_four_of_truth():
 
 
 def test_power_iteration_brackets_diagonal_spectrum():
-    assert power_iteration(lambda v: v, 0) == SpectrumBounds(0.0, 0.0, 0, 0.0, True)
+    assert power_iteration(lambda v: v, 0, "both") == SpectrumBounds(0.0, 0.0, 0, 0.0, True)
     # three distinct values: the Krylov space is invariant after three steps
     d = np.repeat([3.0, 1.0, 0.5], 4)
-    b = power_iteration(lambda v: d * v, d.size)
+    b = power_iteration(lambda v: d * v, d.size, "both")
     assert b.converged and b.steps == 3 and b.residual <= 1e-12
     assert 0.5 - 1e-12 <= b.lo <= 0.5 and 3.0 <= b.hi <= 3.0 + 1e-12
     # a spread spectrum stops on the residual test, bracketing both ends
     e = np.linspace(1.0, 2.0, 300)
-    b = power_iteration(lambda v: e * v, e.size)
+    b = power_iteration(lambda v: e * v, e.size, "both")
     assert b.converged and b.steps < LANCZOS_MAX_STEPS
     assert 1.0 - 1e-3 <= b.lo <= 1.0 and 2.0 <= b.hi <= 2.0 + 1e-3
     # eigenvalues crowding zero never meet the relative test: the run stops
     # at the cap, and the padded bounds still hold
     g = np.geomspace(1e-6, 1.0, 400)
-    b = power_iteration(lambda v: g * v, g.size)
+    b = power_iteration(lambda v: g * v, g.size, "both")
     assert not b.converged and b.steps == LANCZOS_MAX_STEPS
     assert b.lo <= 1e-6 and b.hi >= 1.0
+    # waiting for the top end alone stops early; both bounds stay padded
+    top = power_iteration(lambda v: g * v, g.size, "hi")
+    assert top.converged and top.steps < LANCZOS_MAX_STEPS
+    assert top.lo <= 1e-6 and 1.0 <= top.hi <= 1.0 + 1e-3
 
 
 def test_nonneg_spectral_radius_matches_dense(grid9):
@@ -278,11 +282,17 @@ def test_radius_bound_holds_on_every_chain_level(m):
 
 
 @pytest.mark.parametrize("m", [grid2d(8), grid2d(16, slack=1e-2), random_sddm(120),
-                               path_graph(50)],
-                         ids=["grid8", "grid16_slack1e-2", "sddm120", "path50"])
+                               path_graph(50), grid2d(32)],
+                         ids=["grid8", "grid16_slack1e-2", "sddm120", "path50", "grid32"])
 def test_kappa_estimate_bounds_dense_condition_number(m):
     lam = np.linalg.eigvalsh(m.to_dense())
     assert kappa_estimate(m) >= lam[-1] / lam[0]
+    # kappa reads only the top end, so its run stops before M's bottom end
+    # converges: 16 / 35 / 12 / 28 / 46 steps against 24 / 56 / 27 / 45 / 100
+    top = power_iteration(m.matvec, m.n, "hi")
+    assert top.steps < power_iteration(m.matvec, m.n, "both").steps
+    assert lam[-1] <= top.hi <= lam[-1] * (1.0 + 2e-3)
+    assert kappa_estimate(m) == 2.0 * top.hi / validate_sddm(m).min_slack
 
 
 # ------------------------------------------------------------ gremban lift
