@@ -109,6 +109,12 @@ def build_chain(split: Splitting, p: float, eps: float,
     sparsification target is eps / (8 d_max); whichever of the radius test
     and the budget fires first ends the chain, and exceeding the budget by
     more than one level (or a stalled radius) raises ChainDiverged.
+
+    Each level's polynomial meets the same target eps / (8 d_max), fit to
+    that level's measured radius: the spectrum of I + X_i/2 lies within
+    1 +- rho(X_i)/2, so delta_i = rho_i / 2 with rho_i the residual-padded
+    upper bound of nonneg_spectral_radius.  The radii fall level by level,
+    so the degrees do too.
     """
     if not (-1.0 <= p <= 1.0):
         raise InvalidParamsError(f"exponent {p} outside [-1, 1]")
@@ -129,6 +135,7 @@ def build_chain(split: Splitting, p: float, eps: float,
     eps_level = eps / (8.0 * max(d_max, 1))
     levels: list[SparseSymMatrix] = []
     lambdas = [1.0 - rho]
+    radii: list[float] = []
     reports: list[SparsifyReport] = []
     stall = 0
     while rho > rho_stop:
@@ -144,6 +151,7 @@ def build_chain(split: Splitting, p: float, eps: float,
         x_next, report = sparsify_square_step(x, level_params)
         rho_next = nonneg_spectral_radius(x_next)
         levels.append(x)
+        radii.append(rho)
         x = x_next
         reports.append(report)
         lambdas.append(1.0 - rho_next)
@@ -159,10 +167,10 @@ def build_chain(split: Splitting, p: float, eps: float,
     # x is now the terminal level X_d: only its radius enters the chain
     d = len(levels)
     eps_term = -math.log1p(-rho) if rho > 0.0 else 0.0
-    poly = make(-p / 2.0, 0.5, eps_level)
+    polys = tuple(make(-p / 2.0, r / 2.0, eps_level) for r in radii)
     schedule = tuple([eps_level] * d + [eps_term])
     return FactorChain(
-        n=x.n, levels=tuple(levels), eps_schedule=schedule, polys=(poly,) * d,
+        n=x.n, levels=tuple(levels), eps_schedule=schedule, polys=polys,
         p=p, d=d, kappa_used=split.kappa_bound, eps_total=sum(schedule),
         lambdas=tuple(lambdas), reports=tuple(reports),
     )
@@ -370,14 +378,17 @@ def refine_inverse_factor(m: SparseSymMatrix, crude, eps: float):
     return RefinedOperator(crude, m, poly, s, info)
 
 
-def flops_per_sample(op: RefinedOperator) -> int:
-    """Predicted nnz-weighted flops of one sample through a refined operator.
+def flops_per_sample(op: ChainOperator | RefinedOperator) -> int:
+    """Predicted nnz-weighted flops of one sample through op.
 
-    One apply of Z costs L = sum_i t_i nnz(X_i), so each of the t_ref inner
-    applies Z^T M Z costs 2 L + nnz(M), and the final Z one more L.
+    One apply of a chain operator Z costs L = sum_i t_i nnz(X_i), and a
+    sample through Z is one apply.  Refined, each of the t_ref inner applies
+    Z^T M Z costs 2 L + nnz(M), and the final Z one more L.
     """
     ch = op.chain
     level = sum(q.t * x.full_nnz for q, x in zip(ch.polys, ch.levels))
+    if isinstance(op, ChainOperator):
+        return level
     return op.info.degree * (2 * level + op.matrix.full_nnz) + level
 
 

@@ -206,7 +206,7 @@ def cmd_factor(args) -> int:
         # the stored operator keeps the built levels at one chosen degree,
         # or none at degree 0
         summary["chosen_degree"] = op.chain.polys[0].t if op.chain.d else 0
-        summary["flops_per_sample"] = flops_per_sample(op)
+    summary["flops_per_sample"] = flops_per_sample(op)
     print(f"wrote {args.out}: n={target.n} d={op.chain.d} "
           f"eps_total={op.chain.eps_total:.6g}"
           + (f" refine_degree={refinement.degree}" if refinement else ""))

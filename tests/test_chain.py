@@ -30,6 +30,7 @@ from factorchain import (
     operator_from_bytes,
     path_graph,
     prepare,
+    random_regular,
     random_sddm,
     refine_inverse_factor,
     sdd_mixed,
@@ -37,8 +38,14 @@ from factorchain import (
     sparsify_square_step,
     validate_sddm,
 )
-from factorchain.chain import flops_per_sample, refine_by_cost
-from factorchain.maclaurin import apply_operator_poly, coeffs, eval_series, make
+from factorchain.chain import _at_level_degree, flops_per_sample, refine_by_cost
+from factorchain.maclaurin import (
+    apply_operator_poly,
+    coeffs,
+    eval_series,
+    make,
+    sandwich_criterion,
+)
 from factorchain.rng import TAG_LEVEL, substream_seed
 from factorchain.sampler import REFINE_SHARE
 from factorchain.sparse import identity, nonneg_spectral_radius
@@ -172,6 +179,51 @@ def test_schedule_sums_to_eps_total(grid9):
     terminal = terminal_level(chain, SparsifyParams(eps=1.0, mode="exact"))
     assert terminal.nnz == chain.reports[-1].nnz_out
     assert chain.lambdas[-1] == 1.0 - nonneg_spectral_radius(terminal)
+
+
+FIT_INPUTS = {
+    "grid16": lambda: grid2d(16),
+    "random_regular128": lambda: random_regular(128, 3),
+    "grid16_slack1e-2": lambda: grid2d(16, slack=1e-2),
+}
+
+
+@pytest.mark.parametrize("p", [-0.5, 0.5])
+@pytest.mark.parametrize("name", sorted(FIT_INPUTS))
+def test_level_polynomials_fit_the_measured_radius(name, p):
+    m = FIT_INPUTS[name]()
+    eps = 0.3
+    split, op = exact_chain_op(m, p, eps)
+    chain = op.chain
+    # the budget is the unchanged one: eps / (8 d_max) per level, then the
+    # terminal gap, with lambdas the measured 1 - rho(X_i)
+    eps_level = eps / (8.0 * max(chain_length_bound(split.kappa_bound, eps), 1))
+    assert chain.eps_schedule[:-1] == (eps_level,) * chain.d
+    assert chain.eps_total == sum(chain.eps_schedule)
+    uniform = make(-p / 2.0, 0.5, eps_level)
+    for i, (x, poly) in enumerate(zip(chain.levels, chain.polys)):
+        rho = nonneg_spectral_radius(x)
+        assert chain.lambdas[i] == 1.0 - rho
+        # I + X_i/2 has its spectrum within 1 +- rho(X_i)/2
+        assert poly.delta == rho / 2.0
+        assert 2.0 * poly.delta >= np.linalg.eigvalsh(x.to_dense())[-1] - 1e-12
+        # the smallest degree that meets the level's target at that delta
+        assert poly.p == -p / 2.0 and poly.eps == eps_level
+        assert sandwich_criterion(poly.delta, poly.t) <= chain.eps_schedule[i]
+        assert poly.t == 0 or sandwich_criterion(poly.delta, poly.t - 1) > eps_level
+        assert poly.t <= uniform.t
+    # the radii fall level by level, and the degrees with them
+    assert chain.polys[-1].t < chain.polys[0].t
+
+
+@pytest.mark.parametrize("p", [-0.5, 0.5])
+def test_fitted_direct_chain_certifies_on_an_expander(p):
+    m = random_regular(128, 3)
+    _, op = exact_chain_op(m, p, 0.3)
+    c = op.as_dense()
+    res = loewner_check(c @ c.T, dense_power(m.to_dense(), p),
+                        2.0 * op.chain.eps_total * (1 + 1e-9))
+    assert res.passed, res.eps_measured
 
 
 def test_chain_requires_d_plus_one_lambdas(grid9):
@@ -459,9 +511,9 @@ def test_cost_rule_certifies_and_beats_the_budget_degree(name):
     _, crude = exact_chain_op(m, -1.0, 1.0)
     eps = 0.1 / REFINE_SHARE
     op = refine_by_cost(m, crude, eps)
-    # the budget degree, 9 or 10 per level, refined as before
-    budget = refine_inverse_factor(m, crude, eps)
-    assert level_degree(budget) >= 9
+    # the uniform budget degree of earlier chains, 9 per level, refined
+    budget = refine_inverse_factor(m, _at_level_degree(crude, 9), eps)
+    assert level_degree(budget) == 9
     assert flops_per_sample(op) <= flops_per_sample(budget)
     c = op.as_dense()
     res = loewner_check(c @ c.T, dense_power(m.to_dense(), -1.0), eps)

@@ -6,17 +6,22 @@ import pytest
 
 from factorchain import (
     PreparedSampler,
+    SparsifyParams,
+    build_chain,
+    chain_operator,
     gremban_embed,
     gremban_project,
     grid2d,
     load_operator,
     make_field,
+    normalize,
     operator_bytes,
     prepare,
     read_matrix,
     sample,
     sdd_mixed,
     solve,
+    validate_sddm,
     write_matrix,
 )
 from factorchain.chain import flops_per_sample
@@ -150,6 +155,22 @@ def test_factor_no_refine_keeps_crude_chain(tmp_path, grid_file):
                  "--out", str(out)]) == 0
     op, _ = load_operator(out)
     assert op.kind == "chain"
+
+
+@pytest.mark.parametrize("flags,p", [(["--p", "-0.5"], -0.5), (["--no-refine"], -1.0)],
+                         ids=["p_minus_half", "no_refine"])
+def test_factor_reports_flops_of_a_direct_chain(tmp_path, grid_file, flags, p):
+    rc, out, rep = factored(tmp_path, grid_file, "--seed", "0", *flags)
+    assert rc == 0
+    m, _ = read_matrix(grid_file)
+    split = normalize(m, validate_sddm(m))
+    op = chain_operator(split, build_chain(split, p, 0.3, SparsifyParams(eps=1.0)))
+    chain = json.loads(rep.read_text())["chain"]
+    # one apply of the direct chain per sample: sum_i t_i nnz(X_i)
+    assert chain["flops_per_sample"] == flops_per_sample(op) == sum(
+        t * nnz for t, nnz in zip(chain["poly_degrees"], chain["level_nnz"])) > 0
+    assert flops_per_sample(load_operator(out)[0]) == flops_per_sample(op)
+    assert "chosen_degree" not in chain
 
 
 # ------------------------------------------------------------------- check

@@ -67,8 +67,8 @@ GOLDEN = {
     ),
     "direct_p_half_random_regular_64": (
         direct_prepared,
-        "1a877c6a1a061c7e35ca83e97d10f3ee1f905704b316ed21deae8df88eb8f07e",
-        "024c9cc8c839d21547f93623568d875a64433fb525e4781af408df549f65b927",
+        "03de2353ed28fb489cf1c1904c4aa89ea8b59395f7a1435ab41ddbe8d18562bb",
+        "3616296bbae5d14286e0c790b7cb2f040cc31430f57e1c65741ad69c343d5cff",
     ),
 }
 
