@@ -115,6 +115,11 @@ def build_chain(split: Splitting, p: float, eps: float,
     1 +- rho(X_i)/2, so delta_i = rho_i / 2 with rho_i the residual-padded
     upper bound of nonneg_spectral_radius.  The radii fall level by level,
     so the degrees do too.
+
+    Each level squares with sp_params' mode, samples_per_edge and measure
+    as given, but its eps is replaced by eps / (8 d_max) and its seed by
+    level i's substream of sp_params.seed.  The eps that callers put in
+    sp_params (1.0 by convention) is a placeholder.
     """
     if not (-1.0 <= p <= 1.0):
         raise InvalidParamsError(f"exponent {p} outside [-1, 1]")

@@ -5,10 +5,6 @@ operator chain), sample (draw Gaussian field samples from a stored
 chain), check (dense certification of a stored chain against its
 matrix).
 
-Flags fall back to FACTORCHAIN_* environment variables when not given
-on the command line (FACTORCHAIN_EPS, FACTORCHAIN_P, FACTORCHAIN_SEED,
-FACTORCHAIN_EXACT, FACTORCHAIN_GREMBAN, FACTORCHAIN_FORMAT).
-
 sample colors noise through the sampler's own code path, so a stored
 operator and the library produce the same bytes for the same seed and
 potential.
@@ -23,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -74,41 +70,6 @@ _NUMERIC_ERRORS = (
     NoConvergenceError,
 )
 
-_TRUTHY = {"1", "true", "yes", "on"}
-_FALSY = {"0", "false", "no", "off"}
-
-
-def _env_name(name: str) -> str:
-    return "FACTORCHAIN_" + name.upper()
-
-
-def _resolve(value, name, cast, default):
-    """Flag if given, else FACTORCHAIN_<NAME>, else the built-in default."""
-    if value is not None:
-        return value
-    raw = os.environ.get(_env_name(name))
-    if raw is None:
-        return default
-    if cast is bool:
-        low = raw.strip().lower()
-        if low in _TRUTHY:
-            return True
-        if low in _FALSY:
-            return False
-        raise InvalidParamsError(f"{_env_name(name)} must be a boolean, got {raw!r}")
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise InvalidParamsError(f"bad {_env_name(name)}: {raw!r}") from exc
-
-
-def _resolve_format(value):
-    fmt = _resolve(value, "format", str, "csv")
-    if fmt not in ("csv", "bin"):
-        raise InvalidParamsError(f"format must be csv or bin, got {fmt!r}")
-    return fmt
-
-
 def _write_report(path, payload) -> None:
     if not path:
         return
@@ -134,7 +95,7 @@ def _chain_summary(chain) -> dict:
 
 def cmd_gen(args) -> int:
     t0 = time.perf_counter()
-    seed = _resolve(args.seed, "seed", int, 0)
+    seed = args.seed
     if args.kind == "path":
         m = path_graph(args.size, slack=args.slack)
     elif args.kind == "grid2d":
@@ -161,15 +122,12 @@ def cmd_gen(args) -> int:
 
 def cmd_factor(args) -> int:
     t0 = time.perf_counter()
-    p = _resolve(args.p, "p", float, -1.0)
-    eps = _resolve(args.eps, "eps", float, 0.5)
-    seed = _resolve(args.seed, "seed", int, 0)
-    exact = _resolve(args.exact, "exact", bool, False)
-    gremban = _resolve(args.gremban, "gremban", bool, False)
+    p, eps, seed = args.p, args.eps, args.seed
+    exact, gremban = args.exact, args.gremban
     if not -1.0 <= p <= 1.0:
         raise InvalidParamsError("p must lie in [-1, 1]")
-    if eps <= 0.0:
-        raise InvalidParamsError("eps must be positive")
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise InvalidParamsError("eps must be positive and finite")
 
     m, _ = read_matrix(args.matrix)
     cert = validate_sddm(m)
@@ -202,19 +160,21 @@ def cmd_factor(args) -> int:
     save_operator(args.out, op, meta=meta)
     refinement = getattr(op, "refinement", None)
     summary = _chain_summary(chain)
+    summary["flops_per_sample"] = flops_per_sample(op)
     if refinement:
         # the stored operator keeps the built levels at one chosen degree,
-        # or none at degree 0
+        # or none at degree 0; its error is the refinement's eps, not the
+        # crude chain's sum
         summary["chosen_degree"] = op.chain.polys[0].t if op.chain.d else 0
-    summary["flops_per_sample"] = flops_per_sample(op)
-    print(f"wrote {args.out}: n={target.n} d={op.chain.d} "
-          f"eps_total={op.chain.eps_total:.6g}"
-          + (f" refine_degree={refinement.degree}" if refinement else ""))
+        bound = f"eps={refinement.eps:.6g} refine_degree={refinement.degree}"
+    else:
+        bound = f"eps_total={op.chain.eps_total:.6g}"
+    print(f"wrote {args.out}: n={target.n} d={op.chain.d} {bound}")
     _write_report(args.report, {
         "command": "factor",
         "config": {"matrix": args.matrix, "p": p, "eps": eps, "seed": seed,
                    "exact": exact, "gremban": gremban,
-                   "no_refine": bool(args.no_refine), "out": args.out},
+                   "no_refine": args.no_refine, "out": args.out},
         "lifted": lifted,
         "n": target.n,
         "n_original": m.n,
@@ -239,8 +199,7 @@ def _read_potential(path, n) -> np.ndarray:
 
 def cmd_sample(args) -> int:
     t0 = time.perf_counter()
-    seed = _resolve(args.seed, "seed", int, 0)
-    fmt = _resolve_format(args.format)
+    seed, fmt = args.seed, args.format
     if args.count < 0:
         raise InvalidParamsError("count must be nonnegative")
 
@@ -277,9 +236,9 @@ def cmd_sample(args) -> int:
 
 def cmd_check(args) -> int:
     t0 = time.perf_counter()
-    eps = _resolve(args.eps, "eps", float, 0.5)
-    if eps <= 0.0:
-        raise InvalidParamsError("eps must be positive")
+    eps = args.eps
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise InvalidParamsError("eps must be positive and finite")
     m, _ = read_matrix(args.matrix)
     if m.n > DENSE_CHECK_LIMIT:
         raise TooLargeForDenseCheckError(
@@ -324,7 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Gaussian field sampling.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", help="generate a test matrix")
+    formatter = argparse.ArgumentDefaultsHelpFormatter
+    g = sub.add_parser("gen", help="generate a test matrix", formatter_class=formatter)
     g.add_argument("--kind", required=True,
                    choices=["path", "grid2d", "random_regular", "sdd_mixed"])
     g.add_argument("--size", type=int, required=True,
@@ -333,40 +293,42 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="diagonal slack added to every row")
     g.add_argument("--degree", type=int, default=3,
                    help="degree for random_regular")
-    g.add_argument("--seed", type=int, default=None)
+    g.add_argument("--seed", type=int, default=0, help="random seed")
     g.add_argument("--out", required=True)
     g.add_argument("--report", default=None)
 
-    f = sub.add_parser("factor", help="build a factor chain for M^p")
+    f = sub.add_parser("factor", help="build a factor chain for M^p",
+                       formatter_class=formatter)
     f.add_argument("matrix", help="input matrix in Matrix Market format")
-    f.add_argument("--p", type=float, default=None,
-                   help="exponent in [-1, 1] (default -1)")
-    f.add_argument("--eps", type=float, default=None,
-                   help="target tolerance (default 0.5)")
-    f.add_argument("--seed", type=int, default=None)
-    f.add_argument("--exact", action="store_true", default=None,
+    f.add_argument("--p", type=float, default=-1.0, help="exponent in [-1, 1]")
+    f.add_argument("--eps", type=float, default=0.5, help="target tolerance")
+    f.add_argument("--seed", type=int, default=0, help="random seed")
+    f.add_argument("--exact", action="store_true",
                    help="square levels exactly instead of sparsifying")
-    f.add_argument("--gremban", action="store_true", default=None,
+    f.add_argument("--gremban", action="store_true",
                    help="lift an SDD matrix with positive off-diagonals")
     f.add_argument("--no-refine", dest="no_refine", action="store_true",
                    help="store the crude chain without inverse refinement")
     f.add_argument("--out", required=True)
     f.add_argument("--report", default=None)
 
-    s = sub.add_parser("sample", help="draw Gaussian samples from a stored chain")
+    s = sub.add_parser("sample", help="draw Gaussian samples from a stored chain",
+                       formatter_class=formatter)
     s.add_argument("chain", help="operator file written by factor")
-    s.add_argument("--count", type=int, default=1)
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--count", type=int, default=1, help="number of samples")
+    s.add_argument("--seed", type=int, default=0, help="random seed")
     s.add_argument("--h", default=None,
                    help="potential vector file, one value per line")
-    s.add_argument("--format", choices=["csv", "bin"], default=None)
+    s.add_argument("--format", choices=["csv", "bin"], default="csv",
+                   help="output encoding")
     s.add_argument("--out", required=True)
     s.add_argument("--report", default=None)
 
-    c = sub.add_parser("check", help="dense certification of a stored chain")
+    c = sub.add_parser("check", help="dense certification of a stored chain",
+                       formatter_class=formatter)
     c.add_argument("matrix")
     c.add_argument("chain")
-    c.add_argument("--eps", type=float, default=None)
+    c.add_argument("--eps", type=float, default=0.5, help="tolerance to certify")
     c.add_argument("--report", default=None)
 
     return ap

@@ -19,6 +19,9 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidParamsError, NoConvergenceError
 from .sparse import SparseSymMatrix
 
+# degree_for gives up above this degree
+MAX_DEGREE = 20_000
+
 
 def coeffs(p: float, t: int) -> np.ndarray:
     """Coefficients a_0..a_t of the binomial series for (1 - x)^p.
@@ -44,7 +47,7 @@ def sandwich_criterion(delta: float, t: int) -> float:
     return delta ** (t + 1) / (1.0 - delta) ** 2
 
 
-def degree_for(p: float, delta: float, eps: float, *, max_degree: int = 20_000) -> int:
+def degree_for(p: float, delta: float, eps: float) -> int:
     """Smallest degree t with delta^(t+1)/(1-delta)^2 <= eps."""
     if not (-1.0 <= p <= 1.0):
         raise InvalidParamsError(f"exponent {p} outside [-1, 1]")
@@ -59,8 +62,8 @@ def degree_for(p: float, delta: float, eps: float, *, max_degree: int = 20_000) 
     t = max(0, int(math.ceil(guess)) - 2)
     while sandwich_criterion(delta, t) > eps:
         t += 1
-        if t > max_degree:
-            raise NoConvergenceError(f"degree_for: exceeded max_degree={max_degree}")
+        if t > MAX_DEGREE:
+            raise NoConvergenceError(f"degree_for: exceeded MAX_DEGREE={MAX_DEGREE}")
     while t > 0 and sandwich_criterion(delta, t - 1) <= eps:
         t -= 1
     return t
@@ -81,10 +84,6 @@ class MaclaurinPoly:
         self.coeffs.setflags(write=False)
         if self.t < 0 or self.coeffs.shape != (self.t + 1,):
             raise InvalidParamsError("need degree t >= 0 and t + 1 coefficients")
-
-    @property
-    def degree(self) -> int:
-        return self.t
 
 
 def make(p: float, delta: float, eps: float) -> MaclaurinPoly:

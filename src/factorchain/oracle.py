@@ -29,6 +29,9 @@ from .sparse import SparseSymMatrix
 # the largest n any dense check here is asked to handle
 DENSE_CHECK_LIMIT = 512
 
+# dense_power's positive-definiteness floor, relative to the largest eigenvalue
+PD_FLOOR = 1e-12
+
 
 class DenseSym:
     """Dense symmetric matrix wrapper; enforces symmetry at construction."""
@@ -138,16 +141,16 @@ def jacobi_eigh(a, *, tol: float = 1e-13, max_sweeps: int = 60,
     raise NoConvergenceError(f"jacobi_eigh: no convergence in {max_sweeps} sweeps")
 
 
-def dense_power(m, p: float, *, pd_floor: float = 1e-12) -> np.ndarray:
+def dense_power(m, p: float) -> np.ndarray:
     """Matrix power M^p through the Jacobi eigendecomposition.
 
-    Non-integer or negative exponents require eigenvalues above pd_floor
+    Non-integer or negative exponents require eigenvalues above PD_FLOOR
     relative to the largest one.
     """
     w, vv = jacobi_eigh(m)
     needs_pd = (p < 0.0) or (p != round(p))
     scale = max(np.max(np.abs(w)), np.finfo(float).tiny)
-    if needs_pd and w.min() <= pd_floor * scale:
+    if needs_pd and w.min() <= PD_FLOOR * scale:
         raise NotPositiveDefiniteError(
             f"dense_power({p}): eigenvalue {w.min():.3e} below positive floor"
         )
@@ -162,7 +165,7 @@ class LoewnerResult:
     eps_measured: float
 
 
-def loewner_check(a, b, eps: float, *, vectors: bool = False) -> LoewnerResult:
+def loewner_check(a, b, eps: float) -> LoewnerResult:
     """Check exp(-eps) B <= A <= exp(eps) B in the Loewner order (B PD).
 
     Congruence by the Cholesky factor of B reduces to a standard symmetric
@@ -181,7 +184,7 @@ def loewner_check(a, b, eps: float, *, vectors: bool = False) -> LoewnerResult:
     y = scipy.linalg.solve_triangular(chol, ad, lower=True)
     c = scipy.linalg.solve_triangular(chol, y.T, lower=True)
     c = 0.5 * (c + c.T)
-    w, _ = jacobi_eigh(c, vectors=vectors)
+    w, _ = jacobi_eigh(c, vectors=False)
     if w.min() <= 0.0:
         return LoewnerResult(False, float("inf"))
     measured = float(np.max(np.abs(np.log(w))))

@@ -40,11 +40,13 @@ from .sparse import (
     sdd_slack,
     validate_sddm,
 )
-from .sparsify import SparsifyParams
 
 # the refinement runs this factor tighter than the requested tolerance, so
 # statistical tests on the samples see noise rather than operator bias
 REFINE_SHARE = 8.0
+
+# |z| above which covariance_check counts an entry as a miss
+Z_THRESHOLD = 3.0
 
 # bytes of noise one colouring block, and of samples one batch, may hold
 _BLOCK_BYTES = 2**27
@@ -95,12 +97,11 @@ class PreparedSampler:
     eps: float
 
 
-def _refined_operator(field: GaussianField, eps: float,
-                      sp_params: SparsifyParams | None):
+def _refined_operator(field: GaussianField, eps: float):
     target = field.lifted.S if field.lifted is not None else field.precision
     cert = validate_sddm(target)
     split = normalize(target, cert)
-    crude = chain_operator(split, build_chain(split, -1.0, 1.0, sp_params))
+    crude = chain_operator(split, build_chain(split, -1.0, 1.0))
     return target, refine_by_cost(target, crude, eps / REFINE_SHARE)
 
 
@@ -113,12 +114,11 @@ def _mean_of(op, potential: np.ndarray, lifted: bool) -> np.ndarray:
     return solve(op, potential)
 
 
-def prepare(field: GaussianField, eps: float,
-            sp_params: SparsifyParams | None = None) -> PreparedSampler:
+def prepare(field: GaussianField, eps: float) -> PreparedSampler:
     """Build the refined inverse factor and the mean for a field."""
     if eps <= 0.0:
         raise InvalidParamsError("eps must be positive")
-    _, refined = _refined_operator(field, eps, sp_params)
+    _, refined = _refined_operator(field, eps)
     mean = _mean_of(refined, field.potential, field.lifted is not None)
     return PreparedSampler(field=field, operator=refined, mean=mean, eps=eps)
 
@@ -175,8 +175,7 @@ def sample(prep: PreparedSampler, count: int, seed: int) -> SampleBatch:
                   prep.field.lifted is not None)
 
 
-def sample_edge_based(field: GaussianField, eps: float, count: int, seed: int,
-                      sp_params: SparsifyParams | None = None) -> SampleBatch:
+def sample_edge_based(field: GaussianField, eps: float, count: int, seed: int) -> SampleBatch:
     """Like sample, but the noise is indexed by edges and slack columns.
 
     The colored vector is Z (B z) for the exact factor B B^T = Lambda (or
@@ -187,7 +186,7 @@ def sample_edge_based(field: GaussianField, eps: float, count: int, seed: int,
         raise InvalidParamsError("count must be nonnegative")
     if eps <= 0.0:
         raise InvalidParamsError("eps must be positive")
-    target, refined = _refined_operator(field, eps, sp_params)
+    target, refined = _refined_operator(field, eps)
     op = EdgeOperator(refined, edge_factor(target))
     lifted = field.lifted is not None
     return _color(op, _mean_of(refined, field.potential, lifted), count, seed, eps, lifted)
@@ -201,12 +200,12 @@ class CovarianceCheck:
     insufficient_data: bool
 
 
-def covariance_check(batch: SampleBatch, target, z_threshold: float = 3.0) -> CovarianceCheck:
+def covariance_check(batch: SampleBatch, target) -> CovarianceCheck:
     """Entrywise z-scores of the sample covariance against a dense target.
 
     The standard error of entry (i, j) is sqrt((T_ii T_jj + T_ij^2)/count);
     the pass fraction counts upper-triangle entries (diagonal included)
-    with |z| at or below the threshold.  Fewer than two samples cannot
+    with |z| at or below Z_THRESHOLD.  Fewer than two samples cannot
     estimate a covariance and are flagged instead.
     """
     count = batch.samples.shape[0]
@@ -221,7 +220,7 @@ def covariance_check(batch: SampleBatch, target, z_threshold: float = 3.0) -> Co
     z = np.abs(emp - t) / se
     zu = z[np.triu_indices(t.shape[0])]
     return CovarianceCheck(
-        pass_fraction=float(np.mean(zu <= z_threshold)),
+        pass_fraction=float(np.mean(zu <= Z_THRESHOLD)),
         max_abs_z=float(zu.max()),
         n_checked=int(zu.size),
         insufficient_data=False,

@@ -401,17 +401,16 @@ def kappa_estimate(m: SparseSymMatrix) -> float:
     return float(2.0 * power_iteration(m.matvec, m.n, "hi").hi / cert.min_slack)
 
 
-def normalize(m: SparseSymMatrix, cert: SddmCertificate, kappa: float | None = None) -> Splitting:
+def normalize(m: SparseSymMatrix, cert: SddmCertificate) -> Splitting:
     """Split an SDDM matrix as M = (1/c)(I - X) with X >= 0 entrywise.
 
-    c = (1 - 1/kappa) / max_i M_ii with kappa = max(2, kappa bound).  With
-    that scaling the spectrum of c*M sits inside [1/(2 kappa), 2 - 1/(2 kappa)]
-    and rho(X) <= 1 - 1/(2 kappa).  A caller who knows a tighter bound on the
-    condition number may pass it; by default an estimated upper bound is used.
+    c = (1 - 1/kappa) / max_i M_ii with kappa = max(2, kappa_estimate(M)).
+    With that scaling the spectrum of c*M sits inside
+    [1/(2 kappa), 2 - 1/(2 kappa)] and rho(X) <= 1 - 1/(2 kappa).
     """
     if not cert.is_sddm:
         raise NotSddmError("normalize requires an SDDM matrix")
-    kap = max(2.0, float(kappa) if kappa is not None else kappa_estimate(m))
+    kap = max(2.0, kappa_estimate(m))
     c = (1.0 - 1.0 / kap) / cert.max_diag
     x = identity_minus_scaled(c, m)
     if x.vals.size and x.min_value() < 0.0:

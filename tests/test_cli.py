@@ -173,6 +173,34 @@ def test_factor_reports_flops_of_a_direct_chain(tmp_path, grid_file, flags, p):
     assert "chosen_degree" not in chain
 
 
+def test_factor_prints_the_operator_error(tmp_path, grid_file, capsys):
+    # a refined operator is certified to the refinement's eps; only a plain
+    # chain reports its sandwich sum
+    rc, out, rep = factored(tmp_path, grid_file)
+    assert rc == 0
+    degree = json.loads(rep.read_text())["refinement"]["degree"]
+    line = capsys.readouterr().out
+    assert f" eps=0.3 refine_degree={degree}\n" in line
+    assert "eps_total" not in line
+    rc, out, _ = factored(tmp_path, grid_file, "--no-refine")
+    assert rc == 0
+    line = capsys.readouterr().out
+    assert f"eps_total={load_operator(out)[0].chain.eps_total:.6g}\n" in line
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["factor", "check"])
+def test_non_finite_eps_exit_2(tmp_path, grid_file, command, eps, capsys):
+    rc, out, _ = factored(tmp_path, grid_file)
+    assert rc == 0
+    if command == "factor":
+        args = ["factor", str(grid_file), "--out", str(tmp_path / "x.fcop")]
+    else:
+        args = ["check", str(grid_file), str(out)]
+    assert main(args + ["--eps", eps]) == 2
+    assert "eps must be positive and finite" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- check
 
 
@@ -332,34 +360,29 @@ def test_sample_gremban_projected_width(tmp_path):
 # --------------------------------------------------------------------- env
 
 
-def test_env_overrides(tmp_path, grid_file, monkeypatch):
-    monkeypatch.setenv("FACTORCHAIN_EPS", "0.25")
+def test_environment_is_ignored(tmp_path, grid_file, monkeypatch):
+    plain = tmp_path / "plain.fcop"
+    assert main(["factor", str(grid_file), "--out", str(plain)]) == 0
+    monkeypatch.setenv("FACTORCHAIN_EPS", "0.9")
     monkeypatch.setenv("FACTORCHAIN_SEED", "9")
-    out = tmp_path / "op.fcop"
-    rep = tmp_path / "r.json"
+    monkeypatch.setenv("FACTORCHAIN_FORMAT", "bin")
+    out, rep = tmp_path / "op.fcop", tmp_path / "r.json"
     assert main(["factor", str(grid_file), "--out", str(out),
                  "--report", str(rep)]) == 0
-    report = json.loads(rep.read_text())
-    assert report["config"]["eps"] == 0.25
-    assert report["config"]["seed"] == 9
-
-
-def test_env_format_override(tmp_path, grid_file, monkeypatch):
-    rc, out, _ = factored(tmp_path, grid_file)
-    monkeypatch.setenv("FACTORCHAIN_FORMAT", "bin")
+    config = json.loads(rep.read_text())["config"]
+    assert (config["eps"], config["seed"]) == (0.5, 0)
+    assert out.read_bytes() == plain.read_bytes()
     sfile = tmp_path / "s.out"
-    assert main(["sample", str(out), "--count", "2",
-                 "--out", str(sfile)]) == 0
-    assert (tmp_path / "s.out.json").exists()
+    assert main(["sample", str(out), "--count", "2", "--out", str(sfile)]) == 0
+    assert sfile.read_text().startswith("x0,x1,")
+    assert not (tmp_path / "s.out.json").exists()
 
 
-def test_flag_beats_env(tmp_path, grid_file, monkeypatch):
-    monkeypatch.setenv("FACTORCHAIN_EPS", "0.9")
-    rep = tmp_path / "r.json"
-    assert main(["factor", str(grid_file), "--eps", "0.2",
-                 "--out", str(tmp_path / "op.fcop"),
-                 "--report", str(rep)]) == 0
-    assert json.loads(rep.read_text())["config"]["eps"] == 0.2
+def test_factor_help_shows_defaults(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["factor", "--help"])
+    assert exc.value.code == 0
+    assert "default: 0.5" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("gremban", [False, True])

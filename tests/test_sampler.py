@@ -247,13 +247,6 @@ def test_covariance_check_single_sample_flagged():
     assert res.n_checked == 0
 
 
-def test_covariance_check_threshold_knob():
-    target = dense_power(grid2d(3).to_dense(), -1.0)
-    batch = exact_batch(target, 5_000, 3)
-    loose = covariance_check(batch, target, z_threshold=10.0)
-    assert loose.pass_fraction == 1.0
-
-
 # ------------------------------------------------------------------ output
 
 

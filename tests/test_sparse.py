@@ -179,10 +179,12 @@ def test_sdd_slack_allows_positive_offdiagonals():
 
 
 def test_normalize_hand_example(two_by_two):
-    # kappa = 3 gives c = (1 - 1/3)/2 = 1/3 and X = I - M/3, all entries 1/3
-    split = normalize(two_by_two, validate_sddm(two_by_two), kappa=3.0)
-    assert split.c == pytest.approx(1.0 / 3.0)
-    assert np.allclose(split.X.to_dense(), np.full((2, 2), 1.0 / 3.0), atol=1e-15)
+    # c = (1 - 1/kappa)/max_diag with the estimated kappa, and X = I - c M
+    split = normalize(two_by_two, validate_sddm(two_by_two))
+    assert split.kappa_bound == kappa_estimate(two_by_two)
+    assert split.c == pytest.approx((1.0 - 1.0 / split.kappa_bound) / 2.0)
+    assert np.allclose(split.X.to_dense(),
+                       np.eye(2) - split.c * two_by_two.to_dense(), atol=1e-15)
 
 
 def test_normalize_rejects_non_sddm():
