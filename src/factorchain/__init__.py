@@ -30,13 +30,16 @@ from .errors import (
 )
 from .generators import grid2d, path_graph, random_regular, random_sddm, sdd_mixed
 from .maclaurin import (
+    ChebyshevPoly,
     MaclaurinPoly,
     abs_residue_bound,
     apply_operator_poly,
+    bernstein_degree,
     coeffs,
     degree_for,
     eval_scalar,
     eval_series,
+    inverse_sqrt,
     make,
     sandwich_criterion,
 )

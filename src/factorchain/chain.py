@@ -38,11 +38,14 @@ from .errors import (
     NoConvergenceError,
     SpectrumEstimateFailedError,
     WrongExponentError,
+    check_eps,
 )
 from .maclaurin import (
+    ChebyshevPoly,
     MaclaurinPoly,
     apply_operator_poly,
     coeffs,
+    inverse_sqrt,
     make,
     sandwich_criterion,
 )
@@ -123,8 +126,7 @@ def build_chain(split: Splitting, p: float, eps: float,
     """
     if not (-1.0 <= p <= 1.0):
         raise InvalidParamsError(f"exponent {p} outside [-1, 1]")
-    if eps <= 0.0:
-        raise InvalidParamsError("eps must be positive")
+    check_eps(eps)
     if sp_params is None:
         sp_params = SparsifyParams(eps=1.0)
     x = split.X
@@ -236,27 +238,37 @@ class ChainOperator:
 
 @dataclass(frozen=True)
 class RefinementInfo:
+    """The refinement's polynomial: its degree, interval and certificate.
+
+    Each of the two factors of C C^T is within exp(+-eps/2): the polynomial
+    keeps |p(y) sqrt(y) - 1| <= bound on [1 - delta, 1 + delta], where the
+    named certificate (maclaurin.CERTIFICATES) set the degree.
+    """
+
     degree: int
     scale: float
     delta: float
     eps: float
     spectrum_lo: float
     spectrum_hi: float
+    certificate: str
+    bound: float
 
 
 class RefinedOperator:
-    """C = sqrt(s) * Z * T_{-1/2,t}(s Z^T M Z) around a crude inverse factor Z.
+    """C = sqrt(s) * Z * p_t(s Z^T M Z) around a crude inverse factor Z.
 
     Z (Z^T M Z)^{-1} Z^T equals M^{-1} exactly for invertible Z, so the
     only error left is the polynomial surrogate of the inner inverse square
-    root, which the degree t pins to the requested tolerance.
+    root, a Chebyshev series whose certified degree t pins the requested
+    tolerance.
     """
 
     kind = "chain_refined"
     __slots__ = ("base", "matrix", "poly", "scale", "info")
 
     def __init__(self, base: ChainOperator, matrix: SparseSymMatrix,
-                 poly: MaclaurinPoly, scale: float, info: RefinementInfo):
+                 poly: ChebyshevPoly, scale: float, info: RefinementInfo):
         if base.input_dim != matrix.n:
             raise DimensionMismatchError("refinement matrix does not match operator")
         self.base = base
@@ -284,15 +296,18 @@ class RefinedOperator:
     def _inner(self, u: np.ndarray) -> np.ndarray:
         return self.base.apply_transpose(self.matrix.matvec(self.base.apply(u)))
 
+    def _poly_apply(self, v: np.ndarray) -> np.ndarray:
+        """p(s Z^T M Z) v; at depth 0 Z is out_scale I, so Z^T M Z = out_scale^2 M."""
+        if isinstance(self.base, ChainOperator) and self.base.chain.d == 0:
+            beta = self.scale * self.base.out_scale ** 2
+            return apply_operator_poly(self.poly, self.matrix, (0.0, beta), v)
+        return apply_operator_poly(self.poly, self._inner, (0.0, self.scale), v)
+
     def apply(self, v: np.ndarray) -> np.ndarray:
-        w = apply_operator_poly(self.poly, self._inner, (0.0, self.scale), v)
-        return math.sqrt(self.scale) * self.base.apply(w)
+        return math.sqrt(self.scale) * self.base.apply(self._poly_apply(v))
 
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
-        w = self.base.apply_transpose(v)
-        return math.sqrt(self.scale) * apply_operator_poly(
-            self.poly, self._inner, (0.0, self.scale), w
-        )
+        return math.sqrt(self.scale) * self._poly_apply(self.base.apply_transpose(v))
 
     def as_dense(self) -> np.ndarray:
         return self.apply(np.eye(self.matrix.n))
@@ -360,10 +375,9 @@ def refine_inverse_factor(m: SparseSymMatrix, crude, eps: float):
     The inner matrix A = Z^T M Z is scaled by s = 2/(lo + hi) so its
     spectrum sits in [1 - delta, 1 + delta]; lo and hi bound A's spectrum
     from one Lanczos run.  Each of the two polynomial factors in C C^T
-    carries half the budget.
+    carries half the budget, at the degree maclaurin.inverse_sqrt certifies.
     """
-    if eps <= 0.0:
-        raise InvalidParamsError("eps must be positive")
+    check_eps(eps)
     if getattr(crude, "chain", None) is None or crude.chain.p != -1.0:
         raise WrongExponentError("refinement requires an inverse-factor chain (p = -1)")
     if crude.input_dim != m.n:
@@ -377,9 +391,10 @@ def refine_inverse_factor(m: SparseSymMatrix, crude, eps: float):
             f"inconsistent spectrum bounds lo={lo:.3e}, hi={hi:.3e}")
     s = 2.0 / (lo + hi)
     delta_used = max((hi - lo) / (hi + lo), 1e-9)
-    poly = make(-0.5, delta_used, eps / 2.0)
+    poly = inverse_sqrt(delta_used, eps / 2.0)
     info = RefinementInfo(degree=poly.t, scale=s, delta=delta_used, eps=eps,
-                          spectrum_lo=lo, spectrum_hi=hi)
+                          spectrum_lo=lo, spectrum_hi=hi,
+                          certificate=poly.certificate, bound=poly.bound)
     return RefinedOperator(crude, m, poly, s, info)
 
 
@@ -426,7 +441,7 @@ def refine_by_cost(m: SparseSymMatrix, crude: ChainOperator, eps: float) -> Refi
     is not below the best so far; each candidate's refinement degree comes
     from its own refine_inverse_factor run, so the winner's spectrum run is
     its refinement.  A candidate whose spectrum estimate fails or whose
-    refinement degree exceeds the series' cap costs infinity.  The cost
+    refinement degree exceeds maclaurin.MAX_DEGREE costs infinity.  The cost
     grows at least as t sum_i nnz(X_i), so the search ends; if no
     candidate up to the stop is finite, the last failure is raised.
     """

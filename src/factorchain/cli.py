@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import asdict
@@ -41,6 +40,7 @@ from .errors import (
     SpectrumEstimateFailedError,
     TooLargeForDenseCheckError,
     WrongExponentError,
+    check_eps,
 )
 from .generators import grid2d, path_graph, random_regular, sdd_mixed
 from .mmio import read_matrix, write_matrix
@@ -90,6 +90,8 @@ def _chain_summary(chain) -> dict:
         "lambdas": [float(l) for l in chain.lambdas],
         "level_nnz": [int(level.full_nnz) for level in chain.levels],
         "poly_degrees": [int(poly.t) for poly in chain.polys],
+        "merge_attempts": [r.merge_attempts for r in chain.reports],
+        "merge_fallbacks": [r.merge_fallback for r in chain.reports],
     }
 
 
@@ -126,8 +128,7 @@ def cmd_factor(args) -> int:
     exact, gremban = args.exact, args.gremban
     if not -1.0 <= p <= 1.0:
         raise InvalidParamsError("p must lie in [-1, 1]")
-    if not (eps > 0.0 and math.isfinite(eps)):
-        raise InvalidParamsError("eps must be positive and finite")
+    check_eps(eps)
 
     m, _ = read_matrix(args.matrix)
     cert = validate_sddm(m)
@@ -237,8 +238,7 @@ def cmd_sample(args) -> int:
 def cmd_check(args) -> int:
     t0 = time.perf_counter()
     eps = args.eps
-    if not (eps > 0.0 and math.isfinite(eps)):
-        raise InvalidParamsError("eps must be positive and finite")
+    check_eps(eps)
     m, _ = read_matrix(args.matrix)
     if m.n > DENSE_CHECK_LIMIT:
         raise TooLargeForDenseCheckError(

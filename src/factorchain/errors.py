@@ -2,9 +2,12 @@
 
 Every error raised by the library derives from FactorChainError so callers
 (and the CLI) can distinguish input/validation problems from genuine bugs.
+check_eps is the one test of a tolerance argument.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class FactorChainError(Exception):
@@ -68,3 +71,9 @@ class InvalidParamsError(FactorChainError):
 
 class SerializationError(FactorChainError):
     """A factor container file is malformed or of an unsupported version."""
+
+
+def check_eps(eps: float) -> None:
+    """Refuse a tolerance that is not a positive, finite number."""
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise InvalidParamsError("eps must be positive and finite")

@@ -1,12 +1,25 @@
-"""Truncated binomial series g_{p,t}(x) ~ (1 - x)^p and its operator form.
+"""Polynomial surrogates of matrix powers and their operator form.
 
-Writing lam = 1 - x, the polynomial T(lam) = g_{p,t}(1 - lam) approximates
-lam^p near 1.  For |x| <= delta < 1 and p in [-1, 1] the coefficients stay
-bounded by 1, the absolute truncation error is at most
-delta^(t+1) / (1 - delta), and dividing by min lam^p >= 1 - delta gives the
-multiplicative criterion delta^(t+1) / (1 - delta)^2 <= eps that drives
-degree selection.  Operator evaluation is Horner's scheme with exactly t
-matrix-vector products.
+Two families live here.
+
+The truncated binomial series g_{p,t}(x) ~ (1 - x)^p (MaclaurinPoly) is
+what a chain level applies.  Writing lam = 1 - x, the polynomial
+T(lam) = g_{p,t}(1 - lam) approximates lam^p near 1.  For |x| <= delta < 1
+and p in [-1, 1] the coefficients stay bounded by 1, the absolute
+truncation error is at most delta^(t+1) / (1 - delta), and dividing by
+min lam^p >= 1 - delta gives the multiplicative criterion
+delta^(t+1) / (1 - delta)^2 <= eps that drives degree selection.  Operator
+evaluation is Horner's scheme with exactly t matrix-vector products.
+
+The refinement's surrogate of y^{-1/2} on [1 - delta, 1 + delta]
+(ChebyshevPoly) is a Chebyshev series in u = (y - 1)/delta, applied by
+Clenshaw's recurrence, again with exactly t products.  Its degree is the
+smaller of two certified ones: the Chebyshev interpolant's, from the
+Bernstein-ellipse bound 4 M(rho) rho^(-t) / (rho - 1) (Trefethen,
+Approximation Theory and Approximation Practice, Thm 8.2), which grows like
+sqrt(kappa); and the binomial series', which grows like kappa but needs
+fewer terms when delta is small.  A series that wins is stored in the same
+Chebyshev basis, so the refinement has one form and one apply path.
 """
 
 from __future__ import annotations
@@ -15,8 +28,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
-from .errors import DimensionMismatchError, InvalidParamsError, NoConvergenceError
+from .errors import DimensionMismatchError, InvalidParamsError, NoConvergenceError, check_eps
 from .sparse import SparseSymMatrix
 
 # degree_for gives up above this degree
@@ -53,8 +67,7 @@ def degree_for(p: float, delta: float, eps: float) -> int:
         raise InvalidParamsError(f"exponent {p} outside [-1, 1]")
     if not (0.0 < delta < 1.0):
         raise InvalidParamsError(f"delta {delta} outside (0, 1)")
-    if eps <= 0.0:
-        raise InvalidParamsError("eps must be positive")
+    check_eps(eps)
     if sandwich_criterion(delta, 0) <= eps:
         return 0
     # closed-form start, then walk to the exact threshold to dodge rounding
@@ -91,6 +104,107 @@ def make(p: float, delta: float, eps: float) -> MaclaurinPoly:
     return MaclaurinPoly(p=p, t=t, coeffs=coeffs(p, t), delta=delta, eps=eps)
 
 
+# -- the refinement's surrogate of y^{-1/2} -------------------------------------
+
+# names of the bounds that can set a ChebyshevPoly's degree
+CERTIFICATES = ("bernstein", "maclaurin")
+
+# the Bernstein bound is minimised over rho = 1 + s (rho_max - 1), s in (0, 1),
+# on a grid dense at both ends; 1 - s is kept separately for its digits
+_S_LEFT = np.geomspace(1e-12, 0.5, 256)
+_S_RIGHT = np.geomspace(1e-14, 0.5, 256)[:-1]
+_S = np.concatenate([_S_LEFT, 1.0 - _S_RIGHT])
+_ONE_MINUS_S = np.concatenate([1.0 - _S_LEFT, _S_RIGHT])
+
+
+@dataclass(frozen=True)
+class ChebyshevPoly:
+    """p(y) = sum_k coeffs[k] T_k((y - 1)/delta), a degree-t surrogate of y^{-1/2}.
+
+    On [1 - delta, 1 + delta], |p(y) sqrt(y) - 1| <= bound <= 1 - exp(-eps),
+    so p stays within exp(+-eps) of y^{-1/2}.  certificate names the bound
+    that set t (one of CERTIFICATES).
+    """
+
+    t: int
+    coeffs: np.ndarray = field(repr=False)
+    delta: float
+    eps: float
+    certificate: str
+    bound: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=np.float64))
+        self.coeffs.setflags(write=False)
+        if self.t < 0 or self.coeffs.shape != (self.t + 1,):
+            raise InvalidParamsError("need degree t >= 0 and t + 1 coefficients")
+        if self.certificate not in CERTIFICATES:
+            raise InvalidParamsError(f"unknown certificate {self.certificate!r}")
+
+
+def bernstein_degree(delta: float, target: float) -> tuple[int, float]:
+    """Least t >= 1 whose interpolant is certified to relative error target.
+
+    In u = (y - 1)/delta, f(u) = (1 + delta u)^{-1/2} is analytic inside
+    the Bernstein ellipse E_rho for rho < rho_max = 1/delta +
+    sqrt(1/delta^2 - 1), the ellipse through the branch point u = -1/delta.
+    On E_rho |f| peaks at the left vertex, M(rho) = (1 - delta (rho +
+    1/rho)/2)^{-1/2}, and the degree-t interpolant in Chebyshev points is
+    within 4 M(rho) rho^(-t) / (rho - 1) of f; dividing by min f =
+    (1 + delta)^{-1/2} bounds the relative error.  Every rho certifies, so
+    t is the least over a grid of rho.  Returns t and its bound.
+    """
+    r = (1.0 - delta) / delta
+    w = r + math.sqrt(r * (r + 2.0))  # rho_max - 1, free of cancellation
+    rho_minus_1 = w * _S
+    # 1 - delta (rho + 1/rho)/2 = delta (rho_max - rho)(1 - 1/(rho rho_max))/2
+    gap = 0.5 * delta * w * _ONE_MINUS_S * (1.0 - 1.0 / ((1.0 + rho_minus_1) * (1.0 + w)))
+    log_b = np.log(4.0 * math.sqrt(1.0 + delta) / rho_minus_1) - 0.5 * np.log(gap)
+    log_rho = np.log1p(rho_minus_1)
+    t = max(1, int(np.min(np.ceil((log_b - math.log(target)) / log_rho))))
+    return t, float(np.exp(np.min(log_b - t * log_rho)))
+
+
+def _interpolant(delta: float, t: int) -> np.ndarray:
+    """Chebyshev coefficients of the interpolant of f in the t + 1 points cos(pi j/t).
+
+    One real FFT of the even extension of the values is a DCT-I.
+    """
+    f = (1.0 + delta * np.cos(np.pi * np.arange(t + 1) / t)) ** -0.5
+    c = np.fft.rfft(np.concatenate([f, f[-2:0:-1]])).real / t
+    c[0] *= 0.5
+    c[t] *= 0.5
+    return c
+
+
+def inverse_sqrt(delta: float, eps: float) -> ChebyshevPoly:
+    """Surrogate of y^{-1/2} on [1 - delta, 1 + delta] within exp(+-eps).
+
+    Both certificates are held to the relative error 1 - exp(-eps); the
+    lower degree wins, the interpolant on a tie.  A winning binomial series
+    in x = 1 - y = -delta u is re-expanded in the Chebyshev basis.
+    """
+    if not (0.0 < delta < 1.0):
+        raise InvalidParamsError(f"delta {delta} outside (0, 1)")
+    check_eps(eps)
+    target = -math.expm1(-eps)
+    t, bound = bernstein_degree(delta, target)
+    try:
+        t_series = degree_for(-0.5, delta, target)
+    except NoConvergenceError:
+        t_series = math.inf
+    if min(t, t_series) > MAX_DEGREE:
+        raise NoConvergenceError(f"inverse_sqrt: degree {t} exceeds MAX_DEGREE={MAX_DEGREE}")
+    if t_series < t:
+        power = coeffs(-0.5, t_series) * (-delta) ** np.arange(t_series + 1)
+        return ChebyshevPoly(t=t_series, coeffs=chebyshev.poly2cheb(power),
+                             delta=delta, eps=eps,
+                             certificate="maclaurin",
+                             bound=sandwich_criterion(delta, t_series))
+    return ChebyshevPoly(t=t, coeffs=_interpolant(delta, t), delta=delta, eps=eps,
+                         certificate="bernstein", bound=bound)
+
+
 def eval_series(poly: MaclaurinPoly, x) -> np.ndarray:
     """Horner evaluation of g_{p,t} at x (scalar or array)."""
     x = np.asarray(x, dtype=np.float64)
@@ -101,19 +215,49 @@ def eval_series(poly: MaclaurinPoly, x) -> np.ndarray:
     return acc
 
 
-def eval_scalar(poly: MaclaurinPoly, lam):
-    """T(lam) = g_{p,t}(1 - lam), the polynomial surrogate for lam^p."""
+def eval_scalar(poly: MaclaurinPoly | ChebyshevPoly, lam):
+    """T(lam), the polynomial surrogate for lam^p (p = -1/2 for ChebyshevPoly)."""
     lam = np.asarray(lam, dtype=np.float64)
+    if isinstance(poly, ChebyshevPoly):
+        return chebyshev.chebval((lam - 1.0) / poly.delta, poly.coeffs)
     return eval_series(poly, 1.0 - lam)
 
 
-def apply_operator_poly(poly: MaclaurinPoly, op, shift_scale: tuple[float, float],
-                        v: np.ndarray) -> np.ndarray:
+def _clenshaw(poly: ChebyshevPoly, mv, alpha: float, beta: float,
+              v: np.ndarray) -> np.ndarray:
+    """sum_k c_k T_k(U) v for U = ((alpha - 1) I + beta X)/delta.
+
+    b_k = c_k v + 2 U b_{k+1} - b_{k+2} for k = t - 1 .. 1, then
+    c_0 v + U b_1 - b_2: one product with X per degree.
+    """
+    c, t = poly.coeffs, poly.t
+    if t == 0:
+        return c[0] * v
+    g, h = beta / poly.delta, (alpha - 1.0) / poly.delta
+    b1, b2 = c[t] * v, np.zeros_like(v)
+    # one scratch block for the scaled terms: fresh temporaries of a
+    # sample block's size cost more than the arithmetic
+    tmp = np.empty_like(v)
+    for k in range(t - 1, -1, -1):
+        f = 1.0 if k == 0 else 2.0
+        u = mv(b1)
+        u *= f * g
+        u += np.multiply(b1, f * h, out=tmp)
+        u -= b2
+        u += np.multiply(v, c[k], out=tmp)
+        b1, b2 = u, b1
+    return b1
+
+
+def apply_operator_poly(poly: MaclaurinPoly | ChebyshevPoly, op,
+                        shift_scale: tuple[float, float], v: np.ndarray) -> np.ndarray:
     """Apply T(alpha I + beta X) to v, X given by op (matrix or matvec).
 
-    Horner: w <- a_t v, then w <- a_k v + (I - (alpha I + beta X)) w, which
-    is w <- a_k v + (1 - alpha) w - beta X w.  Exactly t products with X;
-    v may be a vector or an (n, k) block.
+    A MaclaurinPoly runs Horner: w <- a_t v, then w <- a_k v + (I - (alpha I
+    + beta X)) w, which is w <- a_k v + (1 - alpha) w - beta X w.  A
+    ChebyshevPoly runs Clenshaw's recurrence, which scales each product in
+    place, so a matvec callable must return a new array.  Either way
+    exactly t products with X; v may be a vector or an (n, k) block.
     """
     alpha, beta = shift_scale
     if isinstance(op, SparseSymMatrix):
@@ -125,6 +269,8 @@ def apply_operator_poly(poly: MaclaurinPoly, op, shift_scale: tuple[float, float
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2):
         raise DimensionMismatchError("v must be a vector or a 2-d block")
+    if isinstance(poly, ChebyshevPoly):
+        return _clenshaw(poly, mv, alpha, beta, v)
     a = poly.coeffs
     rem = 1.0 - alpha
     acc = a[poly.t] * v

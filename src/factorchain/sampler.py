@@ -27,7 +27,13 @@ from .chain import (
     refine_by_cost,
     solve,
 )
-from .errors import DimensionMismatchError, InvalidParamsError, NonFiniteError, NotSddError
+from .errors import (
+    DimensionMismatchError,
+    InvalidParamsError,
+    NonFiniteError,
+    NotSddError,
+    check_eps,
+)
 from .rng import TAG_SAMPLE, stream
 from .sparse import (
     GrembanLift,
@@ -48,8 +54,11 @@ REFINE_SHARE = 8.0
 # |z| above which covariance_check counts an entry as a miss
 Z_THRESHOLD = 3.0
 
-# bytes of noise one colouring block, and of samples one batch, may hold
-_BLOCK_BYTES = 2**27
+# bytes of noise one colouring block holds, sized to stay in cache; a
+# sample too large for one block is coloured alone, up to _SAMPLE_BYTES
+_BLOCK_BYTES = 2**19
+_SAMPLE_BYTES = 2**27
+# bytes of samples one batch may hold
 _OUTPUT_BYTES = 2**30
 
 
@@ -116,8 +125,7 @@ def _mean_of(op, potential: np.ndarray, lifted: bool) -> np.ndarray:
 
 def prepare(field: GaussianField, eps: float) -> PreparedSampler:
     """Build the refined inverse factor and the mean for a field."""
-    if eps <= 0.0:
-        raise InvalidParamsError("eps must be positive")
+    check_eps(eps)
     _, refined = _refined_operator(field, eps)
     mean = _mean_of(refined, field.potential, field.lifted is not None)
     return PreparedSampler(field=field, operator=refined, mean=mean, eps=eps)
@@ -134,14 +142,14 @@ class SampleBatch:
 
 def _block_columns(dim: int, count: int, n_out: int) -> int:
     """Samples per colouring block; refuses oversized samples and batches."""
-    cols = _BLOCK_BYTES // (8 * max(dim, 1))
-    if cols == 0:
+    if 8 * dim > _SAMPLE_BYTES:
         raise InvalidParamsError(
-            f"a sample of {dim} normals exceeds the {_BLOCK_BYTES}-byte colouring block")
+            f"a sample of {dim} normals exceeds the {_SAMPLE_BYTES}-byte limit "
+            "of a colouring block")
     if 8 * count * n_out > _OUTPUT_BYTES:
         raise InvalidParamsError(
             f"{count} samples of {n_out} values exceed the {_OUTPUT_BYTES}-byte output budget")
-    return cols
+    return max(1, _BLOCK_BYTES // (8 * max(dim, 1)))
 
 
 def _color(op, mean: np.ndarray, count: int, seed: int, eps: float,
@@ -184,8 +192,7 @@ def sample_edge_based(field: GaussianField, eps: float, count: int, seed: int) -
     """
     if count < 0:
         raise InvalidParamsError("count must be nonnegative")
-    if eps <= 0.0:
-        raise InvalidParamsError("eps must be positive")
+    check_eps(eps)
     target, refined = _refined_operator(field, eps)
     op = EdgeOperator(refined, edge_factor(target))
     lifted = field.lifted is not None

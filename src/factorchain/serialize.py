@@ -1,4 +1,4 @@
-"""Binary container for factor operators, schema 3.
+"""Binary container for factor operators, schema 4.
 
 Layout: the magic ``FCOP1`` and a newline, then blocks, each a uint64
 little-endian byte count followed by that many bytes:
@@ -6,13 +6,18 @@ little-endian byte count followed by that many bytes:
 - the header, JSON with sorted keys: schema, kind, n, the chain's p, d,
   kappa_used, eps_total, eps_schedule and lambdas, out_scale, one
   {p, t, delta, eps} record per level polynomial, the RefinementInfo
-  fields (or null) and the caller's meta dict;
+  fields (or null; they include the refinement's certificate name and
+  bound) and the caller's meta dict;
 - each level X_0..X_{d-1} as three raw arrays holding its upper
   triangle as SparseSymMatrix.rows / cols / vals gives it: rows ``<i4``,
   cols ``<i4``, vals ``<f8``; every matrix has dimension n;
 - each level polynomial's coefficients, ``<f8``;
 - for a refined operator, its matrix as three arrays and its
-  polynomial's coefficients.
+  polynomial's Chebyshev coefficients c_0..c_t, ``<f8``, of
+  sum_k c_k T_k((y - 1)/delta).
+
+Schema 4 replaced schema 3's binomial-series refinement coefficients with
+Chebyshev ones; older schemas have no reader and are rejected.
 
 Floats round-trip exactly and loading accepts only the canonical
 triangle, so saving a loaded operator reproduces the input byte for byte.
@@ -39,11 +44,11 @@ from .chain import (
     RefinementInfo,
 )
 from .errors import FactorChainError, SerializationError
-from .maclaurin import MaclaurinPoly
+from .maclaurin import CERTIFICATES, ChebyshevPoly, MaclaurinPoly
 from .sparse import SparseSymMatrix
 
 MAGIC = b"FCOP1\n"
-SCHEMA = 3
+SCHEMA = 4
 
 # indices are stored as <i4
 INDEX_LIMIT = 2**31
@@ -67,7 +72,8 @@ def _object(spec: dict):
 
 _INT, _NUMBER = _type(int), _type(int, float)
 _POLY = _object({"p": _NUMBER, "t": _INT, "delta": _NUMBER, "eps": _NUMBER})
-_REFINEMENT = _object({f.name: _INT if f.name == "degree" else _NUMBER
+_FIELD_CHECKS = {"degree": _INT, "certificate": lambda v: v in CERTIFICATES}
+_REFINEMENT = _object({f.name: _FIELD_CHECKS.get(f.name, _NUMBER)
                        for f in fields(RefinementInfo)})
 # the header as operator_bytes writes it
 _HEADER = _object({
@@ -202,8 +208,9 @@ def operator_from_bytes(buf: bytes):
         if rh is not None:
             info = RefinementInfo(**rh)
             matrix = _matrix(n, it)
-            poly = _poly({"p": -0.5, "t": info.degree, "delta": info.delta,
-                          "eps": info.eps / 2.0}, it)
+            poly = ChebyshevPoly(t=info.degree, coeffs=_array(next(it), "<f8"),
+                                 delta=info.delta, eps=info.eps / 2.0,
+                                 certificate=info.certificate, bound=info.bound)
             op = RefinedOperator(op, matrix, poly, info.scale, info)
     except SerializationError:
         raise

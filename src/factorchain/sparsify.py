@@ -31,6 +31,7 @@ from .errors import (
     InvalidParamsError,
     NoConvergenceError,
     NotPositiveDefiniteError,
+    check_eps,
 )
 from .rng import stream, TAG_MERGE, TAG_WALK
 from .sparse import SparseSymMatrix, blend, edge_factor, identity_minus_scaled, square
@@ -44,6 +45,10 @@ MERGE_CONSTANT = 0.5
 
 # mode "auto" squares exactly up to this size and samples above it
 EXACT_THRESHOLD = 4096
+
+# merge-stage draws, each with twice the budget of the last, before the
+# merge falls back to the exact average
+MERGE_ATTEMPTS = 8
 
 
 @dataclass(frozen=True)
@@ -64,8 +69,7 @@ class SparsifyParams:
     measure: bool = False
 
     def __post_init__(self):
-        if self.eps <= 0.0:
-            raise InvalidParamsError("eps must be positive")
+        check_eps(self.eps)
         if self.samples_per_edge is not None and self.samples_per_edge < 1:
             raise InvalidParamsError("samples_per_edge must be >= 1")
         if self.mode not in ("exact", "sampled", "auto"):
@@ -74,10 +78,20 @@ class SparsifyParams:
 
 @dataclass(frozen=True)
 class SparsifyReport:
+    """One step's sizes and errors, and how its merge stage ended.
+
+    merge_attempts counts the merge stage's draws (0 when it drew none:
+    exact mode, or too few edges to sample); merge_fallback says that all
+    MERGE_ATTEMPTS draws overshot a row and the step kept the exact
+    average.
+    """
+
     nnz_in: int
     nnz_out: int
     eps_requested: float
     eps_measured: float | None
+    merge_attempts: int
+    merge_fallback: bool
 
 
 def use_exact(params: SparsifyParams, n: int) -> bool:
@@ -164,7 +178,7 @@ def _effective_resistances(m_tilde: SparseSymMatrix, eu: np.ndarray, ev: np.ndar
 
 
 def average_and_sparsify(x: SparseSymMatrix, xp: SparseSymMatrix,
-                         params: SparsifyParams) -> SparseSymMatrix:
+                         params: SparsifyParams) -> tuple[SparseSymMatrix, int, bool]:
     """Resistance-subsample the average T = X/2 + Xp/2.
 
     I - T decomposes as Laplacian(edge weights T_uv) + diag(slack); only
@@ -174,14 +188,15 @@ def average_and_sparsify(x: SparseSymMatrix, xp: SparseSymMatrix,
     row sums of I - X~ and keeps X~ nonnegative as long as no sampled row
     overshoots its diagonal budget; overshoot triggers deterministic
     retries with doubled budget, which degrade gracefully toward the
-    exact average.
+    exact average.  Returns the matrix, the number of draws made and
+    whether the last of MERGE_ATTEMPTS draws failed too, leaving T itself.
     """
     if x.n != xp.n:
         raise DimensionMismatchError("average_and_sparsify: dimension mismatch")
     t_avg = blend(x, xp, 0.5, 0.5)
     n = t_avg.n
     if use_exact(params, n):
-        return t_avg
+        return t_avg, 0, False
     sigma = 1.0 - t_avg.row_sums()
     if n and sigma.min() <= 0.0:
         raise NotPositiveDefiniteError(
@@ -190,7 +205,7 @@ def average_and_sparsify(x: SparseSymMatrix, xp: SparseSymMatrix,
     off = t_avg.rows != t_avg.cols
     eu, ev, w = t_avg.rows[off], t_avg.cols[off], t_avg.vals[off]
     if n <= 2 or eu.size <= 2:
-        return t_avg
+        return t_avg, 0, False
     m_tilde = identity_minus_scaled(1.0, t_avg)
     r_eff = _effective_resistances(m_tilde, eu, ev, params.seed)
     scores = w * np.maximum(r_eff, 0.0)
@@ -204,7 +219,7 @@ def average_and_sparsify(x: SparseSymMatrix, xp: SparseSymMatrix,
     # Only the tail fluctuates, so rows rarely overshoot their budget; a
     # doubled q pushes more edges into the exact regime, and once every
     # keep probability saturates the draw reproduces T and must succeed.
-    for attempt in range(8):
+    for attempt in range(MERGE_ATTEMPTS):
         q = q0 << attempt
         pi = np.minimum(1.0, q * probs)
         keep = stream(params.seed, TAG_MERGE, attempt).random(pi.size) < pi
@@ -219,8 +234,8 @@ def average_and_sparsify(x: SparseSymMatrix, xp: SparseSymMatrix,
                 np.concatenate([eu[keep], diag_idx]),
                 np.concatenate([ev[keep], diag_idx]),
                 np.concatenate([w_hat, new_diag]),
-            )
-    return t_avg
+            ), attempt + 1, False
+    return t_avg, MERGE_ATTEMPTS, True
 
 
 def sparsify_square_step(x: SparseSymMatrix,
@@ -231,7 +246,7 @@ def sparsify_square_step(x: SparseSymMatrix,
     returns X/2 + X^2/2 itself (measured error identically zero).
     """
     xp = square_walk_sparsify(x, params)
-    xt = average_and_sparsify(x, xp, params)
+    xt, attempts, fallback = average_and_sparsify(x, xp, params)
     if use_exact(params, x.n):
         measured: float | None = 0.0
     elif params.measure and x.n <= MEASURE_LIMIT:
@@ -241,6 +256,7 @@ def sparsify_square_step(x: SparseSymMatrix,
     report = SparsifyReport(
         nnz_in=x.nnz, nnz_out=xt.nnz,
         eps_requested=params.eps, eps_measured=measured,
+        merge_attempts=attempts, merge_fallback=fallback,
     )
     return xt, report
 

@@ -1,3 +1,4 @@
+import functools
 import logging
 import math
 from dataclasses import replace
@@ -10,6 +11,7 @@ from factorchain import (
     ChainOperator,
     EdgeOperator,
     InvalidParamsError,
+    NoConvergenceError,
     SparseSymMatrix,
     SparsifyParams,
     Splitting,
@@ -481,21 +483,28 @@ def test_prepare_stores_a_depth_zero_chain_on_grid32():
     assert op.chain.d == 0 and op.chain.levels == ()
     loaded, _ = operator_from_bytes(operator_bytes(op))
     assert loaded.chain.d == 0
-    # a polynomial in M alone: 37 applies of M, 0.18 M flops per sample
-    assert flops_per_sample(op) == op.info.degree * op.matrix.full_nnz < 200_000
+    # a polynomial in M alone: 14 applies of M (the binomial series needed
+    # 37), 0.07 M flops per sample
+    assert op.info.certificate == "bernstein" and op.info.degree <= 14
+    assert flops_per_sample(op) == op.info.degree * op.matrix.full_nnz < 75_000
 
 
-def test_prepare_picks_degree_one_on_ill_conditioned_grid():
+def test_prepare_picks_depth_zero_on_ill_conditioned_grid():
+    # kappa about 800: the Chebyshev degree grows like sqrt(kappa), so a
+    # polynomial in M alone beats the 15-level chain at degree 1
     m = grid2d(16, slack=1e-2)
     op = prepared_operator(m)
     built = build_chain(split_of(m), -1.0, 1.0)
-    assert level_degree(op) == 1
-    assert all(a.same_entries(b) for a, b in zip(op.chain.levels, built.levels))
-    assert op.chain.d == built.d == 15
-    # each level records the sandwich bound of its own polynomial
-    assert op.chain.eps_schedule[:-1] == (op.chain.polys[0].eps,) * 15
-    assert op.chain.eps_schedule[-1] == built.eps_schedule[-1]
-    assert op.chain.eps_total == sum(op.chain.eps_schedule)
+    assert built.d == 15
+    assert op.chain.d == 0 and level_degree(op) == 0
+    assert op.info.certificate == "bernstein"
+    at_one = refine_inverse_factor(m, _at_level_degree(chain_operator(split_of(m), built), 1),
+                                   0.1 / REFINE_SHARE)
+    assert flops_per_sample(op) < flops_per_sample(at_one)
+    # the depth-0 chain keeps X_0's gap as its error term; the dense
+    # certificate of this operator is test_prepared_operator_certifies_densely
+    assert op.chain.eps_schedule == (op.chain.eps_total,)
+    assert op.chain.lambdas == built.lambdas[:1]
 
 
 RULE_INPUTS = {
@@ -503,6 +512,33 @@ RULE_INPUTS = {
     "grid16_slack1e-2": lambda: grid2d(16, slack=1e-2),
     "lifted_sdd_mixed64": lambda: gremban_lift(sdd_mixed(64, seed=6)).S,
 }
+
+
+@functools.lru_cache(maxsize=None)
+def dense_inverse(name):
+    """The dense oracle M^{-1} of a RULE_INPUTS matrix, built once per run."""
+    return dense_power(RULE_INPUTS[name]().to_dense(), -1.0)
+
+
+# the fields prepare sees; the lifted one refines on RULE_INPUTS' lift
+PREPARE_INPUTS = {
+    "grid16": lambda: grid2d(16),
+    "grid16_slack1e-2": lambda: grid2d(16, slack=1e-2),
+    "lifted_sdd_mixed64": lambda: sdd_mixed(64, seed=6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREPARE_INPUTS))
+def test_prepared_operator_certifies_densely(name):
+    field = make_field(PREPARE_INPUTS[name]())
+    for eps in (0.1 / REFINE_SHARE, 1e-8):
+        # prepare refines REFINE_SHARE times tighter than it is asked to
+        op = prepare(field, eps * REFINE_SHARE).operator
+        assert op.info.eps == eps and op.info.certificate in ("bernstein", "maclaurin")
+        assert op.matrix.n <= 512 and op.matrix.same_entries(RULE_INPUTS[name]())
+        c = op.as_dense()
+        res = loewner_check(c @ c.T, dense_inverse(name), eps)
+        assert res.passed, (eps, res.eps_measured)
 
 
 @pytest.mark.parametrize("name", sorted(RULE_INPUTS))
@@ -516,15 +552,18 @@ def test_cost_rule_certifies_and_beats_the_budget_degree(name):
     assert level_degree(budget) == 9
     assert flops_per_sample(op) <= flops_per_sample(budget)
     c = op.as_dense()
-    res = loewner_check(c @ c.T, dense_power(m.to_dense(), -1.0), eps)
+    res = loewner_check(c @ c.T, dense_inverse(name), eps)
     assert res.passed, res.eps_measured
 
 
 def test_cost_rule_skips_an_infeasible_depth_zero():
-    # kappa 1.6e5: a polynomial in M alone would need a degree past the
-    # series' cap, so t = 0 costs infinity and the chain's levels stay
-    m = grid2d(16, slack=1e-4)
+    # kappa 7.9e6: a polynomial in M alone would need a certified degree
+    # past MAX_DEGREE (33,463), so t = 0 costs infinity and the chain's
+    # levels stay
+    m = grid2d(16, slack=1e-6)
     _, crude = exact_chain_op(m, -1.0, 1.0)
+    with pytest.raises(NoConvergenceError, match="MAX_DEGREE"):
+        refine_inverse_factor(m, _at_level_degree(crude, 0), 0.1 / REFINE_SHARE)
     op = refine_by_cost(m, crude, 0.1 / REFINE_SHARE)
     assert op.chain.d == crude.chain.d and level_degree(op) == 1
 
@@ -535,6 +574,20 @@ def test_cost_rule_raises_when_no_candidate_is_finite():
     crude = ChainOperator(build_chain(split_of(m), -1.0, 1.0), out_scale=0.0)
     with pytest.raises(SpectrumEstimateFailedError):
         refine_by_cost(m, crude, 0.1)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+def test_build_chain_rejects_a_non_finite_or_non_positive_eps(eps):
+    with pytest.raises(InvalidParamsError, match="positive and finite"):
+        build_chain(split_of(grid2d(4)), -1.0, eps)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+def test_refinement_rejects_a_non_finite_or_non_positive_eps(eps):
+    m = grid2d(4)
+    _, crude = exact_chain_op(m, -1.0, 1.0)
+    with pytest.raises(InvalidParamsError, match="positive and finite"):
+        refine_inverse_factor(m, crude, eps)
 
 
 def test_refinement_rejects_wrong_exponent():

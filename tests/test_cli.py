@@ -82,6 +82,8 @@ def test_factor_and_check_round_trip(tmp_path, grid_file):
     assert report["schema_version"] == 1
     assert report["chain"]["d"] >= 1
     assert report["refinement"]["degree"] >= 1
+    assert report["refinement"]["certificate"] in ("bernstein", "maclaurin")
+    assert 0.0 < report["refinement"]["bound"] <= 0.15
     op, meta = load_operator(out)
     assert meta["lifted"] is False
     assert main(["check", str(grid_file), str(out), "--eps", "0.3"]) == 0
@@ -171,6 +173,20 @@ def test_factor_reports_flops_of_a_direct_chain(tmp_path, grid_file, flags, p):
         t * nnz for t, nnz in zip(chain["poly_degrees"], chain["level_nnz"])) > 0
     assert flops_per_sample(load_operator(out)[0]) == flops_per_sample(op)
     assert "chosen_degree" not in chain
+
+
+def test_factor_report_lists_merge_attempts(tmp_path, grid_file):
+    rc, out, rep = factored(tmp_path, grid_file, "--no-refine")
+    assert rc == 0
+    m, _ = read_matrix(grid_file)
+    split = normalize(m, validate_sddm(m))
+    built = build_chain(split, -1.0, 0.3, SparsifyParams(eps=1.0))
+    chain = json.loads(rep.read_text())["chain"]
+    # one entry per level; a 16-node input squares exactly, drawing nothing
+    assert chain["merge_attempts"] == [r.merge_attempts for r in built.reports]
+    assert chain["merge_attempts"] == [0] * chain["d"]
+    assert chain["merge_fallbacks"] == [False] * chain["d"]
+    assert chain["d"] >= 1
 
 
 def test_factor_prints_the_operator_error(tmp_path, grid_file, capsys):
@@ -423,10 +439,11 @@ def test_factor_writes_the_library_operator(tmp_path, gremban):
     m, _ = read_matrix(mfile)
     op = prepare(make_field(m), eps * REFINE_SHARE).operator
     assert out.read_bytes() == operator_bytes(op, {"lifted": gremban, "n_original": m.n})
-    # the report keeps the built chain and records the chosen degree beside it
+    # the report keeps the built chain and records the chosen degree beside
+    # it: both inputs store a polynomial in the matrix alone
     chain = json.loads(rep.read_text())["chain"]
     assert len(chain["poly_degrees"]) == chain["d"] >= 1
-    assert chain["chosen_degree"] == (0 if gremban else 1)
+    assert chain["chosen_degree"] == 0 and op.chain.d == 0
     assert chain["flops_per_sample"] == flops_per_sample(op)
 
 

@@ -6,15 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorchain import (
+    InvalidParamsError,
     MaclaurinPoly,
+    NoConvergenceError,
     abs_residue_bound,
     apply_operator_poly,
+    bernstein_degree,
     coeffs,
     degree_for,
     eval_scalar,
     eval_series,
+    inverse_sqrt,
     make,
 )
+from factorchain.maclaurin import CERTIFICATES
 
 from conftest import random_sddm_dense
 
@@ -190,3 +195,111 @@ def test_apply_operator_poly_batch_columns():
     for j in range(3):
         col = apply_operator_poly(poly, lambda u: x @ u, (0.0, 1.0), vs[:, j])
         assert np.allclose(out[:, j], col, atol=0)
+
+
+# ------------------------------------------- Chebyshev refinement surrogate
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.floats(1e-6, 0.999), st.floats(1e-10, 0.5))
+def test_inverse_sqrt_stays_within_its_certified_bound(delta, eps):
+    poly = inverse_sqrt(delta, eps)
+    assert poly.certificate in CERTIFICATES
+    assert poly.bound <= -math.expm1(-eps)
+    y = np.linspace(1.0 - delta, 1.0 + delta, 4001)
+    err = np.max(np.abs(eval_scalar(poly, y) * np.sqrt(y) - 1.0))
+    # a few ulps of rounding on top of the truncation bound
+    assert err <= poly.bound + 1e-14
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.floats(1e-6, 0.999), st.floats(1e-10, 0.5))
+def test_inverse_sqrt_takes_the_lower_certified_degree(delta, eps):
+    poly = inverse_sqrt(delta, eps)
+    target = -math.expm1(-eps)
+    t_bern, _ = bernstein_degree(delta, target)
+    try:
+        t_series = degree_for(-0.5, delta, target)
+    except NoConvergenceError:
+        t_series = math.inf
+    assert poly.t == min(t_bern, t_series)
+    assert poly.certificate == ("maclaurin" if t_series < t_bern else "bernstein")
+
+
+def test_inverse_sqrt_degree_on_grid_field_spectrum():
+    # depth 0 on grid2d(32): delta 0.7998 at eps 0.1/16 per factor
+    poly = inverse_sqrt(0.7998, 0.1 / 16)
+    assert (poly.t, poly.certificate) == (14, "bernstein")
+    assert degree_for(-0.5, 0.7998, -math.expm1(-0.1 / 16)) == 37
+
+
+def test_series_certificate_wins_near_ratio_one_and_keeps_its_values():
+    # hi/lo = 1.1: the series certifies degree 1, the Bernstein bound 2
+    delta = 0.1 / 2.1
+    poly = inverse_sqrt(delta, 0.1 / 16)
+    assert (poly.t, poly.certificate) == (1, "maclaurin")
+    series = make(-0.5, delta, -math.expm1(-0.1 / 16))
+    y = np.linspace(1.0 - delta, 1.0 + delta, 101)
+    assert np.allclose(eval_scalar(poly, y), eval_scalar(series, y), rtol=1e-14, atol=0)
+
+
+def test_interpolant_matches_the_function_at_chebyshev_points():
+    poly = inverse_sqrt(0.5, 1e-3)
+    u = np.cos(np.pi * np.arange(poly.t + 1) / poly.t)
+    y = 1.0 + 0.5 * u
+    assert np.allclose(eval_scalar(poly, y), y ** -0.5, rtol=1e-14, atol=0)
+
+
+def test_inverse_sqrt_refuses_what_no_degree_certifies():
+    with pytest.raises(NoConvergenceError):
+        inverse_sqrt(1.0 - 1e-12, 1e-3)
+
+
+@pytest.mark.parametrize("delta,eps", [(0.0, 0.1), (1.0, 0.1), (0.5, 0.0),
+                                       (0.5, math.nan), (0.5, math.inf)])
+def test_inverse_sqrt_rejects_bad_arguments(delta, eps):
+    with pytest.raises(InvalidParamsError):
+        inverse_sqrt(delta, eps)
+
+
+def test_clenshaw_counts_matvecs():
+    calls = 0
+
+    def op(v):
+        nonlocal calls
+        calls += 1
+        return 0.5 * v
+
+    poly = inverse_sqrt(0.5, 1e-4)
+    apply_operator_poly(poly, op, (0.0, 2.0), np.ones(4))
+    assert calls == poly.t > 0
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-8])
+def test_clenshaw_apply_matches_eigen_eval(eps):
+    rng = np.random.default_rng(12)
+    a = random_sddm_dense(10, rng)
+    lam = np.linalg.eigvalsh(a)
+    s = 2.0 / (lam[0] + lam[-1])
+    delta = (lam[-1] - lam[0]) / (lam[-1] + lam[0])
+    poly = inverse_sqrt(delta * 1.01, eps)
+    v = rng.standard_normal((10, 3))
+
+    got = apply_operator_poly(poly, lambda u: a @ u, (0.0, s), v)
+
+    w, q = np.linalg.eigh(s * a)
+    expect = q @ (eval_scalar(poly, w)[:, None] * (q.T @ v))
+    assert np.allclose(got, expect, rtol=0, atol=1e-12)
+    # and within the certificate of the exact (s A)^{-1/2}
+    exact = q @ ((w ** -0.5)[:, None] * (q.T @ v))
+    assert np.max(np.abs(got - exact)) <= 2.0 * poly.bound * np.max(np.abs(exact))
+
+
+def test_clenshaw_shift_scale_composition():
+    # the polynomial sees alpha I + beta X, here diagonal with values in range
+    x = np.diag([0.2, 0.4, 1.0])
+    poly = inverse_sqrt(0.6, 1e-6)
+    v = np.ones(3)
+    got = apply_operator_poly(poly, lambda u: x @ u, (0.6, 0.8), v)
+    expect = eval_scalar(poly, 0.6 + 0.8 * np.diag(x))
+    assert np.allclose(got, expect, rtol=1e-14, atol=0)

@@ -20,6 +20,7 @@ from factorchain import (
     write_batch_bin,
     write_batch_csv,
 )
+from factorchain import sampler
 from factorchain.chain import edge_factor
 from factorchain.sampler import SampleBatch
 
@@ -67,6 +68,18 @@ def test_make_field_rejects_non_finite_potential(grid9, bad):
 def test_prepare_rejects_nonpositive_eps(grid9):
     with pytest.raises(InvalidParamsError):
         prepare(make_field(grid9), 0.0)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_prepare_rejects_non_finite_eps(grid9, eps):
+    with pytest.raises(InvalidParamsError, match="positive and finite"):
+        prepare(make_field(grid9), eps)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_sample_edge_based_rejects_non_finite_eps(grid9, eps):
+    with pytest.raises(InvalidParamsError, match="positive and finite"):
+        sample_edge_based(make_field(grid9), eps, 3, seed=1)
 
 
 def test_prepare_zero_potential_gives_zero_mean(grid9):
@@ -123,6 +136,21 @@ def test_sample_beyond_output_budget_refused(grid9):
     prep = prepare(make_field(grid9), 0.5)
     with pytest.raises(InvalidParamsError, match="output budget"):
         sample(prep, 10**8, seed=1)
+
+
+@pytest.mark.parametrize("samples_per_block", [0, 1, 3])
+def test_blocks_of_samples_colour_like_one_block(monkeypatch, samples_per_block):
+    # a lifted field, so the projection runs per block too; a block smaller
+    # than one sample still colours that sample alone
+    lam = sdd_mixed(16, seed=3)
+    h = np.random.default_rng(8).standard_normal(lam.n)
+    prep = prepare(make_field(lam, h), 0.3)
+    dim, count = prep.operator.input_dim, 10
+    assert sampler._block_columns(dim, count, lam.n) >= count
+    whole = sample(prep, count, seed=5)
+    monkeypatch.setattr(sampler, "_BLOCK_BYTES", max(1, 8 * dim * samples_per_block))
+    assert sampler._block_columns(dim, count, lam.n) == max(1, samples_per_block)
+    assert np.array_equal(sample(prep, count, seed=5).samples, whole.samples)
 
 
 def test_sample_gaussian_accounting(grid9):

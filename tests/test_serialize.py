@@ -56,9 +56,9 @@ def test_refined_operator_round_trip():
     assert meta == {"lifted": False, "n_original": 10}
     v = np.linspace(-1, 1, 10)
     assert np.array_equal(op2.apply(v), refined.apply(v))
-    info = op2.refinement
-    assert info.degree == refined.refinement.degree
-    assert info.scale == refined.refinement.scale
+    assert op2.refinement == refined.refinement
+    assert op2.poly.certificate == refined.poly.certificate
+    assert op2.poly.bound == refined.poly.bound
 
 
 def test_bytes_are_stable_across_save_load_save():
@@ -126,7 +126,7 @@ def test_layout_is_header_then_raw_arrays():
     _, _, refined = make_ops()
     blocks = blocks_of(operator_bytes(refined))
     header = json.loads(blocks[0])
-    assert header["schema"] == SCHEMA == 3
+    assert header["schema"] == SCHEMA == 4
     chain = refined.chain
     levels = [blocks[1 + 3 * i:4 + 3 * i] for i in range(chain.d)]
     levels.append(blocks[-4:-1])  # the refinement matrix
@@ -135,6 +135,9 @@ def test_layout_is_header_then_raw_arrays():
         assert np.array_equal(np.frombuffer(cols, "<i4"), m.cols)
         assert np.frombuffer(vals, "<f8").tobytes() == m.vals.tobytes()
     assert len(blocks) == 1 + 3 * chain.d + chain.d + 4
+    # the refinement's last block holds its Chebyshev coefficients
+    assert np.frombuffer(blocks[-1], "<f8").tobytes() == refined.poly.coeffs.tobytes()
+    assert header["refinement"]["certificate"] == refined.poly.certificate
 
 
 def without(record, key):
@@ -153,8 +156,11 @@ def without(record, key):
     lambda h: {**h, "polys": [{"p": 0.5}] * len(h["polys"])},
     lambda h: {**h, "refinement": {**h["refinement"], "degree": 2.5}},
     lambda h: {**h, "refinement": without(h["refinement"], "scale")},
+    lambda h: {**h, "refinement": {**h["refinement"], "certificate": "taylor"}},
+    lambda h: {**h, "refinement": without(h["refinement"], "certificate")},
 ], ids=["missing_d", "list", "d_string", "d_bool", "negative_n", "extra_field",
-        "lambda_string", "lambda_count", "poly_record", "degree_float", "missing_scale"])
+        "lambda_string", "lambda_count", "poly_record", "degree_float", "missing_scale",
+        "unknown_certificate", "missing_certificate"])
 def test_malformed_header_rejected(edit):
     _, _, refined = make_ops()
     blocks = blocks_of(operator_bytes(refined))
@@ -189,6 +195,15 @@ def test_schema_2_container_rejected():
     blocks = blocks_of(operator_bytes(crude))
     blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": 2}).encode("utf-8")
     with pytest.raises(SerializationError, match="unsupported schema 2"):
+        operator_from_bytes(container(blocks))
+
+
+def test_schema_3_container_rejected():
+    # schema 3 stored the refinement as binomial-series coefficients
+    _, _, refined = make_ops()
+    blocks = blocks_of(operator_bytes(refined))
+    blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": 3}).encode("utf-8")
+    with pytest.raises(SerializationError, match="unsupported schema 3"):
         operator_from_bytes(container(blocks))
 
 

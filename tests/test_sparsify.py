@@ -21,7 +21,9 @@ from factorchain import (
     validate_sddm,
 )
 from factorchain.sparse import blend, identity, identity_minus_scaled, square
+from factorchain import sparsify
 from factorchain.sparsify import (
+    MERGE_ATTEMPTS,
     MERGE_CONSTANT,
     _effective_resistances,
     measure_step,
@@ -141,7 +143,7 @@ def test_walk_unbiased_over_many_repetitions():
 
 def test_average_identical_inputs_exact_mode_is_identity():
     split = split_of(grid2d(4))
-    out = average_and_sparsify(split.X, split.X,
+    out, _, _ = average_and_sparsify(split.X, split.X,
                                SparsifyParams(eps=0.5, mode="exact"))
     assert np.allclose(out.to_dense(), split.X.to_dense(), atol=0)
 
@@ -149,7 +151,7 @@ def test_average_identical_inputs_exact_mode_is_identity():
 def test_average_exact_mode_is_plain_blend():
     split = split_of(grid2d(4))
     xp = square(split.X)
-    out = average_and_sparsify(split.X, xp, SparsifyParams(eps=0.5, mode="exact"))
+    out, _, _ = average_and_sparsify(split.X, xp, SparsifyParams(eps=0.5, mode="exact"))
     assert np.allclose(out.to_dense(), blend(split.X, xp).to_dense(), atol=0)
 
 
@@ -157,7 +159,7 @@ def test_average_sampled_grid64_reduces_and_certifies():
     split = split_of(grid2d(8))
     xp = square(split.X)
     t_avg = blend(split.X, xp)
-    out = average_and_sparsify(split.X, xp,
+    out, _, _ = average_and_sparsify(split.X, xp,
                                SparsifyParams(eps=0.5, seed=0, mode="sampled"))
     assert out.min_value() >= 0.0
     assert out.nnz < t_avg.nnz
@@ -225,6 +227,43 @@ def test_step_exact_mode_equals_average():
     expect = blend(split.X, square(split.X))
     assert np.allclose(out.to_dense(), expect.to_dense(), atol=0)
     assert report.eps_measured == 0.0
+
+
+def test_step_reports_its_merge_attempts():
+    x = split_of(grid2d(8)).X
+    _, exact = sparsify_square_step(x, SparsifyParams(eps=0.5, mode="exact"))
+    assert (exact.merge_attempts, exact.merge_fallback) == (0, False)
+    _, sampled = sparsify_square_step(x, SparsifyParams(eps=0.5, seed=0, mode="sampled"))
+    assert 1 <= sampled.merge_attempts <= MERGE_ATTEMPTS
+    assert not sampled.merge_fallback
+
+
+class KeepEveryEdge:
+    """A stream whose uniform draws are all 0, so every edge with pi > 0 is kept."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def random(self, size):
+        return np.zeros(size)
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+
+def test_merge_fallback_is_reported(monkeypatch):
+    # one expected draw, every edge kept at weight w / pi: each attempt's
+    # rows overshoot their budget, so the merge keeps the exact average
+    real_stream = sparsify.stream
+    monkeypatch.setattr(sparsify, "stream", lambda *key: KeepEveryEdge(real_stream(*key)))
+    monkeypatch.setattr(sparsify, "merge_sample_count", lambda params, n: 1)
+    x = split_of(grid2d(8)).X
+    xp = square(x)
+    out, attempts, fallback = average_and_sparsify(x, xp, SparsifyParams(eps=0.5, mode="sampled"))
+    assert (attempts, fallback) == (MERGE_ATTEMPTS, True)
+    assert out.same_entries(blend(x, xp)) and np.array_equal(out.vals, blend(x, xp).vals)
+    _, report = sparsify_square_step(x, SparsifyParams(eps=0.5, seed=3, mode="sampled"))
+    assert (report.merge_attempts, report.merge_fallback) == (MERGE_ATTEMPTS, True)
 
 
 def test_step_random_sddm_within_requested_eps():
