@@ -5,11 +5,16 @@ growth ratio between consecutive levels, each level polynomial's degree
 and the delta (= rho(X_i)/2) it is fit to, and compares the realized chain
 length against the a priori bound.  Useful for eyeballing whether the
 sparsified squares keep the geometric decay that the exact squares have.
+
+After each chain it prints what refine_by_cost stores for the same input
+at the same eps (as `factor --eps` does): the depth, the level degree and
+the refinement degree, and how many levels it squared before it stopped.
 """
 
 import argparse
 import math
 
+import factorchain.chain as chain_module
 from factorchain import (
     SparsifyParams,
     build_chain,
@@ -42,6 +47,23 @@ def describe(name, m, eps, mode, seed):
     ok = all(b >= (9.0 / 8.0) * a or a > 0.5
              for a, b in zip(chain.lambdas, chain.lambdas[1:]))
     print(f"  growth >= 9/8 while lambda <= 1/2: {ok}   d <= bound: {chain.d <= bound}")
+
+    squared = 0
+    square_step = chain_module.sparsify_square_step
+
+    def counted(*args, **kwargs):
+        nonlocal squared
+        squared += 1
+        return square_step(*args, **kwargs)
+
+    chain_module.sparsify_square_step = counted
+    try:
+        op = chain_module.refine_by_cost(m, split, eps, sp)
+    finally:
+        chain_module.sparsify_square_step = square_step
+    level_t = op.chain.polys[0].t if op.chain.d else 0
+    print(f"  refine_by_cost at eps={eps}: stores depth {op.chain.d}, level degree "
+          f"{level_t}, refine degree {op.info.degree}; squared {squared} levels")
 
 
 def main():

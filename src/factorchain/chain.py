@@ -15,12 +15,14 @@ edge-indexed randomness.
 
 Refinement needs only an invertible crude factor Z, since
 Z (Z^T M Z)^{-1} Z^T = M^{-1} for any such Z; the level polynomials then
-set only the spread of Z^T M Z, so refine_by_cost picks their degree t by
-the predicted cost per sample.  Z is invertible at every t: the truncated
-series of (1 - x)^{1/2} has a_0 = 1 and only negative later coefficients,
-so for |x| < 1 it is at least 1 - sum_k |a_k| |x|^k >= sqrt(1 - |x|) > 0.
-A level applies it at x = -X_i/2 with rho(X_i) < 1, so each factor
-poly_t(I + X_i/2) is positive definite.
+set only the spread of Z^T M Z.  refine_by_cost refines depth 0 first,
+takes levels from build_chain's squaring loop until their entries outweigh
+the best cost, and picks the level degree t by cost per sample.  Z is
+invertible at every t: the truncated series of (1 - x)^{1/2} has a_0 = 1
+and only negative later coefficients, so for |x| < 1 it is at least
+1 - sum_k |a_k| |x|^k >= sqrt(1 - |x|) > 0.  A level applies it at
+x = -X_i/2 with rho(X_i) < 1, so each factor poly_t(I + X_i/2) is
+positive definite.
 """
 
 from __future__ import annotations
@@ -64,6 +66,10 @@ from .sparsify import SparsifyParams, SparsifyReport, sparsify_square_step
 # stop refining here so that later polynomial stages see a narrow spectrum
 RHO_STOP_CAP = 0.4
 
+# eps of the crude p = -1 chain, whose level polynomials refine_by_cost picks:
+# it sets only the radius stop 0.4 and the level targets 1 / (8 d_max)
+CRUDE_EPS = 1.0
+
 
 def chain_length_bound(kappa: float, eps: float) -> int:
     """Level budget ceil(log_{9/8}(kappa / eps))."""
@@ -104,82 +110,72 @@ class FactorChain:
             raise InvalidParamsError("eps_schedule and lambdas must hold d + 1 values each")
 
 
-def build_chain(split: Splitting, p: float, eps: float,
-                sp_params: SparsifyParams | None = None) -> FactorChain:
-    """Grow the chain until rho(X_i) falls under min(5 eps / 6, 0.4).
+def _squarings(split: Splitting, eps: float, sp_params: SparsifyParams | None):
+    """Yield (X_i, rho_i, report_i), X_0 first, until rho_i <= min(5 eps / 6, 0.4).
 
-    The level budget is d_max = ceil(log_{9/8}(kappa/eps)) and each level's
-    sparsification target is eps / (8 d_max); whichever of the radius test
-    and the budget fires first ends the chain, and exceeding the budget by
-    more than one level (or a stalled radius) raises ChainDiverged.
-
-    Each level's polynomial meets the same target eps / (8 d_max), fit to
-    that level's measured radius: the spectrum of I + X_i/2 lies within
-    1 +- rho(X_i)/2, so delta_i = rho_i / 2 with rho_i the residual-padded
-    upper bound of nonneg_spectral_radius.  The radii fall level by level,
-    so the degrees do too.
-
-    Each level squares with sp_params' mode, samples_per_edge and measure
-    as given, but its eps is replaced by eps / (8 d_max) and its seed by
-    level i's substream of sp_params.seed.  The eps that callers put in
-    sp_params (1.0 by convention) is a placeholder.
+    rho_i is X_i's residual-padded radius and report_i the step that made X_i
+    (None for X_0).  Step i squares with sp_params at eps / (8 d_max), d_max =
+    chain_length_bound, seeded by level i's substream; passing d_max by more
+    than one level, or 3 levels whose radius does not fall, raises ChainDiverged.
     """
-    if not (-1.0 <= p <= 1.0):
-        raise InvalidParamsError(f"exponent {p} outside [-1, 1]")
-    check_eps(eps)
     if sp_params is None:
         sp_params = SparsifyParams(eps=1.0)
-    x = split.X
-    rho = nonneg_spectral_radius(x)
-    if p == 0.0:
-        return FactorChain(
-            n=x.n, levels=(), eps_schedule=(0.0,), polys=(), p=0.0, d=0,
-            kappa_used=split.kappa_bound, eps_total=0.0,
-            lambdas=(1.0 - rho,), reports=(),
-        )
+    x, rho = split.X, nonneg_spectral_radius(split.X)
+    yield x, rho, None
     d_max = chain_length_bound(split.kappa_bound, eps)
     rho_stop = min(eps * 5.0 / 6.0, RHO_STOP_CAP)
     eps_level = eps / (8.0 * max(d_max, 1))
-    levels: list[SparseSymMatrix] = []
-    lambdas = [1.0 - rho]
-    radii: list[float] = []
-    reports: list[SparsifyReport] = []
-    stall = 0
+    i = stall = 0
     while rho > rho_stop:
-        i = len(levels)
         if i >= d_max + 1:
             raise ChainDivergedError(
                 f"radius {rho:.3f} above {rho_stop:.3f} after {i} levels "
                 f"(budget {d_max}); sparsifier tolerance is likely too loose"
             )
-        level_params = replace(
-            sp_params, eps=eps_level, seed=substream_seed(sp_params.seed, TAG_LEVEL, i)
-        )
-        x_next, report = sparsify_square_step(x, level_params)
+        x_next, report = sparsify_square_step(x, replace(
+            sp_params, eps=eps_level, seed=substream_seed(sp_params.seed, TAG_LEVEL, i)))
         rho_next = nonneg_spectral_radius(x_next)
-        levels.append(x)
-        radii.append(rho)
-        x = x_next
-        reports.append(report)
-        lambdas.append(1.0 - rho_next)
-        if lambdas[-1] <= lambdas[-2]:
-            stall += 1
-            if stall >= 3:
-                raise ChainDivergedError(
-                    "smallest eigenvalue failed to increase for 3 consecutive levels"
-                )
-        else:
-            stall = 0
-        rho = rho_next
-    # x is now the terminal level X_d: only its radius enters the chain
-    d = len(levels)
-    eps_term = -math.log1p(-rho) if rho > 0.0 else 0.0
-    polys = tuple(make(-p / 2.0, r / 2.0, eps_level) for r in radii)
-    schedule = tuple([eps_level] * d + [eps_term])
+        stall = stall + 1 if 1.0 - rho_next <= 1.0 - rho else 0
+        if stall >= 3:
+            raise ChainDivergedError(
+                "smallest eigenvalue failed to increase for 3 consecutive levels"
+            )
+        x, rho, i = x_next, rho_next, i + 1
+        yield x, rho, report
+
+
+def _terminal_eps(rho: float) -> float:
+    """Error of dropping the terminal level I - X_d for I."""
+    return -math.log1p(-rho) if rho > 0.0 else 0.0
+
+
+def build_chain(split: Splitting, p: float, eps: float,
+                sp_params: SparsifyParams | None = None) -> FactorChain:
+    """Every level of _squarings, with a polynomial meeting its step's target.
+
+    The spectrum of I + X_i/2 lies within 1 +- rho_i/2 for the padded radius
+    rho_i, so level i's polynomial is fit at delta_i = rho_i / 2; the radii
+    fall level by level, so the degrees do too.
+    """
+    if not (-1.0 <= p <= 1.0):
+        raise InvalidParamsError(f"exponent {p} outside [-1, 1]")
+    check_eps(eps)
+    squarings = _squarings(split, eps, sp_params)
+    if p == 0.0:
+        _, rho, _ = next(squarings)
+        return FactorChain(
+            n=split.X.n, levels=(), eps_schedule=(0.0,), polys=(), p=0.0, d=0,
+            kappa_used=split.kappa_bound, eps_total=0.0,
+            lambdas=(1.0 - rho,), reports=(),
+        )
+    xs, radii, reports = zip(*squarings)
+    targets = tuple(r.eps_requested for r in reports[1:])
+    polys = tuple(make(-p / 2.0, r / 2.0, e) for r, e in zip(radii, targets))
+    schedule = targets + (_terminal_eps(radii[-1]),)
     return FactorChain(
-        n=x.n, levels=tuple(levels), eps_schedule=schedule, polys=polys,
-        p=p, d=d, kappa_used=split.kappa_bound, eps_total=sum(schedule),
-        lambdas=tuple(lambdas), reports=tuple(reports),
+        n=split.X.n, levels=xs[:-1], eps_schedule=schedule, polys=polys,
+        p=p, d=len(targets), kappa_used=split.kappa_bound, eps_total=sum(schedule),
+        lambdas=tuple(1.0 - r for r in radii), reports=reports[1:],
     )
 
 
@@ -412,43 +408,49 @@ def flops_per_sample(op: ChainOperator | RefinedOperator) -> int:
     return op.info.degree * (2 * level + op.matrix.full_nnz) + level
 
 
-def _at_level_degree(crude: ChainOperator, t: int) -> ChainOperator:
-    """The crude chain with every level polynomial at degree t.
+def _crude_factor(split: Splitting, squarings, t: int) -> ChainOperator:
+    """Z over the squarings at level degree t; at t = 0, Z = c^{1/2} I with X_0's gap.
 
-    Each polynomial records its own sandwich bound at delta = 1/2, so
-    eps_total stays truthful.  At t = 0 every factor is the identity and
-    the chain keeps no level: Z = out_scale I, whose gap is that of X_0.
+    Each level records its polynomial's sandwich bound at delta = 1/2.
     """
-    ch = crude.chain
-    if t == 0:
-        gap = max(0.0, -math.log(ch.lambdas[0]))
-        chain = replace(ch, levels=(), polys=(), d=0, eps_schedule=(gap,),
-                        eps_total=gap, lambdas=ch.lambdas[:1], reports=())
-    else:
-        q = -ch.p / 2.0
-        poly = MaclaurinPoly(p=q, t=t, coeffs=coeffs(q, t), delta=0.5,
+    xs, radii, reports = zip(*squarings)
+    d = len(xs) - 1 if t else 0
+    lambdas = tuple(1.0 - r for r in radii[:d + 1])
+    if t:
+        poly = MaclaurinPoly(p=0.5, t=t, coeffs=coeffs(0.5, t), delta=0.5,
                              eps=sandwich_criterion(0.5, t))
-        schedule = (poly.eps,) * ch.d + ch.eps_schedule[-1:]
-        chain = replace(ch, polys=(poly,) * ch.d, eps_schedule=schedule,
-                        eps_total=sum(schedule))
-    return ChainOperator(chain, crude.out_scale)
+        schedule = (poly.eps,) * d + (_terminal_eps(radii[-1]),)
+    else:
+        poly, schedule = None, (max(0.0, -math.log(lambdas[0])),)
+    return chain_operator(split, FactorChain(
+        n=split.X.n, levels=xs[:d], eps_schedule=schedule, polys=(poly,) * d,
+        p=-1.0, d=d, kappa_used=split.kappa_bound, eps_total=sum(schedule),
+        lambdas=lambdas, reports=reports[1:d + 1],
+    ))
 
 
-def refine_by_cost(m: SparseSymMatrix, crude: ChainOperator, eps: float) -> RefinedOperator:
-    """Refine the crude p = -1 chain at the level degree cheapest per sample.
+def refine_by_cost(m: SparseSymMatrix, split: Splitting, eps: float,
+                   sp_params: SparsifyParams | None = None) -> RefinedOperator:
+    """Refine a crude inverse factor of M = (1/c)(I - X) at the cheapest level degree.
 
-    Tries t = 0, 1, 2, ... and stops at the first t whose flops_per_sample
-    is not below the best so far; each candidate's refinement degree comes
-    from its own refine_inverse_factor run, so the winner's spectrum run is
-    its refinement.  A candidate whose spectrum estimate fails or whose
-    refinement degree exceeds maclaurin.MAX_DEGREE costs infinity.  The cost
-    grows at least as t sum_i nnz(X_i), so the search ends; if no
-    candidate up to the stop is finite, the last failure is raised.
+    Depth 0 (Z = c^{1/2} I) is refined first, then the crude chain, squared
+    at CRUDE_EPS with sp_params, at t = 1, 2, ... until t is not cheaper.  A
+    candidate costs its flops_per_sample, or infinity if its refinement fails.
+    Once X_k is squared, every t >= 1 candidate holds X_0 .. X_{k-1} and so
+    costs at least L = sum_{i<k} nnz(X_i): when L reaches the best cost, no
+    further level is squared.  If no candidate is finite, the last failure
+    is raised.
     """
+    levels = _squarings(split, CRUDE_EPS, sp_params)
+    squarings = [next(levels)]
     best, best_cost, failure = None, math.inf, None
     for t in itertools.count():
+        for item in levels if t else ():  # all squaring precedes t = 1
+            if sum(x.full_nnz for x, _, _ in squarings) >= best_cost:
+                return best
+            squarings.append(item)
         try:
-            op = refine_inverse_factor(m, _at_level_degree(crude, t), eps)
+            op = refine_inverse_factor(m, _crude_factor(split, squarings, t), eps)
             cost = flops_per_sample(op)
         except (SpectrumEstimateFailedError, NoConvergenceError) as exc:
             op, cost, failure = None, math.inf, exc

@@ -128,6 +128,8 @@ def cmd_factor(args) -> int:
     exact, gremban = args.exact, args.gremban
     if not -1.0 <= p <= 1.0:
         raise InvalidParamsError("p must lie in [-1, 1]")
+    if args.no_refine and p != -1.0:
+        raise InvalidParamsError("--no-refine is only supported with p = -1")
     check_eps(eps)
 
     m, _ = read_matrix(args.matrix)
@@ -148,24 +150,22 @@ def cmd_factor(args) -> int:
     sp = SparsifyParams(eps=1.0, seed=seed, mode="exact" if exact else "auto")
     t_build = time.perf_counter()
     if p == -1.0 and not args.no_refine:
-        chain = build_chain(split, -1.0, 1.0, sp)
-        t_chain = time.perf_counter()
-        op = refine_by_cost(target, chain_operator(split, chain), eps)
+        # levels and refinement candidates interleave: all of it is refine_s
+        t_chain = t_build
+        op = refine_by_cost(target, split, eps, sp)
     else:
-        chain = build_chain(split, p, eps, sp)
+        op = chain_operator(split, build_chain(split, p, eps, sp))
         t_chain = time.perf_counter()
-        op = chain_operator(split, chain)
     t_done = time.perf_counter()
 
     meta = {"lifted": lifted, "n_original": m.n}
     save_operator(args.out, op, meta=meta)
     refinement = getattr(op, "refinement", None)
-    summary = _chain_summary(chain)
+    summary = _chain_summary(op.chain)
     summary["flops_per_sample"] = flops_per_sample(op)
     if refinement:
-        # the stored operator keeps the built levels at one chosen degree,
-        # or none at degree 0; its error is the refinement's eps, not the
-        # crude chain's sum
+        # the stored levels share one chosen degree, or there are none at
+        # degree 0; the error is the refinement's eps, not the chain's sum
         summary["chosen_degree"] = op.chain.polys[0].t if op.chain.d else 0
         bound = f"eps={refinement.eps:.6g} refine_degree={refinement.degree}"
     else:
@@ -179,7 +179,7 @@ def cmd_factor(args) -> int:
         "lifted": lifted,
         "n": target.n,
         "n_original": m.n,
-        "kappa_used": chain.kappa_used,
+        "kappa_used": op.chain.kappa_used,
         "chain": summary,
         "refinement": asdict(refinement) if refinement else None,
         "seed": seed,

@@ -1,9 +1,9 @@
 """Gaussian random field sampling with SDDM or SDD precision matrices.
 
 Pipeline: validate the precision matrix (lifting SDD inputs with positive
-off-diagonals to twice the dimension), build a crude inverse-factor chain,
-refine it at the level degree with the fewest predicted flops per sample
-(down to depth 0, a polynomial in the matrix alone), solve for the mean,
+off-diagonals to twice the dimension), refine a crude inverse factor at
+the level degree with the fewest predicted flops per sample (down to depth
+0, a polynomial in the matrix alone), solve for the mean,
 then color per-sample white noise through the refined factor.  Lifted
 fields project each colored vector back to the original coordinates; the
 projection and its adjoint embedding live in the core matrix module.
@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (
+from .chain import (  # noqa: F401  (build_chain stays bound here for tracers)
     EdgeOperator,
     build_chain,
-    chain_operator,
     refine_by_cost,
     solve,
 )
@@ -108,10 +107,8 @@ class PreparedSampler:
 
 def _refined_operator(field: GaussianField, eps: float):
     target = field.lifted.S if field.lifted is not None else field.precision
-    cert = validate_sddm(target)
-    split = normalize(target, cert)
-    crude = chain_operator(split, build_chain(split, -1.0, 1.0))
-    return target, refine_by_cost(target, crude, eps / REFINE_SHARE)
+    split = normalize(target, validate_sddm(target))
+    return target, refine_by_cost(target, split, eps / REFINE_SHARE)
 
 
 def _mean_of(op, potential: np.ndarray, lifted: bool) -> np.ndarray:

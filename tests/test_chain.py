@@ -1,4 +1,5 @@
 import functools
+import itertools
 import logging
 import math
 from dataclasses import replace
@@ -40,8 +41,10 @@ from factorchain import (
     sparsify_square_step,
     validate_sddm,
 )
-from factorchain.chain import _at_level_degree, flops_per_sample, refine_by_cost
+import factorchain.chain as chain_module
+from factorchain.chain import flops_per_sample, refine_by_cost
 from factorchain.maclaurin import (
+    MaclaurinPoly,
     apply_operator_poly,
     coeffs,
     eval_series,
@@ -489,6 +492,101 @@ def test_prepare_stores_a_depth_zero_chain_on_grid32():
     assert flops_per_sample(op) == op.info.degree * op.matrix.full_nnz < 75_000
 
 
+def at_level_degree(crude, t):
+    """The built crude chain with every level polynomial at degree t.
+
+    These are the candidates of the exhaustive rule below: at t = 0 the
+    chain keeps no level and its gap is X_0's, and at t >= 1 each level
+    records the sandwich bound of its degree at delta = 1/2.
+    """
+    ch = crude.chain
+    if t == 0:
+        gap = max(0.0, -math.log(ch.lambdas[0]))
+        chain = replace(ch, levels=(), polys=(), d=0, eps_schedule=(gap,),
+                        eps_total=gap, lambdas=ch.lambdas[:1], reports=())
+    else:
+        poly = MaclaurinPoly(p=0.5, t=t, coeffs=coeffs(0.5, t), delta=0.5,
+                             eps=sandwich_criterion(0.5, t))
+        schedule = (poly.eps,) * ch.d + ch.eps_schedule[-1:]
+        chain = replace(ch, polys=(poly,) * ch.d, eps_schedule=schedule,
+                        eps_total=sum(schedule))
+    return ChainOperator(chain, crude.out_scale)
+
+
+def exhaustive_rule(m, split, eps, sp=None):
+    """The reference refine_by_cost must match: build the whole crude chain,
+    then try t = 0, 1, ... until a degree is not cheaper than the best."""
+    crude = chain_operator(split, build_chain(split, -1.0, 1.0, sp))
+    best, best_cost, failure = None, math.inf, None
+    for t in itertools.count():
+        try:
+            op = refine_inverse_factor(m, at_level_degree(crude, t), eps)
+            cost = flops_per_sample(op)
+        except (SpectrumEstimateFailedError, NoConvergenceError) as exc:
+            op, cost, failure = None, math.inf, exc
+        if t > 0 and cost >= best_cost:
+            break
+        best, best_cost = op, cost
+    if best is None:
+        raise failure
+    return best
+
+
+SAMPLED = SparsifyParams(eps=1.0, mode="sampled", samples_per_edge=4)
+
+# matrix and squaring parameters.  grid16_slack1e-6 stores its levels at
+# t >= 1 because depth 0 is infeasible; grid16_slack3e-6 does so at eps 0.5
+# against a finite depth 0, which no level sum prunes
+EQUIVALENCE_INPUTS = {
+    "grid16": (lambda: grid2d(16), None),
+    "grid16_slack1e-2": (lambda: grid2d(16, slack=1e-2), None),
+    "grid16_slack1e-6": (lambda: grid2d(16, slack=1e-6), None),
+    "grid16_slack3e-6": (lambda: grid2d(16, slack=3e-6), None),
+    "random_regular128": (lambda: random_regular(128, 3), None),
+    "lifted_sdd_mixed64": (lambda: gremban_lift(sdd_mixed(64, seed=6)).S, None),
+    "path64": (lambda: path_graph(64), None),
+    "grid8_sampled": (lambda: grid2d(8), SAMPLED),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0125, 0.5])
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_INPUTS))
+def test_cost_rule_stores_what_the_exhaustive_rule_stores(name, eps):
+    build, sp = EQUIVALENCE_INPUTS[name]
+    m = build()
+    split = split_of(m)
+    assert operator_bytes(refine_by_cost(m, split, eps, sp)) == operator_bytes(
+        exhaustive_rule(m, split, eps, sp))
+
+
+def test_prepare_stops_squaring_once_no_deeper_factor_can_win(monkeypatch):
+    calls = {"square": 0, "radius": 0, "refine": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(chain_module, "sparsify_square_step",
+                        counted("square", sparsify_square_step))
+    monkeypatch.setattr(chain_module, "nonneg_spectral_radius",
+                        counted("radius", nonneg_spectral_radius))
+    monkeypatch.setattr(chain_module, "refine_inverse_factor",
+                        counted("refine", refine_inverse_factor))
+    m = grid2d(16, slack=1e-2)
+    op = prepared_operator(m)
+    # one radius per level, X_0's serving depth 0 too, and one refinement:
+    # the whole crude chain would square 15 levels and refine twice
+    assert calls == {"square": 8, "radius": 9, "refine": 1}
+    assert op.chain.d == 0
+    # X_8 arrived once X_0 .. X_7, levels of every t >= 1 candidate, held
+    # more entries than depth 0 costs; after X_7 they did not
+    monkeypatch.undo()
+    nnz = np.cumsum([x.full_nnz for x in build_chain(split_of(m), -1.0, 1.0).levels])
+    assert nnz[6] < flops_per_sample(op) <= nnz[7]
+
+
 def test_prepare_picks_depth_zero_on_ill_conditioned_grid():
     # kappa about 800: the Chebyshev degree grows like sqrt(kappa), so a
     # polynomial in M alone beats the 15-level chain at degree 1
@@ -498,7 +596,7 @@ def test_prepare_picks_depth_zero_on_ill_conditioned_grid():
     assert built.d == 15
     assert op.chain.d == 0 and level_degree(op) == 0
     assert op.info.certificate == "bernstein"
-    at_one = refine_inverse_factor(m, _at_level_degree(chain_operator(split_of(m), built), 1),
+    at_one = refine_inverse_factor(m, at_level_degree(chain_operator(split_of(m), built), 1),
                                    0.1 / REFINE_SHARE)
     assert flops_per_sample(op) < flops_per_sample(at_one)
     # the depth-0 chain keeps X_0's gap as its error term; the dense
@@ -544,11 +642,11 @@ def test_prepared_operator_certifies_densely(name):
 @pytest.mark.parametrize("name", sorted(RULE_INPUTS))
 def test_cost_rule_certifies_and_beats_the_budget_degree(name):
     m = RULE_INPUTS[name]()
-    _, crude = exact_chain_op(m, -1.0, 1.0)
+    split, crude = exact_chain_op(m, -1.0, 1.0)
     eps = 0.1 / REFINE_SHARE
-    op = refine_by_cost(m, crude, eps)
+    op = refine_by_cost(m, split, eps, SparsifyParams(eps=1.0, mode="exact"))
     # the uniform budget degree of earlier chains, 9 per level, refined
-    budget = refine_inverse_factor(m, _at_level_degree(crude, 9), eps)
+    budget = refine_inverse_factor(m, at_level_degree(crude, 9), eps)
     assert level_degree(budget) == 9
     assert flops_per_sample(op) <= flops_per_sample(budget)
     c = op.as_dense()
@@ -561,19 +659,18 @@ def test_cost_rule_skips_an_infeasible_depth_zero():
     # past MAX_DEGREE (33,463), so t = 0 costs infinity and the chain's
     # levels stay
     m = grid2d(16, slack=1e-6)
-    _, crude = exact_chain_op(m, -1.0, 1.0)
+    split, crude = exact_chain_op(m, -1.0, 1.0)
     with pytest.raises(NoConvergenceError, match="MAX_DEGREE"):
-        refine_inverse_factor(m, _at_level_degree(crude, 0), 0.1 / REFINE_SHARE)
-    op = refine_by_cost(m, crude, 0.1 / REFINE_SHARE)
+        refine_inverse_factor(m, at_level_degree(crude, 0), 0.1 / REFINE_SHARE)
+    op = refine_by_cost(m, split, 0.1 / REFINE_SHARE, SparsifyParams(eps=1.0, mode="exact"))
     assert op.chain.d == crude.chain.d and level_degree(op) == 1
 
 
 def test_cost_rule_raises_when_no_candidate_is_finite():
-    # Z = 0 makes Z^T M Z = 0 at every degree
+    # c = 0 makes Z = c^{1/2} (...) = 0, so Z^T M Z = 0 at every degree
     m = grid2d(3)
-    crude = ChainOperator(build_chain(split_of(m), -1.0, 1.0), out_scale=0.0)
     with pytest.raises(SpectrumEstimateFailedError):
-        refine_by_cost(m, crude, 0.1)
+        refine_by_cost(m, replace(split_of(m), c=0.0), 0.1)
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])

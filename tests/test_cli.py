@@ -80,12 +80,16 @@ def test_factor_and_check_round_trip(tmp_path, grid_file):
     assert rc == 0
     report = json.loads(rep.read_text())
     assert report["schema_version"] == 1
-    assert report["chain"]["d"] >= 1
     assert report["refinement"]["degree"] >= 1
     assert report["refinement"]["certificate"] in ("bernstein", "maclaurin")
     assert 0.0 < report["refinement"]["bound"] <= 0.15
     op, meta = load_operator(out)
     assert meta["lifted"] is False
+    # the chain block is the stored chain: a 4 x 4 grid keeps no level
+    assert report["chain"]["d"] == op.chain.d == 0
+    assert report["chain"]["level_nnz"] == []
+    # levels and refinement candidates interleave in one call, timed as refine_s
+    assert report["timings"]["chain_s"] == 0.0 < report["timings"]["refine_s"]
     assert main(["check", str(grid_file), str(out), "--eps", "0.3"]) == 0
 
 
@@ -157,6 +161,13 @@ def test_factor_no_refine_keeps_crude_chain(tmp_path, grid_file):
                  "--out", str(out)]) == 0
     op, _ = load_operator(out)
     assert op.kind == "chain"
+
+
+def test_factor_refuses_no_refine_for_a_direct_exponent(tmp_path, grid_file, capsys):
+    # only p = -1 has a refinement to skip, as only p = -1 can be lifted
+    rc, out, _ = factored(tmp_path, grid_file, "--p", "-0.5", "--no-refine")
+    assert rc == 2 and not out.exists()
+    assert "--no-refine is only supported with p = -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags,p", [(["--p", "-0.5"], -0.5), (["--no-refine"], -1.0)],
@@ -439,11 +450,13 @@ def test_factor_writes_the_library_operator(tmp_path, gremban):
     m, _ = read_matrix(mfile)
     op = prepare(make_field(m), eps * REFINE_SHARE).operator
     assert out.read_bytes() == operator_bytes(op, {"lifted": gremban, "n_original": m.n})
-    # the report keeps the built chain and records the chosen degree beside
-    # it: both inputs store a polynomial in the matrix alone
+    # the report describes the stored chain and its chosen degree: both
+    # inputs store a polynomial in the matrix alone, with no level
     chain = json.loads(rep.read_text())["chain"]
-    assert len(chain["poly_degrees"]) == chain["d"] >= 1
-    assert chain["chosen_degree"] == 0 and op.chain.d == 0
+    assert chain["d"] == op.chain.d == 0
+    assert chain["poly_degrees"] == chain["merge_attempts"] == []
+    assert chain["lambdas"] == list(op.chain.lambdas)
+    assert chain["chosen_degree"] == 0
     assert chain["flops_per_sample"] == flops_per_sample(op)
 
 
