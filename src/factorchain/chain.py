@@ -110,6 +110,11 @@ class FactorChain:
             raise InvalidParamsError("eps_schedule and lambdas must hold d + 1 values each")
 
 
+def _rho_stop(eps: float) -> float:
+    """The radius at or below which a level is terminal."""
+    return min(eps * 5.0 / 6.0, RHO_STOP_CAP)
+
+
 def _squarings(split: Splitting, eps: float, sp_params: SparsifyParams | None):
     """Yield (X_i, rho_i, report_i), X_0 first, until rho_i <= min(5 eps / 6, 0.4).
 
@@ -123,7 +128,7 @@ def _squarings(split: Splitting, eps: float, sp_params: SparsifyParams | None):
     x, rho = split.X, nonneg_spectral_radius(split.X)
     yield x, rho, None
     d_max = chain_length_bound(split.kappa_bound, eps)
-    rho_stop = min(eps * 5.0 / 6.0, RHO_STOP_CAP)
+    rho_stop = _rho_stop(eps)
     eps_level = eps / (8.0 * max(d_max, 1))
     i = stall = 0
     while rho > rho_stop:
@@ -436,19 +441,23 @@ def refine_by_cost(m: SparseSymMatrix, split: Splitting, eps: float,
     Depth 0 (Z = c^{1/2} I) is refined first, then the crude chain, squared
     at CRUDE_EPS with sp_params, at t = 1, 2, ... until t is not cheaper.  A
     candidate costs its flops_per_sample, or infinity if its refinement fails.
-    Once X_k is squared, every t >= 1 candidate holds X_0 .. X_{k-1} and so
-    costs at least L = sum_{i<k} nnz(X_i): when L reaches the best cost, no
-    further level is squared.  If no candidate is finite, the last failure
-    is raised.
+    A level whose radius shows it is not terminal is held by every t >= 1
+    candidate, so each such level counts into L = sum nnz(X_i) as soon as it
+    arrives: when L reaches the best cost, no further level is squared.  If
+    no candidate is finite, the last failure is raised.
     """
+    rho_stop = _rho_stop(CRUDE_EPS)
     levels = _squarings(split, CRUDE_EPS, sp_params)
     squarings = [next(levels)]
     best, best_cost, failure = None, math.inf, None
+    stored = 0
     for t in itertools.count():
-        for item in levels if t else ():  # all squaring precedes t = 1
-            if sum(x.full_nnz for x, _, _ in squarings) >= best_cost:
+        # all squaring precedes t = 1; the last level is terminal
+        while t == 1 and squarings[-1][1] > rho_stop:
+            stored += squarings[-1][0].full_nnz
+            if stored >= best_cost:
                 return best
-            squarings.append(item)
+            squarings.append(next(levels))
         try:
             op = refine_inverse_factor(m, _crude_factor(split, squarings, t), eps)
             cost = flops_per_sample(op)

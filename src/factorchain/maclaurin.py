@@ -13,13 +13,14 @@ evaluation is Horner's scheme with exactly t matrix-vector products.
 
 The refinement's surrogate of y^{-1/2} on [1 - delta, 1 + delta]
 (ChebyshevPoly) is a Chebyshev series in u = (y - 1)/delta, applied by
-Clenshaw's recurrence, again with exactly t products.  Its degree is the
-smaller of two certified ones: the Chebyshev interpolant's, from the
-Bernstein-ellipse bound 4 M(rho) rho^(-t) / (rho - 1) (Trefethen,
-Approximation Theory and Approximation Practice, Thm 8.2), which grows like
-sqrt(kappa); and the binomial series', which grows like kappa but needs
-fewer terms when delta is small.  A series that wins is stored in the same
-Chebyshev basis, so the refinement has one form and one apply path.
+Clenshaw's recurrence, again with exactly t products.  Its degree comes
+from an a-posteriori certificate: the Chebyshev interpolant at a degree N
+whose Bernstein-ellipse bound 4 M(rho) rho^(-N) / (rho - 1) (Trefethen,
+Approximation Theory and Approximation Practice, Thm 8.2) is a small
+fraction of the target is computed, and its coefficients are truncated at
+the least degree t where that bound, the dropped tail sum_{j>t} |c_j| and
+a rounding allowance still meet the target.  |T_j| <= 1 on [-1, 1], so the
+sum bounds the error at every point of the interval.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from numpy.polynomial import chebyshev
 from .errors import DimensionMismatchError, InvalidParamsError, NoConvergenceError, check_eps
 from .sparse import SparseSymMatrix
 
-# degree_for gives up above this degree
+# degree_for and inverse_sqrt give up above this degree
 MAX_DEGREE = 20_000
 
 
@@ -107,7 +108,14 @@ def make(p: float, delta: float, eps: float) -> MaclaurinPoly:
 # -- the refinement's surrogate of y^{-1/2} -------------------------------------
 
 # names of the bounds that can set a ChebyshevPoly's degree
-CERTIFICATES = ("bernstein", "maclaurin")
+CERTIFICATES = ("truncation",)
+
+# inverse_sqrt builds the interpolant whose Bernstein bound is this share of
+# the target; the rest pays for the truncated tail
+_INTERPOLANT_SHARE = 1.0 / 64.0
+
+# unit roundoff of float64
+_U = 2.0 ** -53
 
 # the Bernstein bound is minimised over rho = 1 + s (rho_max - 1), s in (0, 1),
 # on a grid dense at both ends; 1 - s is kept separately for its digits
@@ -168,41 +176,64 @@ def bernstein_degree(delta: float, target: float) -> tuple[int, float]:
 def _interpolant(delta: float, t: int) -> np.ndarray:
     """Chebyshev coefficients of the interpolant of f in the t + 1 points cos(pi j/t).
 
-    One real FFT of the even extension of the values is a DCT-I.
+    1 + delta cos(pi j/t) is formed as (1 - delta) + 2 delta sin^2(pi (t - j)/(2t)),
+    a sum of nonnegative terms, so each value is within 8 units of roundoff
+    however close delta is to 1.  One real FFT of the even extension of the
+    values is a DCT-I.
     """
-    f = (1.0 + delta * np.cos(np.pi * np.arange(t + 1) / t)) ** -0.5
+    s = np.sin(np.pi * np.arange(t, -1, -1) / (2 * t))
+    f = ((1.0 - delta) + 2.0 * delta * (s * s)) ** -0.5
     c = np.fft.rfft(np.concatenate([f, f[-2:0:-1]])).real / t
     c[0] *= 0.5
     c[t] *= 0.5
     return c
 
 
+def _rounding_allowance(c: np.ndarray) -> float:
+    """Bound on sum_j |c_j - e_j|, e the exact interpolant's coefficients.
+
+    For the t + 1 coefficients c of _interpolant, the FFT of the 2t values,
+    whose magnitudes sum to 2 t c_0, errs in each output by at most
+    8 log2(2t) units of roundoff times that sum (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 24), and values off by 8 units
+    move each coefficient by at most 16 units of c_0.
+    """
+    t = c.size - 1
+    return 16.0 * _U * (t + 1) * (1.0 + math.log2(2 * t)) * abs(c[0])
+
+
 def inverse_sqrt(delta: float, eps: float) -> ChebyshevPoly:
     """Surrogate of y^{-1/2} on [1 - delta, 1 + delta] within exp(+-eps).
 
-    Both certificates are held to the relative error 1 - exp(-eps); the
-    lower degree wins, the interpolant on a tie.  A winning binomial series
-    in x = 1 - y = -delta u is re-expanded in the Chebyshev basis.
+    The interpolant p_n, at the degree n where the Bernstein bound B_n is
+    _INTERPOLANT_SHARE of the relative target 1 - exp(-eps), is cut to the
+    least degree t with
+
+        B_n + sqrt(1 + delta) (sum_{j>t} |c_j| + r) <= 1 - exp(-eps),
+
+    r the rounding allowance of its coefficients.  |f - p_t| <= |f - p_n| +
+    |p_n - p_t| and |T_j| <= 1 on [-1, 1], so this holds at every point of
+    the interval; sqrt(y) <= sqrt(1 + delta) turns the absolute error into
+    the relative one.
     """
     if not (0.0 < delta < 1.0):
         raise InvalidParamsError(f"delta {delta} outside (0, 1)")
     check_eps(eps)
     target = -math.expm1(-eps)
-    t, bound = bernstein_degree(delta, target)
-    try:
-        t_series = degree_for(-0.5, delta, target)
-    except NoConvergenceError:
-        t_series = math.inf
-    if min(t, t_series) > MAX_DEGREE:
-        raise NoConvergenceError(f"inverse_sqrt: degree {t} exceeds MAX_DEGREE={MAX_DEGREE}")
-    if t_series < t:
-        power = coeffs(-0.5, t_series) * (-delta) ** np.arange(t_series + 1)
-        return ChebyshevPoly(t=t_series, coeffs=chebyshev.poly2cheb(power),
-                             delta=delta, eps=eps,
-                             certificate="maclaurin",
-                             bound=sandwich_criterion(delta, t_series))
-    return ChebyshevPoly(t=t, coeffs=_interpolant(delta, t), delta=delta, eps=eps,
-                         certificate="bernstein", bound=bound)
+    n, bound_n = bernstein_degree(delta, _INTERPOLANT_SHARE * target)
+    if n > MAX_DEGREE:
+        raise NoConvergenceError(f"inverse_sqrt: degree {n} exceeds MAX_DEGREE={MAX_DEGREE}")
+    c = _interpolant(delta, n)
+    # tail[t] = sum_{j>t} |c_j|
+    tail = np.append(np.cumsum(np.abs(c[:0:-1]))[::-1], 0.0)
+    bounds = bound_n + math.sqrt(1.0 + delta) * (tail + _rounding_allowance(c))
+    met = np.flatnonzero(bounds <= target)
+    if met.size == 0:
+        raise NoConvergenceError(
+            f"inverse_sqrt: rounding at degree {n} exceeds the target {target:.3e}")
+    t = int(met[0])
+    return ChebyshevPoly(t=t, coeffs=c[:t + 1].copy(), delta=delta, eps=eps,
+                         certificate="truncation", bound=float(bounds[t]))
 
 
 def eval_series(poly: MaclaurinPoly, x) -> np.ndarray:

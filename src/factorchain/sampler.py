@@ -8,9 +8,9 @@ then color per-sample white noise through the refined factor.  Lifted
 fields project each colored vector back to the original coordinates; the
 projection and its adjoint embedding live in the core matrix module.
 
-Per-sample noise comes from counter-based streams keyed (seed, tag,
-sample index), so a batch is reproducible for a given seed no matter how
-its members are scheduled.
+Per-sample noise comes from one Philox keyed (seed, tag), with sample j
+at a counter fixed by j, so a batch is reproducible for a given seed no
+matter how its members are scheduled.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
     NotSddError,
     check_eps,
 )
-from .rng import TAG_SAMPLE, stream
+from .rng import TAG_SAMPLE, seek_each, stream
 from .sparse import (
     GrembanLift,
     SparseSymMatrix,
@@ -153,18 +153,21 @@ def _color(op, mean: np.ndarray, count: int, seed: int, eps: float,
            lifted: bool) -> SampleBatch:
     """Color per-sample noise through op, project if lifted, add the mean.
 
-    Sample j draws its op.input_dim normals from stream(seed, TAG_SAMPLE, j),
-    so a batch is a prefix of any longer batch with the same seed.
+    Sample j draws its op.input_dim normals from stream(seed, TAG_SAMPLE)
+    moved to counter j (rng.seek_each), so a batch is a prefix of any
+    longer batch with the same seed, whatever the block width.
     """
     dim = op.input_dim
     block = _block_columns(dim, count, mean.size)
     out = np.empty((count, mean.size))
+    gen = stream(seed, TAG_SAMPLE)
     for start in range(0, count, block):
         stop = min(start + block, count)
-        z = np.empty((dim, stop - start))
-        for j in range(start, stop):
-            z[:, j - start] = stream(seed, TAG_SAMPLE, j).standard_normal(dim)
-        y = op.apply(z)
+        # standard_normal fills contiguous rows; the operator takes columns
+        z = np.empty((stop - start, dim))
+        for row, sought in zip(z, seek_each(gen, range(start, stop))):
+            sought.standard_normal(dim, out=row)
+        y = op.apply(np.ascontiguousarray(z.T))
         if lifted:
             y = gremban_project(y)
         out[start:stop, :] = (y + mean[:, None]).T

@@ -1,4 +1,4 @@
-"""Binary container for factor operators, schema 4.
+"""Binary container for factor operators, schema 5.
 
 Layout: the magic ``FCOP1`` and a newline, then blocks, each a uint64
 little-endian byte count followed by that many bytes:
@@ -16,8 +16,10 @@ little-endian byte count followed by that many bytes:
   polynomial's Chebyshev coefficients c_0..c_t, ``<f8``, of
   sum_k c_k T_k((y - 1)/delta).
 
-Schema 4 replaced schema 3's binomial-series refinement coefficients with
-Chebyshev ones; older schemas have no reader and are rejected.
+Schema 5 stores the refinement as a Chebyshev interpolant truncated at the
+degree its a-posteriori bound certifies (certificate "truncation"); schema
+4 stored the interpolant at the Bernstein bound's degree and schema 3 a
+binomial series.  Older schemas have no reader and are rejected.
 
 Floats round-trip exactly and loading accepts only the canonical
 triangle, so saving a loaded operator reproduces the input byte for byte.
@@ -48,7 +50,7 @@ from .maclaurin import CERTIFICATES, ChebyshevPoly, MaclaurinPoly
 from .sparse import SparseSymMatrix
 
 MAGIC = b"FCOP1\n"
-SCHEMA = 4
+SCHEMA = 5
 
 # indices are stored as <i4
 INDEX_LIMIT = 2**31

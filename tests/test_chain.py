@@ -486,10 +486,10 @@ def test_prepare_stores_a_depth_zero_chain_on_grid32():
     assert op.chain.d == 0 and op.chain.levels == ()
     loaded, _ = operator_from_bytes(operator_bytes(op))
     assert loaded.chain.d == 0
-    # a polynomial in M alone: 14 applies of M (the binomial series needed
-    # 37), 0.07 M flops per sample
-    assert op.info.certificate == "bernstein" and op.info.degree <= 14
-    assert flops_per_sample(op) == op.info.degree * op.matrix.full_nnz < 75_000
+    # a polynomial in M alone: 7 applies of M (the binomial series needed
+    # 37, the Bernstein bound alone 14), 0.035 M flops per sample
+    assert op.info.certificate == "truncation" and op.info.degree <= 7
+    assert flops_per_sample(op) == op.info.degree * op.matrix.full_nnz < 37_500
 
 
 def at_level_degree(crude, t):
@@ -578,13 +578,14 @@ def test_prepare_stops_squaring_once_no_deeper_factor_can_win(monkeypatch):
     op = prepared_operator(m)
     # one radius per level, X_0's serving depth 0 too, and one refinement:
     # the whole crude chain would square 15 levels and refine twice
-    assert calls == {"square": 8, "radius": 9, "refine": 1}
+    assert calls == {"square": 5, "radius": 6, "refine": 1}
     assert op.chain.d == 0
-    # X_8 arrived once X_0 .. X_7, levels of every t >= 1 candidate, held
-    # more entries than depth 0 costs; after X_7 they did not
+    # X_5, not terminal and so a level of every t >= 1 candidate, was the
+    # last squaring: with it X_0 .. X_5 hold as many entries as depth 0
+    # costs, and X_0 .. X_4 did not
     monkeypatch.undo()
     nnz = np.cumsum([x.full_nnz for x in build_chain(split_of(m), -1.0, 1.0).levels])
-    assert nnz[6] < flops_per_sample(op) <= nnz[7]
+    assert nnz[4] < flops_per_sample(op) <= nnz[5]
 
 
 def test_prepare_picks_depth_zero_on_ill_conditioned_grid():
@@ -595,7 +596,7 @@ def test_prepare_picks_depth_zero_on_ill_conditioned_grid():
     built = build_chain(split_of(m), -1.0, 1.0)
     assert built.d == 15
     assert op.chain.d == 0 and level_degree(op) == 0
-    assert op.info.certificate == "bernstein"
+    assert op.info.certificate == "truncation"
     at_one = refine_inverse_factor(m, at_level_degree(chain_operator(split_of(m), built), 1),
                                    0.1 / REFINE_SHARE)
     assert flops_per_sample(op) < flops_per_sample(at_one)
@@ -632,7 +633,7 @@ def test_prepared_operator_certifies_densely(name):
     for eps in (0.1 / REFINE_SHARE, 1e-8):
         # prepare refines REFINE_SHARE times tighter than it is asked to
         op = prepare(field, eps * REFINE_SHARE).operator
-        assert op.info.eps == eps and op.info.certificate in ("bernstein", "maclaurin")
+        assert op.info.eps == eps and op.info.certificate == "truncation"
         assert op.matrix.n <= 512 and op.matrix.same_entries(RULE_INPUTS[name]())
         c = op.as_dense()
         res = loewner_check(c @ c.T, dense_inverse(name), eps)

@@ -81,7 +81,7 @@ def test_factor_and_check_round_trip(tmp_path, grid_file):
     report = json.loads(rep.read_text())
     assert report["schema_version"] == 1
     assert report["refinement"]["degree"] >= 1
-    assert report["refinement"]["certificate"] in ("bernstein", "maclaurin")
+    assert report["refinement"]["certificate"] == "truncation"
     assert 0.0 < report["refinement"]["bound"] <= 0.15
     op, meta = load_operator(out)
     assert meta["lifted"] is False
@@ -289,6 +289,21 @@ def test_sample_bin_format_with_sidecar(tmp_path, grid_file):
     assert report["gaussians_consumed"] == 3 * 16
 
 
+def test_sample_one_is_the_first_row_of_a_longer_batch(tmp_path, grid_file):
+    # 400 samples of 16 normals span one colouring block; sample j's noise
+    # depends on the seed and j alone
+    rc, out, _ = factored(tmp_path, grid_file)
+    assert rc == 0
+    rows = {}
+    for count in ("1", "400"):
+        sfile = tmp_path / f"s{count}.bin"
+        assert main(["sample", str(out), "--count", count, "--seed", "5",
+                     "--format", "bin", "--out", str(sfile)]) == 0
+        rows[count] = np.fromfile(sfile, dtype="<f8").reshape(-1, 16)
+    assert rows["400"].shape == (400, 16)
+    assert rows["1"].tobytes() == rows["400"][:1].tobytes()
+
+
 def test_sample_with_potential_shifts_mean(tmp_path, grid_file):
     rc, out, _ = factored(tmp_path, grid_file)
     hfile = tmp_path / "h.txt"
@@ -318,6 +333,21 @@ def test_sample_malformed_container_exit_2(tmp_path):
     rc = main(["sample", str(bad), "--count", "1",
                "--out", str(tmp_path / "s.csv")])
     assert rc == 2
+
+
+def test_sample_schema_4_container_exit_2(tmp_path, grid_file, capsys):
+    # schema 4 stored the degree the Bernstein bound alone certified
+    rc, out, _ = factored(tmp_path, grid_file)
+    assert rc == 0
+    data = out.read_bytes()
+    (size,) = struct.unpack_from("<Q", data, len(MAGIC))
+    start = len(MAGIC) + 8
+    header = json.dumps({**json.loads(data[start:start + size]), "schema": 4}).encode("utf-8")
+    old = tmp_path / "old.fcop"
+    old.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header + data[start + size:])
+    rc = main(["sample", str(old), "--count", "1", "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert "unsupported schema 4" in capsys.readouterr().err
 
 
 def test_sample_container_smaller_than_its_n_exit_2(tmp_path, capsys):

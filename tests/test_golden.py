@@ -54,25 +54,28 @@ def direct_prepared():
                            mean=np.zeros(m.n), eps=op.chain.eps_total)
 
 
-# Format note, container schema 4: the refinement stores Chebyshev
-# coefficients at the certified degree and records its certificate, so
-# both refined cases changed operator and sample bytes.  The direct chain
-# has no refinement: only its header's schema moved, its samples did not.
+# Format note, container schema 5: the refinement stores the Chebyshev
+# interpolant truncated at the degree its a-posteriori bound certifies,
+# under the certificate "truncation", so both refined cases changed
+# operator bytes (each went from degree 12 to 6).  Sample noise now comes from one Philox keyed (seed,
+# TAG_SAMPLE) with sample j at counter j instead of a key per sample, so
+# every case changed sample bytes, the direct chain's too; its operator
+# moved only by the header's schema digit.
 GOLDEN = {
     "grid2d_8": (
         grid_prepared,
-        "01db941f49e217d615828f6ffbb476a295a27e0d0e259a6cc1d4f6fb8e130571",
-        "c3155ade1b605ab12d200b1ab6cab87c7179d1c1644f10da68baf4871ab22085",
+        "c9f4663a501e060b6509aa269b81342b5b0432c1515b3f4eb9c504c504f59ffe",
+        "bb139db7be3186b976f1308ffb879164e74a977700b0087d077b9e3a7d7cd703",
     ),
     "lifted_sdd_mixed_24": (
         lifted_prepared,
-        "f7ffca391fb9b8c8742e27a6cbcf927d425db0d069205cea948cc7f4d2546466",
-        "24e333dcf3ca12b08b5c4625939d42a71e658022413a6b2cc2725087bc582169",
+        "6124013d1ec9f267cef4fed46b7aff3c9d0b9396e3fab06d3387265b79ee993d",
+        "ec748142ecf5f22322192fd80b6593cbb1d969bc582ac0db3f5ab3867879c9a6",
     ),
     "direct_p_half_random_regular_64": (
         direct_prepared,
-        "57f229fd65127ec4b77ec03c4d6ea731baf66aac08c477fc20c587def2422425",
-        "3616296bbae5d14286e0c790b7cb2f040cc31430f57e1c65741ad69c343d5cff",
+        "b5bc347d508002307e4f5bfb3aaf57894545428535114e451fc6530e12bbdfd6",
+        "8b98d21135530d1389269b6a9989da803f60e438c46859e4e007b7c13214e61a",
     ),
 }
 

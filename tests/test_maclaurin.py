@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebval
 
 from factorchain import (
     InvalidParamsError,
@@ -19,7 +21,7 @@ from factorchain import (
     inverse_sqrt,
     make,
 )
-from factorchain.maclaurin import CERTIFICATES
+from factorchain.maclaurin import CERTIFICATES, _interpolant
 
 from conftest import random_sddm_dense
 
@@ -212,42 +214,58 @@ def test_inverse_sqrt_stays_within_its_certified_bound(delta, eps):
     assert err <= poly.bound + 1e-14
 
 
-@settings(deadline=None, max_examples=40)
-@given(st.floats(1e-6, 0.999), st.floats(1e-10, 0.5))
-def test_inverse_sqrt_takes_the_lower_certified_degree(delta, eps):
-    poly = inverse_sqrt(delta, eps)
-    target = -math.expm1(-eps)
-    t_bern, _ = bernstein_degree(delta, target)
-    try:
-        t_series = degree_for(-0.5, delta, target)
-    except NoConvergenceError:
-        t_series = math.inf
-    assert poly.t == min(t_bern, t_series)
-    assert poly.certificate == ("maclaurin" if t_series < t_bern else "bernstein")
+# grid_field's interval, delta near 1 and near 0, across the eps range
+SWEEP_DELTAS = (1e-6, 1e-3, 0.1 / 2.1, 0.5, 0.7998, 0.99, 0.999, 1.0 - 1e-4, 1.0 - 1e-5)
+SWEEP_EPS = (1e-4, 1e-3, 0.1 / 16, 0.05, 0.5)
+
+
+def test_truncation_certificate_holds_on_a_dense_grid():
+    for delta, eps in itertools.product(SWEEP_DELTAS, SWEEP_EPS):
+        poly = inverse_sqrt(delta, eps)
+        assert poly.certificate == "truncation"
+        assert poly.bound <= -math.expm1(-eps)
+        y = np.linspace(1.0 - delta, 1.0 + delta, 20_001)
+        err = np.max(np.abs(eval_scalar(poly, y) * np.sqrt(y) - 1.0))
+        assert err <= poly.bound, (eps, err, poly.bound)
+
+
+def test_truncation_degree_never_exceeds_either_former_certificate():
+    # the Bernstein bound at the target and the binomial series' criterion
+    # were the two certificates before the truncation replaced both
+    for delta, eps in itertools.product(SWEEP_DELTAS, SWEEP_EPS):
+        target = -math.expm1(-eps)
+        try:
+            t_series = degree_for(-0.5, delta, target)
+        except NoConvergenceError:
+            t_series = math.inf
+        assert inverse_sqrt(delta, eps).t <= min(bernstein_degree(delta, target)[0], t_series)
 
 
 def test_inverse_sqrt_degree_on_grid_field_spectrum():
     # depth 0 on grid2d(32): delta 0.7998 at eps 0.1/16 per factor
     poly = inverse_sqrt(0.7998, 0.1 / 16)
-    assert (poly.t, poly.certificate) == (14, "bernstein")
-    assert degree_for(-0.5, 0.7998, -math.expm1(-0.1 / 16)) == 37
+    assert (poly.t, poly.certificate) == (7, "truncation")
+    target = -math.expm1(-0.1 / 16)
+    assert bernstein_degree(0.7998, target)[0] == 14
+    assert degree_for(-0.5, 0.7998, target) == 37
 
 
-def test_series_certificate_wins_near_ratio_one_and_keeps_its_values():
-    # hi/lo = 1.1: the series certifies degree 1, the Bernstein bound 2
+def test_inverse_sqrt_truncates_a_finer_interpolant():
+    # hi/lo = 1.1: degree 1, as low as the binomial series certified
     delta = 0.1 / 2.1
     poly = inverse_sqrt(delta, 0.1 / 16)
-    assert (poly.t, poly.certificate) == (1, "maclaurin")
-    series = make(-0.5, delta, -math.expm1(-0.1 / 16))
-    y = np.linspace(1.0 - delta, 1.0 + delta, 101)
-    assert np.allclose(eval_scalar(poly, y), eval_scalar(series, y), rtol=1e-14, atol=0)
+    assert poly.t == 1 == degree_for(-0.5, delta, -math.expm1(-0.1 / 16))
+    n, _ = bernstein_degree(delta, -math.expm1(-0.1 / 16) / 64)
+    assert n > poly.t
+    assert np.array_equal(poly.coeffs, _interpolant(delta, n)[:2])
 
 
 def test_interpolant_matches_the_function_at_chebyshev_points():
-    poly = inverse_sqrt(0.5, 1e-3)
-    u = np.cos(np.pi * np.arange(poly.t + 1) / poly.t)
-    y = 1.0 + 0.5 * u
-    assert np.allclose(eval_scalar(poly, y), y ** -0.5, rtol=1e-14, atol=0)
+    t = 40
+    u = np.cos(np.pi * np.arange(t + 1) / t)
+    for delta in (0.5, 0.99):
+        y = 1.0 + delta * u
+        assert np.allclose(chebval(u, _interpolant(delta, t)), y ** -0.5, rtol=1e-12, atol=0)
 
 
 def test_inverse_sqrt_refuses_what_no_degree_certifies():

@@ -22,6 +22,7 @@ from factorchain import (
 )
 from factorchain import sampler
 from factorchain.chain import edge_factor
+from factorchain.rng import TAG_SAMPLE, seek_each, stream
 from factorchain.sampler import SampleBatch
 
 
@@ -151,6 +152,40 @@ def test_blocks_of_samples_colour_like_one_block(monkeypatch, samples_per_block)
     monkeypatch.setattr(sampler, "_BLOCK_BYTES", max(1, 8 * dim * samples_per_block))
     assert sampler._block_columns(dim, count, lam.n) == max(1, samples_per_block)
     assert np.array_equal(sample(prep, count, seed=5).samples, whole.samples)
+
+
+def test_batches_across_block_edges_are_prefixes_of_each_other():
+    # grid2d(32) colours 64 samples per block: 65 and 130 start new blocks
+    m = grid2d(32)
+    prep = prepare(make_field(m), 0.5)
+    assert sampler._block_columns(m.n, 130, m.n) == 64
+    longest = sample(prep, 130, seed=9).samples
+    for count in (1, 64, 65):
+        assert sample(prep, count, seed=9).samples.tobytes() == longest[:count].tobytes()
+
+
+class Identity:
+    """An operator that passes its noise through, so samples are the normals."""
+
+    def __init__(self, n):
+        self.input_dim = self.output_dim = n
+
+    def apply(self, v):
+        return v
+
+
+def test_sample_noise_is_keyed_by_seed_and_index():
+    normals = sampler._color(Identity(50), np.zeros(50), 6, 4, 0.1, False).samples
+    # sample j is the keyed stream at counter j, whatever was drawn before
+    gen = stream(4, TAG_SAMPLE)
+    gen.standard_normal(7)
+    for j in (3, 0, 5):
+        assert np.array_equal(next(seek_each(gen, [j])).standard_normal(50), normals[j])
+    assert len({row.tobytes() for row in normals}) == 6
+    other = sampler._color(Identity(50), np.zeros(50), 6, 5, 0.1, False).samples
+    assert not np.any(np.all(other == normals, axis=1))
+    # unit normals: a pooled mean and variance of 300 draws near 0 and 1
+    assert abs(normals.mean()) < 0.3 and abs(normals.var() - 1.0) < 0.3
 
 
 def test_sample_gaussian_accounting(grid9):

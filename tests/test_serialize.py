@@ -126,7 +126,7 @@ def test_layout_is_header_then_raw_arrays():
     _, _, refined = make_ops()
     blocks = blocks_of(operator_bytes(refined))
     header = json.loads(blocks[0])
-    assert header["schema"] == SCHEMA == 4
+    assert header["schema"] == SCHEMA == 5
     chain = refined.chain
     levels = [blocks[1 + 3 * i:4 + 3 * i] for i in range(chain.d)]
     levels.append(blocks[-4:-1])  # the refinement matrix
@@ -204,6 +204,15 @@ def test_schema_3_container_rejected():
     blocks = blocks_of(operator_bytes(refined))
     blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": 3}).encode("utf-8")
     with pytest.raises(SerializationError, match="unsupported schema 3"):
+        operator_from_bytes(container(blocks))
+
+
+def test_schema_4_container_rejected():
+    # schema 4 stored the interpolant at the Bernstein bound's degree
+    _, _, refined = make_ops()
+    blocks = blocks_of(operator_bytes(refined))
+    blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": 4}).encode("utf-8")
+    with pytest.raises(SerializationError, match="unsupported schema 4"):
         operator_from_bytes(container(blocks))
 
 
