@@ -41,6 +41,7 @@ from .maclaurin import (
     eval_series,
     inverse_sqrt,
     make,
+    power,
     sandwich_criterion,
 )
 from .mmio import read_matrix, read_matrix_string, write_matrix, write_matrix_string

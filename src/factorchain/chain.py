@@ -9,7 +9,10 @@ the per-step identity
 turns the chain into a product form: applying, level by level, the
 polynomial surrogate of (I + X_i/2)^{-p/2} to a vector realizes an
 operator C with C C^T close to (I - X_0)^p, rescaled to M^p through the
-normalization constant.  The p = -1 case additionally supports refinement
+normalization constant.  Every level polynomial is a Chebyshev series
+(maclaurin.ChebyshevPoly) applied by Clenshaw's recurrence; build_chain
+fits level i as maclaurin.power(-p/2, rho_i/2, eps_level), certified on the
+level's measured spectrum.  The p = -1 case additionally supports refinement
 to much tighter tolerances and a combinatorial edge factor for
 edge-indexed randomness.
 
@@ -18,9 +21,11 @@ Z (Z^T M Z)^{-1} Z^T = M^{-1} for any such Z; the level polynomials then
 set only the spread of Z^T M Z.  refine_by_cost refines depth 0 first,
 takes levels from build_chain's squaring loop until their entries outweigh
 the best cost, and picks the level degree t by cost per sample.  Z is
-invertible at every t: the truncated series of (1 - x)^{1/2} has a_0 = 1
-and only negative later coefficients, so for |x| < 1 it is at least
-1 - sum_k |a_k| |x|^k >= sqrt(1 - |x|) > 0.  A level applies it at
+invertible at every t: its levels apply the truncated series of
+(1 - x)^{1/2}, stored re-expanded in Chebyshev polynomials of u = -x/delta,
+delta = 1/2 (crude_level_poly).  It is the same polynomial, which has
+a_0 = 1 and only negative later coefficients, so for |x| < 1 it is at
+least 1 - sum_k |a_k| |x|^k >= sqrt(1 - |x|) > 0.  A level applies it at
 x = -X_i/2 with rho(X_i) < 1, so each factor poly_t(I + X_i/2) is
 positive definite.
 """
@@ -32,6 +37,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from .errors import (
     ChainDivergedError,
@@ -44,11 +50,10 @@ from .errors import (
 )
 from .maclaurin import (
     ChebyshevPoly,
-    MaclaurinPoly,
     apply_operator_poly,
     coeffs,
     inverse_sqrt,
-    make,
+    power,
     sandwich_criterion,
 )
 from .rng import TAG_LEVEL, substream_seed
@@ -95,7 +100,7 @@ class FactorChain:
     n: int
     levels: tuple[SparseSymMatrix, ...]
     eps_schedule: tuple[float, ...]
-    polys: tuple[MaclaurinPoly, ...]
+    polys: tuple[ChebyshevPoly, ...]
     p: float
     d: int
     kappa_used: float
@@ -159,8 +164,9 @@ def build_chain(split: Splitting, p: float, eps: float,
     """Every level of _squarings, with a polynomial meeting its step's target.
 
     The spectrum of I + X_i/2 lies within 1 +- rho_i/2 for the padded radius
-    rho_i, so level i's polynomial is fit at delta_i = rho_i / 2; the radii
-    fall level by level, so the degrees do too.
+    rho_i, so level i's polynomial is power(-p/2, rho_i/2, eps_level), the
+    certified Chebyshev surrogate of y^{-p/2} there; the radii fall level by
+    level, so the degrees do too.
     """
     if not (-1.0 <= p <= 1.0):
         raise InvalidParamsError(f"exponent {p} outside [-1, 1]")
@@ -175,7 +181,7 @@ def build_chain(split: Splitting, p: float, eps: float,
         )
     xs, radii, reports = zip(*squarings)
     targets = tuple(r.eps_requested for r in reports[1:])
-    polys = tuple(make(-p / 2.0, r / 2.0, e) for r, e in zip(radii, targets))
+    polys = tuple(power(-p / 2.0, r / 2.0, e) for r, e in zip(radii, targets))
     schedule = targets + (_terminal_eps(radii[-1]),)
     return FactorChain(
         n=split.X.n, levels=xs[:-1], eps_schedule=schedule, polys=polys,
@@ -413,17 +419,27 @@ def flops_per_sample(op: ChainOperator | RefinedOperator) -> int:
     return op.info.degree * (2 * level + op.matrix.full_nnz) + level
 
 
-def _crude_factor(split: Splitting, squarings, t: int) -> ChainOperator:
-    """Z over the squarings at level degree t; at t = 0, Z = c^{1/2} I with X_0's gap.
+def crude_level_poly(t: int) -> ChebyshevPoly:
+    """The crude p = -1 chain's level polynomial at degree t, in Chebyshev form.
 
-    Each level records its polynomial's sandwich bound at delta = 1/2.
+    The series sum_k a_k x^k of (1 - x)^{1/2}, applied at x = 1 - y = -delta u
+    with delta = 1/2, is sum_k a_k (-delta)^k u^k, re-expanded in T_k(u).
+    Its certificate "series" records the sandwich bound at delta = 1/2.
     """
+    delta = 0.5
+    monomial = coeffs(0.5, t) * (-delta) ** np.arange(t + 1)
+    bound = sandwich_criterion(delta, t)
+    return ChebyshevPoly(s=0.5, t=t, coeffs=chebyshev.poly2cheb(monomial), delta=delta,
+                         eps=bound, certificate="series", bound=bound)
+
+
+def _crude_factor(split: Splitting, squarings, t: int) -> ChainOperator:
+    """Z over the squarings at level degree t; at t = 0, Z = c^{1/2} I with X_0's gap."""
     xs, radii, reports = zip(*squarings)
     d = len(xs) - 1 if t else 0
     lambdas = tuple(1.0 - r for r in radii[:d + 1])
     if t:
-        poly = MaclaurinPoly(p=0.5, t=t, coeffs=coeffs(0.5, t), delta=0.5,
-                             eps=sandwich_criterion(0.5, t))
+        poly = crude_level_poly(t)
         schedule = (poly.eps,) * d + (_terminal_eps(radii[-1]),)
     else:
         poly, schedule = None, (max(0.0, -math.log(lambdas[0])),)

@@ -3,17 +3,18 @@
 Two families live here.
 
 The truncated binomial series g_{p,t}(x) ~ (1 - x)^p (MaclaurinPoly) is
-what a chain level applies.  Writing lam = 1 - x, the polynomial
+the reference series.  Writing lam = 1 - x, the polynomial
 T(lam) = g_{p,t}(1 - lam) approximates lam^p near 1.  For |x| <= delta < 1
 and p in [-1, 1] the coefficients stay bounded by 1, the absolute
 truncation error is at most delta^(t+1) / (1 - delta), and dividing by
 min lam^p >= 1 - delta gives the multiplicative criterion
-delta^(t+1) / (1 - delta)^2 <= eps that drives degree selection.  Operator
-evaluation is Horner's scheme with exactly t matrix-vector products.
+delta^(t+1) / (1 - delta)^2 <= eps (degree_for).
 
-The refinement's surrogate of y^{-1/2} on [1 - delta, 1 + delta]
-(ChebyshevPoly) is a Chebyshev series in u = (y - 1)/delta, applied by
-Clenshaw's recurrence, again with exactly t products.  Its degree comes
+What an operator applies is the Chebyshev form (ChebyshevPoly): a series
+in u = (y - 1)/delta on [1 - delta, 1 + delta], applied by Clenshaw's
+recurrence with exactly t matrix-vector products.  power(s, delta, eps)
+builds the surrogate of y^s, s in [-1/2, 1/2], that every direct-chain
+level and the refinement (s = -1/2, inverse_sqrt) apply.  Its degree comes
 from an a-posteriori certificate: the Chebyshev interpolant at a degree N
 whose Bernstein-ellipse bound 4 M(rho) rho^(-N) / (rho - 1) (Trefethen,
 Approximation Theory and Approximation Practice, Thm 8.2) is a small
@@ -34,7 +35,7 @@ from numpy.polynomial import chebyshev
 from .errors import DimensionMismatchError, InvalidParamsError, NoConvergenceError, check_eps
 from .sparse import SparseSymMatrix
 
-# degree_for and inverse_sqrt give up above this degree
+# degree_for and power give up above this degree
 MAX_DEGREE = 20_000
 
 
@@ -105,13 +106,14 @@ def make(p: float, delta: float, eps: float) -> MaclaurinPoly:
     return MaclaurinPoly(p=p, t=t, coeffs=coeffs(p, t), delta=delta, eps=eps)
 
 
-# -- the refinement's surrogate of y^{-1/2} -------------------------------------
+# -- the Chebyshev surrogate of y^s ---------------------------------------------
 
-# names of the bounds that can set a ChebyshevPoly's degree
-CERTIFICATES = ("truncation",)
+# names of the bounds that can set a ChebyshevPoly's degree: "truncation" is
+# power's certificate, "series" the crude p = -1 chain's binomial series
+CERTIFICATES = ("truncation", "series")
 
-# inverse_sqrt builds the interpolant whose Bernstein bound is this share of
-# the target; the rest pays for the truncated tail
+# power builds the interpolant whose Bernstein bound is this share of the
+# target; the rest pays for the truncated tail
 _INTERPOLANT_SHARE = 1.0 / 64.0
 
 # unit roundoff of float64
@@ -127,13 +129,16 @@ _ONE_MINUS_S = np.concatenate([1.0 - _S_LEFT, _S_RIGHT])
 
 @dataclass(frozen=True)
 class ChebyshevPoly:
-    """p(y) = sum_k coeffs[k] T_k((y - 1)/delta), a degree-t surrogate of y^{-1/2}.
+    """p(y) = sum_k coeffs[k] T_k((y - 1)/delta), a degree-t surrogate of y^s.
 
-    On [1 - delta, 1 + delta], |p(y) sqrt(y) - 1| <= bound <= 1 - exp(-eps),
-    so p stays within exp(+-eps) of y^{-1/2}.  certificate names the bound
-    that set t (one of CERTIFICATES).
+    On [1 - delta, 1 + delta], |p(y) y^{-s} - 1| <= bound.  certificate
+    names the bound (one of CERTIFICATES): under "truncation" bound <=
+    1 - exp(-eps), so p stays within exp(+-eps) of y^s; under "series" p is
+    the truncated binomial series and bound = eps is its criterion
+    delta^(t+1) / (1 - delta)^2.
     """
 
+    s: float
     t: int
     coeffs: np.ndarray = field(repr=False)
     delta: float
@@ -146,43 +151,64 @@ class ChebyshevPoly:
         self.coeffs.setflags(write=False)
         if self.t < 0 or self.coeffs.shape != (self.t + 1,):
             raise InvalidParamsError("need degree t >= 0 and t + 1 coefficients")
+        if not (0.0 < self.delta < 1.0):
+            raise InvalidParamsError(f"delta {self.delta} outside (0, 1)")
         if self.certificate not in CERTIFICATES:
             raise InvalidParamsError(f"unknown certificate {self.certificate!r}")
 
 
-def bernstein_degree(delta: float, target: float) -> tuple[int, float]:
-    """Least t >= 1 whose interpolant is certified to relative error target.
+def _inverse_min(s: float, delta: float) -> float:
+    """1 / min f for f(u) = (1 + delta u)^s on [-1, 1].
 
-    In u = (y - 1)/delta, f(u) = (1 + delta u)^{-1/2} is analytic inside
-    the Bernstein ellipse E_rho for rho < rho_max = 1/delta +
-    sqrt(1/delta^2 - 1), the ellipse through the branch point u = -1/delta.
-    On E_rho |f| peaks at the left vertex, M(rho) = (1 - delta (rho +
-    1/rho)/2)^{-1/2}, and the degree-t interpolant in Chebyshev points is
-    within 4 M(rho) rho^(-t) / (rho - 1) of f; dividing by min f =
-    (1 + delta)^{-1/2} bounds the relative error.  Every rho certifies, so
-    t is the least over a grid of rho.  Returns t and its bound.
+    f is least at u = 1 for s < 0 and at u = -1 for s >= 0.
+    """
+    if s == -0.5:
+        # sqrt is correctly rounded where ** need not be; this keeps the
+        # refinement's degrees and coefficients bit for bit
+        return math.sqrt(1.0 + delta)
+    return (1.0 + delta) ** -s if s < 0.0 else (1.0 - delta) ** -s
+
+
+def bernstein_degree(delta: float, target: float, s: float = -0.5) -> tuple[int, float]:
+    """Least t >= 1 whose interpolant of y^s is certified to relative error target.
+
+    In u = (y - 1)/delta, f(u) = (1 + delta u)^s is analytic inside the
+    Bernstein ellipse E_rho for rho < rho_max = 1/delta + sqrt(1/delta^2 -
+    1), the ellipse through the branch point u = -1/delta.  On E_rho, |f|
+    peaks at the left vertex for s < 0, M(rho) = (1 - delta (rho +
+    1/rho)/2)^s, and at the right vertex for s >= 0, M(rho) = (1 + delta
+    (rho + 1/rho)/2)^s.  The degree-t interpolant in Chebyshev points is
+    within 4 M(rho) rho^(-t) / (rho - 1) of f; dividing by min f bounds the
+    relative error.  Every rho certifies, so t is the least over a grid of
+    rho.  Returns t and its bound; s defaults to the refinement's -1/2.
     """
     r = (1.0 - delta) / delta
     w = r + math.sqrt(r * (r + 2.0))  # rho_max - 1, free of cancellation
     rho_minus_1 = w * _S
-    # 1 - delta (rho + 1/rho)/2 = delta (rho_max - rho)(1 - 1/(rho rho_max))/2
-    gap = 0.5 * delta * w * _ONE_MINUS_S * (1.0 - 1.0 / ((1.0 + rho_minus_1) * (1.0 + w)))
-    log_b = np.log(4.0 * math.sqrt(1.0 + delta) / rho_minus_1) - 0.5 * np.log(gap)
+    if s < 0.0:
+        # 1 - delta (rho + 1/rho)/2 = delta (rho_max - rho)(1 - 1/(rho rho_max))/2
+        gap = 0.5 * delta * w * _ONE_MINUS_S * (1.0 - 1.0 / ((1.0 + rho_minus_1) * (1.0 + w)))
+        log_m = s * np.log(gap)
+    else:
+        # (rho + 1/rho)/2 = 1 + (rho - 1)^2 / (2 rho)
+        log_m = s * np.log1p(delta * (1.0 + rho_minus_1 ** 2 / (2.0 * (1.0 + rho_minus_1))))
+    log_b = np.log(4.0 * _inverse_min(s, delta) / rho_minus_1) + log_m
     log_rho = np.log1p(rho_minus_1)
     t = max(1, int(np.min(np.ceil((log_b - math.log(target)) / log_rho))))
     return t, float(np.exp(np.min(log_b - t * log_rho)))
 
 
-def _interpolant(delta: float, t: int) -> np.ndarray:
-    """Chebyshev coefficients of the interpolant of f in the t + 1 points cos(pi j/t).
+def _interpolant(s: float, delta: float, t: int) -> np.ndarray:
+    """Chebyshev coefficients of the interpolant of f = (1 + delta u)^s in the
+    t + 1 points cos(pi j/t).
 
     1 + delta cos(pi j/t) is formed as (1 - delta) + 2 delta sin^2(pi (t - j)/(2t)),
     a sum of nonnegative terms, so each value is within 8 units of roundoff
     however close delta is to 1.  One real FFT of the even extension of the
     values is a DCT-I.
     """
-    s = np.sin(np.pi * np.arange(t, -1, -1) / (2 * t))
-    f = ((1.0 - delta) + 2.0 * delta * (s * s)) ** -0.5
+    sin = np.sin(np.pi * np.arange(t, -1, -1) / (2 * t))
+    f = ((1.0 - delta) + 2.0 * delta * (sin * sin)) ** s
     c = np.fft.rfft(np.concatenate([f, f[-2:0:-1]])).real / t
     c[0] *= 0.5
     c[t] *= 0.5
@@ -202,38 +228,45 @@ def _rounding_allowance(c: np.ndarray) -> float:
     return 16.0 * _U * (t + 1) * (1.0 + math.log2(2 * t)) * abs(c[0])
 
 
-def inverse_sqrt(delta: float, eps: float) -> ChebyshevPoly:
-    """Surrogate of y^{-1/2} on [1 - delta, 1 + delta] within exp(+-eps).
+def power(s: float, delta: float, eps: float) -> ChebyshevPoly:
+    """Surrogate of y^s, s in [-1/2, 1/2], on [1 - delta, 1 + delta] within exp(+-eps).
 
     The interpolant p_n, at the degree n where the Bernstein bound B_n is
     _INTERPOLANT_SHARE of the relative target 1 - exp(-eps), is cut to the
     least degree t with
 
-        B_n + sqrt(1 + delta) (sum_{j>t} |c_j| + r) <= 1 - exp(-eps),
+        B_n + (1 / min y^s) (sum_{j>t} |c_j| + r) <= 1 - exp(-eps),
 
     r the rounding allowance of its coefficients.  |f - p_t| <= |f - p_n| +
     |p_n - p_t| and |T_j| <= 1 on [-1, 1], so this holds at every point of
-    the interval; sqrt(y) <= sqrt(1 + delta) turns the absolute error into
-    the relative one.
+    the interval; dividing by min y^s, (1 + delta)^s for s < 0 and
+    (1 - delta)^s for s >= 0, turns the absolute error into the relative one.
     """
+    if not (-0.5 <= s <= 0.5):
+        raise InvalidParamsError(f"exponent {s} outside [-1/2, 1/2]")
     if not (0.0 < delta < 1.0):
         raise InvalidParamsError(f"delta {delta} outside (0, 1)")
     check_eps(eps)
     target = -math.expm1(-eps)
-    n, bound_n = bernstein_degree(delta, _INTERPOLANT_SHARE * target)
+    n, bound_n = bernstein_degree(delta, _INTERPOLANT_SHARE * target, s)
     if n > MAX_DEGREE:
-        raise NoConvergenceError(f"inverse_sqrt: degree {n} exceeds MAX_DEGREE={MAX_DEGREE}")
-    c = _interpolant(delta, n)
+        raise NoConvergenceError(f"power: degree {n} exceeds MAX_DEGREE={MAX_DEGREE}")
+    c = _interpolant(s, delta, n)
     # tail[t] = sum_{j>t} |c_j|
     tail = np.append(np.cumsum(np.abs(c[:0:-1]))[::-1], 0.0)
-    bounds = bound_n + math.sqrt(1.0 + delta) * (tail + _rounding_allowance(c))
+    bounds = bound_n + _inverse_min(s, delta) * (tail + _rounding_allowance(c))
     met = np.flatnonzero(bounds <= target)
     if met.size == 0:
         raise NoConvergenceError(
-            f"inverse_sqrt: rounding at degree {n} exceeds the target {target:.3e}")
+            f"power: rounding at degree {n} exceeds the target {target:.3e}")
     t = int(met[0])
-    return ChebyshevPoly(t=t, coeffs=c[:t + 1].copy(), delta=delta, eps=eps,
+    return ChebyshevPoly(s=s, t=t, coeffs=c[:t + 1].copy(), delta=delta, eps=eps,
                          certificate="truncation", bound=float(bounds[t]))
+
+
+def inverse_sqrt(delta: float, eps: float) -> ChebyshevPoly:
+    """The refinement's surrogate of y^{-1/2}: power(-1/2, delta, eps)."""
+    return power(-0.5, delta, eps)
 
 
 def eval_series(poly: MaclaurinPoly, x) -> np.ndarray:
@@ -247,7 +280,7 @@ def eval_series(poly: MaclaurinPoly, x) -> np.ndarray:
 
 
 def eval_scalar(poly: MaclaurinPoly | ChebyshevPoly, lam):
-    """T(lam), the polynomial surrogate for lam^p (p = -1/2 for ChebyshevPoly)."""
+    """T(lam), the polynomial surrogate for lam^p (lam^s for ChebyshevPoly)."""
     lam = np.asarray(lam, dtype=np.float64)
     if isinstance(poly, ChebyshevPoly):
         return chebyshev.chebval((lam - 1.0) / poly.delta, poly.coeffs)
@@ -273,23 +306,25 @@ def _clenshaw(poly: ChebyshevPoly, mv, alpha: float, beta: float,
         f = 1.0 if k == 0 else 2.0
         u = mv(b1)
         u *= f * g
-        u += np.multiply(b1, f * h, out=tmp)
+        # chain levels apply at alpha = 1, where the shift term is zero
+        if h != 0.0:
+            u += np.multiply(b1, f * h, out=tmp)
         u -= b2
         u += np.multiply(v, c[k], out=tmp)
         b1, b2 = u, b1
     return b1
 
 
-def apply_operator_poly(poly: MaclaurinPoly | ChebyshevPoly, op,
+def apply_operator_poly(poly: ChebyshevPoly, op,
                         shift_scale: tuple[float, float], v: np.ndarray) -> np.ndarray:
-    """Apply T(alpha I + beta X) to v, X given by op (matrix or matvec).
+    """Apply p(alpha I + beta X) to v, X given by op (matrix or matvec).
 
-    A MaclaurinPoly runs Horner: w <- a_t v, then w <- a_k v + (I - (alpha I
-    + beta X)) w, which is w <- a_k v + (1 - alpha) w - beta X w.  A
-    ChebyshevPoly runs Clenshaw's recurrence, which scales each product in
-    place, so a matvec callable must return a new array.  Either way
-    exactly t products with X; v may be a vector or an (n, k) block.
+    Clenshaw's recurrence scales each product in place, so a matvec
+    callable must return a new array.  Exactly t products with X; v may be
+    a vector or an (n, k) block.
     """
+    if not isinstance(poly, ChebyshevPoly):
+        raise InvalidParamsError("apply_operator_poly applies a ChebyshevPoly")
     alpha, beta = shift_scale
     if isinstance(op, SparseSymMatrix):
         mv = op.matvec
@@ -300,11 +335,4 @@ def apply_operator_poly(poly: MaclaurinPoly | ChebyshevPoly, op,
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2):
         raise DimensionMismatchError("v must be a vector or a 2-d block")
-    if isinstance(poly, ChebyshevPoly):
-        return _clenshaw(poly, mv, alpha, beta, v)
-    a = poly.coeffs
-    rem = 1.0 - alpha
-    acc = a[poly.t] * v
-    for k in range(poly.t - 1, -1, -1):
-        acc = a[k] * v + rem * acc - beta * mv(acc)
-    return acc
+    return _clenshaw(poly, mv, alpha, beta, v)

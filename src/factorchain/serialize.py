@@ -1,25 +1,28 @@
-"""Binary container for factor operators, schema 5.
+"""Binary container for factor operators, schema 6.
 
 Layout: the magic ``FCOP1`` and a newline, then blocks, each a uint64
 little-endian byte count followed by that many bytes:
 
 - the header, JSON with sorted keys: schema, kind, n, the chain's p, d,
   kappa_used, eps_total, eps_schedule and lambdas, out_scale, one
-  {p, t, delta, eps} record per level polynomial, the RefinementInfo
+  {s, t, delta, eps, certificate, bound} record per level polynomial
+  (maclaurin.ChebyshevPoly's fields but its coefficients), the RefinementInfo
   fields (or null; they include the refinement's certificate name and
   bound) and the caller's meta dict;
 - each level X_0..X_{d-1} as three raw arrays holding its upper
   triangle as SparseSymMatrix.rows / cols / vals gives it: rows ``<i4``,
   cols ``<i4``, vals ``<f8``; every matrix has dimension n;
-- each level polynomial's coefficients, ``<f8``;
+- each level polynomial's Chebyshev coefficients c_0..c_t, ``<f8``, of
+  sum_k c_k T_k((y - 1)/delta);
 - for a refined operator, its matrix as three arrays and its
-  polynomial's Chebyshev coefficients c_0..c_t, ``<f8``, of
-  sum_k c_k T_k((y - 1)/delta).
+  polynomial's Chebyshev coefficients, ``<f8``.
 
-Schema 5 stores the refinement as a Chebyshev interpolant truncated at the
-degree its a-posteriori bound certifies (certificate "truncation"); schema
-4 stored the interpolant at the Bernstein bound's degree and schema 3 a
-binomial series.  Older schemas have no reader and are rejected.
+Schema 6 stores every level polynomial in Chebyshev form: a direct chain's
+levels carry power's certificate "truncation", a crude p = -1 chain's the
+binomial series re-expanded, certificate "series".  Schema 5 stored the
+levels as binomial-series coefficients, schema 4 the refinement at the
+Bernstein bound's degree and schema 3 the refinement as a binomial series.
+Older schemas have no reader and are rejected.
 
 Floats round-trip exactly and loading accepts only the canonical
 triangle, so saving a loaded operator reproduces the input byte for byte.
@@ -46,11 +49,11 @@ from .chain import (
     RefinementInfo,
 )
 from .errors import FactorChainError, SerializationError
-from .maclaurin import CERTIFICATES, ChebyshevPoly, MaclaurinPoly
+from .maclaurin import CERTIFICATES, ChebyshevPoly
 from .sparse import SparseSymMatrix
 
 MAGIC = b"FCOP1\n"
-SCHEMA = 5
+SCHEMA = 6
 
 # indices are stored as <i4
 INDEX_LIMIT = 2**31
@@ -73,8 +76,12 @@ def _object(spec: dict):
 
 
 _INT, _NUMBER = _type(int), _type(int, float)
-_POLY = _object({"p": _NUMBER, "t": _INT, "delta": _NUMBER, "eps": _NUMBER})
-_FIELD_CHECKS = {"degree": _INT, "certificate": lambda v: v in CERTIFICATES}
+_CERTIFICATE = CERTIFICATES.__contains__
+# a level polynomial's record: every ChebyshevPoly field but its coefficients
+_POLY_RECORD = {"s": _NUMBER, "t": _INT, "delta": _NUMBER, "eps": _NUMBER,
+                "certificate": _CERTIFICATE, "bound": _NUMBER}
+_POLY = _object(_POLY_RECORD)
+_FIELD_CHECKS = {"degree": _INT, "certificate": _CERTIFICATE}
 _REFINEMENT = _object({f.name: _FIELD_CHECKS.get(f.name, _NUMBER)
                        for f in fields(RefinementInfo)})
 # the header as operator_bytes writes it
@@ -113,8 +120,7 @@ def operator_bytes(op, meta: dict | None = None) -> bytes:
         "eps_total": ch.eps_total,
         "eps_schedule": list(ch.eps_schedule),
         "lambdas": list(ch.lambdas),
-        "polys": [{"p": q.p, "t": q.t, "delta": q.delta, "eps": q.eps}
-                  for q in ch.polys],
+        "polys": [{k: getattr(q, k) for k in _POLY_RECORD} for q in ch.polys],
         "refinement": None,
         "meta": meta or {},
     }
@@ -177,9 +183,8 @@ def _matrix(n: int, blocks) -> SparseSymMatrix:
     return m
 
 
-def _poly(ph: dict, blocks) -> MaclaurinPoly:
-    return MaclaurinPoly(p=ph["p"], t=ph["t"], coeffs=_array(next(blocks), "<f8"),
-                         delta=ph["delta"], eps=ph["eps"])
+def _poly(ph: dict, blocks) -> ChebyshevPoly:
+    return ChebyshevPoly(coeffs=_array(next(blocks), "<f8"), **ph)
 
 
 def operator_from_bytes(buf: bytes):
@@ -210,7 +215,7 @@ def operator_from_bytes(buf: bytes):
         if rh is not None:
             info = RefinementInfo(**rh)
             matrix = _matrix(n, it)
-            poly = ChebyshevPoly(t=info.degree, coeffs=_array(next(it), "<f8"),
+            poly = ChebyshevPoly(s=-0.5, t=info.degree, coeffs=_array(next(it), "<f8"),
                                  delta=info.delta, eps=info.eps / 2.0,
                                  certificate=info.certificate, bound=info.bound)
             op = RefinedOperator(op, matrix, poly, info.scale, info)

@@ -51,7 +51,8 @@ def empty_level_container(n, d):
         "schema": SCHEMA, "kind": "chain", "n": n, "p": -1.0, "d": d,
         "out_scale": 1.0, "kappa_used": 2.0, "eps_total": 0.5,
         "eps_schedule": [0.1] * d + [0.5 - 0.1 * d], "lambdas": [0.5] * (d + 1),
-        "polys": [{"p": 0.5, "t": 0, "delta": 0.5, "eps": 0.1}] * d,
+        "polys": [{"s": 0.5, "t": 0, "delta": 0.5, "eps": 0.1,
+                   "certificate": "series", "bound": 0.1}] * d,
         "refinement": None, "meta": {},
     }
     blocks = ([json.dumps(header).encode("utf-8")] + [b""] * (3 * d)

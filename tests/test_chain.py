@@ -42,11 +42,12 @@ from factorchain import (
     validate_sddm,
 )
 import factorchain.chain as chain_module
-from factorchain.chain import flops_per_sample, refine_by_cost
+from factorchain.chain import crude_level_poly, flops_per_sample, refine_by_cost
 from factorchain.maclaurin import (
-    MaclaurinPoly,
     apply_operator_poly,
     coeffs,
+    degree_for,
+    eval_scalar,
     eval_series,
     make,
     sandwich_criterion,
@@ -205,18 +206,17 @@ def test_level_polynomials_fit_the_measured_radius(name, p):
     eps_level = eps / (8.0 * max(chain_length_bound(split.kappa_bound, eps), 1))
     assert chain.eps_schedule[:-1] == (eps_level,) * chain.d
     assert chain.eps_total == sum(chain.eps_schedule)
-    uniform = make(-p / 2.0, 0.5, eps_level)
     for i, (x, poly) in enumerate(zip(chain.levels, chain.polys)):
         rho = nonneg_spectral_radius(x)
         assert chain.lambdas[i] == 1.0 - rho
         # I + X_i/2 has its spectrum within 1 +- rho(X_i)/2
         assert poly.delta == rho / 2.0
         assert 2.0 * poly.delta >= np.linalg.eigvalsh(x.to_dense())[-1] - 1e-12
-        # the smallest degree that meets the level's target at that delta
-        assert poly.p == -p / 2.0 and poly.eps == eps_level
-        assert sandwich_criterion(poly.delta, poly.t) <= chain.eps_schedule[i]
-        assert poly.t == 0 or sandwich_criterion(poly.delta, poly.t - 1) > eps_level
-        assert poly.t <= uniform.t
+        # the certified Chebyshev fit of y^{-p/2} that meets the level's target
+        assert poly.s == -p / 2.0 and poly.eps == eps_level == chain.eps_schedule[i]
+        assert poly.bound <= -math.expm1(-eps_level)
+        # never dearer than the binomial series at that delta
+        assert poly.t <= degree_for(-p / 2.0, poly.delta, eps_level)
     # the radii fall level by level, and the degrees with them
     assert chain.polys[-1].t < chain.polys[0].t
 
@@ -462,11 +462,23 @@ def test_level_polynomial_is_positive_on_half_interval(t):
     assert np.all(eval_series(poly, x) >= np.sqrt(1.0 - np.abs(x)) - 1e-15)
 
 
+@pytest.mark.parametrize("t", range(13))
+def test_crude_level_poly_is_the_binomial_series(t):
+    # the same polynomial in the Chebyshev basis of u = -x / (1/2), so the
+    # positivity above carries over; its certificate records the series bound
+    poly = crude_level_poly(t)
+    assert (poly.s, poly.t, poly.delta, poly.certificate) == (0.5, t, 0.5, "series")
+    assert poly.eps == poly.bound == sandwich_criterion(0.5, t)
+    x = np.linspace(-0.5, 0.5, 2001)
+    series = eval_series(make(0.5, 0.5, 0.5 ** (t - 1)), x)
+    assert np.allclose(eval_scalar(poly, 1.0 - x), series, rtol=0, atol=1e-15)
+
+
 def test_level_factor_is_positive_definite_at_every_degree():
     _, crude = exact_chain_op(grid2d(8), -1.0, 1.0)
     x0 = crude.chain.levels[0]
     for t in range(13):
-        poly = make(0.5, 0.5, 0.5 ** (t - 1))
+        poly = crude_level_poly(t)
         factor = apply_operator_poly(poly, x0, (1.0, 0.5), np.eye(x0.n))
         assert np.linalg.eigvalsh(factor)[0] > 0.0
 
@@ -505,8 +517,7 @@ def at_level_degree(crude, t):
         chain = replace(ch, levels=(), polys=(), d=0, eps_schedule=(gap,),
                         eps_total=gap, lambdas=ch.lambdas[:1], reports=())
     else:
-        poly = MaclaurinPoly(p=0.5, t=t, coeffs=coeffs(0.5, t), delta=0.5,
-                             eps=sandwich_criterion(0.5, t))
+        poly = crude_level_poly(t)
         schedule = (poly.eps,) * ch.d + ch.eps_schedule[-1:]
         chain = replace(ch, polys=(poly,) * ch.d, eps_schedule=schedule,
                         eps_total=sum(schedule))

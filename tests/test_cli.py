@@ -350,6 +350,21 @@ def test_sample_schema_4_container_exit_2(tmp_path, grid_file, capsys):
     assert "unsupported schema 4" in capsys.readouterr().err
 
 
+def test_sample_schema_5_container_exit_2(tmp_path, grid_file, capsys):
+    # schema 5 stored the level polynomials as binomial-series coefficients
+    rc, out, _ = factored(tmp_path, grid_file)
+    assert rc == 0
+    data = out.read_bytes()
+    (size,) = struct.unpack_from("<Q", data, len(MAGIC))
+    start = len(MAGIC) + 8
+    header = json.dumps({**json.loads(data[start:start + size]), "schema": 5}).encode("utf-8")
+    old = tmp_path / "old.fcop"
+    old.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header + data[start + size:])
+    rc = main(["sample", str(old), "--count", "1", "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert "unsupported schema 5" in capsys.readouterr().err
+
+
 def test_sample_container_smaller_than_its_n_exit_2(tmp_path, capsys):
     bad = tmp_path / "big.fcop"
     bad.write_bytes(empty_level_container(10**7, d=1))

@@ -54,28 +54,28 @@ def direct_prepared():
                            mean=np.zeros(m.n), eps=op.chain.eps_total)
 
 
-# Format note, container schema 5: the refinement stores the Chebyshev
-# interpolant truncated at the degree its a-posteriori bound certifies,
-# under the certificate "truncation", so both refined cases changed
-# operator bytes (each went from degree 12 to 6).  Sample noise now comes from one Philox keyed (seed,
-# TAG_SAMPLE) with sample j at counter j instead of a key per sample, so
-# every case changed sample bytes, the direct chain's too; its operator
-# moved only by the header's schema digit.
+# Format note, container schema 6: every level polynomial is stored in
+# Chebyshev form, its header record {s, t, delta, eps, certificate, bound}.
+# The direct chain's levels are now fit by the certified Chebyshev builder
+# maclaurin.power instead of the binomial series, at lower degree, so its
+# operator and sample bytes changed.  Both refined cases store depth 0, with
+# no level polynomial: their operators moved only by the header's schema
+# digit and their sample bytes did not move.
 GOLDEN = {
     "grid2d_8": (
         grid_prepared,
-        "c9f4663a501e060b6509aa269b81342b5b0432c1515b3f4eb9c504c504f59ffe",
+        "e7fa845300a89f3e5ee01dc392a89298aeeb85d569dc9214fbf1b25fec90eda2",
         "bb139db7be3186b976f1308ffb879164e74a977700b0087d077b9e3a7d7cd703",
     ),
     "lifted_sdd_mixed_24": (
         lifted_prepared,
-        "6124013d1ec9f267cef4fed46b7aff3c9d0b9396e3fab06d3387265b79ee993d",
+        "5d47cb00babb1ad75db7dce24aef646aa5ecf5d701f8f1052fad30e88bb816b6",
         "ec748142ecf5f22322192fd80b6593cbb1d969bc582ac0db3f5ab3867879c9a6",
     ),
     "direct_p_half_random_regular_64": (
         direct_prepared,
-        "b5bc347d508002307e4f5bfb3aaf57894545428535114e451fc6530e12bbdfd6",
-        "8b98d21135530d1389269b6a9989da803f60e438c46859e4e007b7c13214e61a",
+        "21dc8258aa502d4e781de53fbfb1e7531564b0f6fc12cca428acd61e7a936e7e",
+        "6a4d47500bc5effe39ea0757badbdc6996ef277d6eebaaa169050a27fe8c5be8",
     ),
 }
 

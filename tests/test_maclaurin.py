@@ -20,6 +20,7 @@ from factorchain import (
     eval_series,
     inverse_sqrt,
     make,
+    power,
 )
 from factorchain.maclaurin import CERTIFICATES, _interpolant
 
@@ -154,10 +155,10 @@ def test_apply_operator_poly_counts_matvecs():
         calls += 1
         return 0.5 * v
 
-    poly = make(-1.0, 0.5, 0.1)
+    poly = power(0.5, 0.5, 0.1)
     v = np.ones(4)
     apply_operator_poly(poly, op, (0.0, 1.0), v)
-    assert calls == poly.t
+    assert calls == poly.t > 0
 
 
 def test_apply_operator_poly_matches_eigen_eval():
@@ -167,7 +168,7 @@ def test_apply_operator_poly_matches_eigen_eval():
     lam = np.linalg.eigvalsh(a)
     s = 2.0 / (lam[0] + lam[-1])
     delta = (lam[-1] - lam[0]) / (lam[-1] + lam[0])
-    poly = make(-0.5, delta * 1.01, 1e-3)
+    poly = power(0.25, delta * 1.01, 1e-3)
     v = rng.standard_normal(8)
 
     got = apply_operator_poly(poly, lambda u: a @ u, (0.0, s), v)
@@ -178,12 +179,12 @@ def test_apply_operator_poly_matches_eigen_eval():
 
 
 def test_apply_operator_poly_shift_scale_composition():
-    # argument operator is alpha*I + beta*X; polynomial sees I minus that
+    # argument operator is alpha*I + beta*X, at alpha = 1 as every chain level
     x = np.diag([0.2, 0.4])
-    poly = make(0.5, 0.9, 1e-6)
+    poly = power(0.5, 0.9, 1e-6)
     v = np.array([1.0, 1.0])
-    got = apply_operator_poly(poly, lambda u: x @ u, (0.25, 0.5), v)
-    arg = 0.25 * np.eye(2) + 0.5 * x
+    got = apply_operator_poly(poly, lambda u: x @ u, (1.0, 0.5), v)
+    arg = 1.0 * np.eye(2) + 0.5 * x
     w = np.diag(arg)
     expect = eval_scalar(poly, w) * v
     assert np.allclose(got, expect, atol=1e-13)
@@ -191,7 +192,7 @@ def test_apply_operator_poly_shift_scale_composition():
 
 def test_apply_operator_poly_batch_columns():
     x = np.diag([0.1, 0.3, 0.5])
-    poly = make(-1.0, 0.6, 1e-4)
+    poly = power(0.25, 0.6, 1e-4)
     vs = np.eye(3)
     out = apply_operator_poly(poly, lambda u: x @ u, (0.0, 1.0), vs)
     for j in range(3):
@@ -257,15 +258,15 @@ def test_inverse_sqrt_truncates_a_finer_interpolant():
     assert poly.t == 1 == degree_for(-0.5, delta, -math.expm1(-0.1 / 16))
     n, _ = bernstein_degree(delta, -math.expm1(-0.1 / 16) / 64)
     assert n > poly.t
-    assert np.array_equal(poly.coeffs, _interpolant(delta, n)[:2])
+    assert np.array_equal(poly.coeffs, _interpolant(-0.5, delta, n)[:2])
 
 
 def test_interpolant_matches_the_function_at_chebyshev_points():
     t = 40
     u = np.cos(np.pi * np.arange(t + 1) / t)
-    for delta in (0.5, 0.99):
+    for s, delta in itertools.product((-0.5, 0.25), (0.5, 0.99)):
         y = 1.0 + delta * u
-        assert np.allclose(chebval(u, _interpolant(delta, t)), y ** -0.5, rtol=1e-12, atol=0)
+        assert np.allclose(chebval(u, _interpolant(s, delta, t)), y ** s, rtol=1e-12, atol=0)
 
 
 def test_inverse_sqrt_refuses_what_no_degree_certifies():
@@ -278,6 +279,46 @@ def test_inverse_sqrt_refuses_what_no_degree_certifies():
 def test_inverse_sqrt_rejects_bad_arguments(delta, eps):
     with pytest.raises(InvalidParamsError):
         inverse_sqrt(delta, eps)
+
+
+# -------------------------------------------- Chebyshev surrogate of y^s
+
+POWER_EXPONENTS = (-0.5, -0.25, 0.25, 0.5)
+POWER_DELTAS = (1e-4, 1e-2, 0.1, 0.3, 0.5, 0.9, 0.99)
+POWER_EPS = (1e-4, 1e-3, 0.3 / 40, 0.05, 0.5)
+
+
+def test_power_certificate_holds_on_a_dense_grid():
+    for s, delta, eps in itertools.product(POWER_EXPONENTS, POWER_DELTAS, POWER_EPS):
+        target = -math.expm1(-eps)
+        poly = power(s, delta, eps)
+        assert (poly.s, poly.certificate) == (s, "truncation")
+        assert poly.bound <= target
+        y = np.linspace(1.0 - delta, 1.0 + delta, 20_001)
+        err = np.max(np.abs(eval_scalar(poly, y) * y ** -s - 1.0))
+        assert err <= poly.bound, (s, delta, eps, err, poly.bound)
+        # never dearer than the binomial series at the same relative target
+        assert poly.t <= degree_for(s, delta, target), (s, delta, eps)
+
+
+def test_power_at_minus_one_half_is_inverse_sqrt():
+    for delta, eps in itertools.product(SWEEP_DELTAS, SWEEP_EPS):
+        poly, ref = power(-0.5, delta, eps), inverse_sqrt(delta, eps)
+        assert poly.t == ref.t and poly.bound == ref.bound
+        assert poly.coeffs.tobytes() == ref.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("s,delta,eps", [(-0.75, 0.5, 0.1), (0.6, 0.5, 0.1),
+                                         (math.nan, 0.5, 0.1), (0.25, 1.0, 0.1),
+                                         (0.25, 0.5, 0.0)])
+def test_power_rejects_bad_arguments(s, delta, eps):
+    with pytest.raises(InvalidParamsError):
+        power(s, delta, eps)
+
+
+def test_apply_operator_poly_refuses_a_binomial_series():
+    with pytest.raises(InvalidParamsError):
+        apply_operator_poly(make(-0.5, 0.5, 0.1), lambda u: u, (1.0, 0.5), np.ones(2))
 
 
 def test_clenshaw_counts_matvecs():

@@ -126,7 +126,7 @@ def test_layout_is_header_then_raw_arrays():
     _, _, refined = make_ops()
     blocks = blocks_of(operator_bytes(refined))
     header = json.loads(blocks[0])
-    assert header["schema"] == SCHEMA == 5
+    assert header["schema"] == SCHEMA == 6
     chain = refined.chain
     levels = [blocks[1 + 3 * i:4 + 3 * i] for i in range(chain.d)]
     levels.append(blocks[-4:-1])  # the refinement matrix
@@ -138,6 +138,12 @@ def test_layout_is_header_then_raw_arrays():
     # the refinement's last block holds its Chebyshev coefficients
     assert np.frombuffer(blocks[-1], "<f8").tobytes() == refined.poly.coeffs.tobytes()
     assert header["refinement"]["certificate"] == refined.poly.certificate
+    # each level polynomial's block holds its Chebyshev coefficients
+    for q, raw in zip(chain.polys, blocks[1 + 3 * chain.d:-4]):
+        assert np.frombuffer(raw, "<f8").tobytes() == q.coeffs.tobytes()
+    assert header["polys"] == [{"s": q.s, "t": q.t, "delta": q.delta, "eps": q.eps,
+                                "certificate": q.certificate, "bound": q.bound}
+                               for q in chain.polys]
 
 
 def without(record, key):
@@ -154,12 +160,15 @@ def without(record, key):
     lambda h: {**h, "lambdas": ["x"]},
     lambda h: {**h, "lambdas": [0.5] * (h["d"] + 7)},
     lambda h: {**h, "polys": [{"p": 0.5}] * len(h["polys"])},
+    lambda h: {**h, "polys": [{**q, "certificate": "taylor"} for q in h["polys"]]},
+    lambda h: {**h, "polys": [{**q, "delta": 0.0} for q in h["polys"]]},
     lambda h: {**h, "refinement": {**h["refinement"], "degree": 2.5}},
     lambda h: {**h, "refinement": without(h["refinement"], "scale")},
     lambda h: {**h, "refinement": {**h["refinement"], "certificate": "taylor"}},
     lambda h: {**h, "refinement": without(h["refinement"], "certificate")},
 ], ids=["missing_d", "list", "d_string", "d_bool", "negative_n", "extra_field",
-        "lambda_string", "lambda_count", "poly_record", "degree_float", "missing_scale",
+        "lambda_string", "lambda_count", "poly_record", "poly_certificate",
+        "poly_delta_zero", "degree_float", "missing_scale",
         "unknown_certificate", "missing_certificate"])
 def test_malformed_header_rejected(edit):
     _, _, refined = make_ops()
@@ -213,6 +222,15 @@ def test_schema_4_container_rejected():
     blocks = blocks_of(operator_bytes(refined))
     blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": 4}).encode("utf-8")
     with pytest.raises(SerializationError, match="unsupported schema 4"):
+        operator_from_bytes(container(blocks))
+
+
+def test_schema_5_container_rejected():
+    # schema 5 stored the level polynomials as binomial-series coefficients
+    _, _, refined = make_ops()
+    blocks = blocks_of(operator_bytes(refined))
+    blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": 5}).encode("utf-8")
+    with pytest.raises(SerializationError, match="unsupported schema 5"):
         operator_from_bytes(container(blocks))
 
 
