@@ -1,9 +1,11 @@
 """Track per-level spectral decay while building factor chains.
 
 For each test graph this prints the lambda (= 1 - rho(X_i)) sequence, the
-growth ratio between consecutive levels, each level polynomial's degree
-and the delta (= rho(X_i)/2) it is fit to, and compares the realized chain
-length against the a priori bound.  Useful for eyeballing whether the
+growth ratio between consecutive levels, each level's stored entries and
+fill (full nnz / n^2; a level filled to at least 0.5 multiplies densely
+through BLAS), each level polynomial's degree and the delta
+(= rho(X_i)/2) it is fit to, and compares the realized chain length
+against the a priori bound.  Useful for eyeballing whether the
 sparsified squares keep the geometric decay that the exact squares have.
 
 After each chain it prints what refine_by_cost stores for the same input
@@ -35,14 +37,16 @@ def describe(name, m, eps, mode, seed):
     bound = chain_length_bound(split.kappa_bound, eps)
     print(f"\n{name}: n={m.n} kappa_hat={split.kappa_bound:.3f} "
           f"d={chain.d} bound={bound} eps_total={chain.eps_total:.4f}")
-    print(f"  {'level':>5} {'lambda':>10} {'ratio':>8} {'nnz':>8} {'poly_t':>6} {'delta':>8}")
+    print(f"  {'level':>5} {'lambda':>10} {'ratio':>8} {'nnz':>8} {'fill':>6} "
+          f"{'poly_t':>6} {'delta':>8}")
     prev = None
     for i, lam in enumerate(chain.lambdas):
         ratio = "" if prev is None else f"{lam / prev:8.4f}"
         nnz = chain.levels[i].full_nnz if i < len(chain.levels) else "-"
+        fill = f"{nnz / m.n ** 2:6.3f}" if i < len(chain.levels) else "-"
         deg = chain.polys[i].t if i < len(chain.polys) else "-"
         delta = f"{chain.polys[i].delta:8.5f}" if i < len(chain.polys) else "-"
-        print(f"  {i:>5} {lam:>10.5f} {ratio:>8} {nnz:>8} {deg:>6} {delta:>8}")
+        print(f"  {i:>5} {lam:>10.5f} {ratio:>8} {nnz:>8} {fill:>6} {deg:>6} {delta:>8}")
         prev = lam
     ok = all(b >= (9.0 / 8.0) * a or a > 0.5
              for a, b in zip(chain.lambdas, chain.lambdas[1:]))

@@ -1,4 +1,4 @@
-"""Binary container for factor operators, schema 6.
+"""Binary container for factor operators, schema 7.
 
 Layout: the magic ``FCOP1`` and a newline, then blocks, each a uint64
 little-endian byte count followed by that many bytes:
@@ -10,19 +10,22 @@ little-endian byte count followed by that many bytes:
   fields (or null; they include the refinement's certificate name and
   bound) and the caller's meta dict;
 - each level X_0..X_{d-1} as three raw arrays holding its upper
-  triangle as SparseSymMatrix.rows / cols / vals gives it: rows ``<i4``,
+  triangle as SparseSymMatrix.upper_triangle gives it: rows ``<i4``,
   cols ``<i4``, vals ``<f8``; every matrix has dimension n;
 - each level polynomial's Chebyshev coefficients c_0..c_t, ``<f8``, of
   sum_k c_k T_k((y - 1)/delta);
 - for a refined operator, its matrix as three arrays and its
   polynomial's Chebyshev coefficients, ``<f8``.
 
-Schema 6 stores every level polynomial in Chebyshev form: a direct chain's
+Every level polynomial is stored in Chebyshev form: a direct chain's
 levels carry power's certificate "truncation", a crude p = -1 chain's the
-binomial series re-expanded, certificate "series".  Schema 5 stored the
-levels as binomial-series coefficients, schema 4 the refinement at the
-Bernstein bound's degree and schema 3 the refinement as a binomial series.
-Older schemas have no reader and are rejected.
+binomial series re-expanded, certificate "series".  Schema 7 has schema
+6's layout; it marks that filled levels (sparse.py) now multiply through
+BLAS, so an operator with such a level colours to other bytes than it
+did under schema 6.  Schema 5 stored the levels as binomial-series
+coefficients, schema 4 the refinement at the Bernstein bound's degree and
+schema 3 the refinement as a binomial series.  Older schemas have no
+reader and are rejected.
 
 Floats round-trip exactly and loading accepts only the canonical
 triangle, so saving a loaded operator reproduces the input byte for byte.
@@ -53,7 +56,7 @@ from .maclaurin import CERTIFICATES, ChebyshevPoly
 from .sparse import SparseSymMatrix
 
 MAGIC = b"FCOP1\n"
-SCHEMA = 6
+SCHEMA = 7
 
 # indices are stored as <i4
 INDEX_LIMIT = 2**31
@@ -96,7 +99,7 @@ _HEADER = _object({
 
 def _matrix_blocks(m: SparseSymMatrix) -> list[bytes]:
     return [a.astype(t).tobytes()
-            for a, t in zip((m.rows, m.cols, m.vals), _MATRIX_DTYPES)]
+            for a, t in zip(m.upper_triangle(), _MATRIX_DTYPES)]
 
 
 def operator_bytes(op, meta: dict | None = None) -> bytes:
@@ -177,7 +180,7 @@ def _matrix(n: int, blocks) -> SparseSymMatrix:
     m = SparseSymMatrix(n, *stored)
     # the constructor sorts, sums duplicates and drops zeros, so only the
     # canonical triangle comes back unchanged
-    if not all(map(np.array_equal, (m.rows, m.cols, m.vals), stored)):
+    if not all(map(np.array_equal, m.upper_triangle(), stored)):
         raise SerializationError("matrix arrays are not a sorted upper "
                                  "triangle without duplicates or zeros")
     return m

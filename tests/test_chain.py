@@ -231,6 +231,15 @@ def test_fitted_direct_chain_certifies_on_an_expander(p):
     assert res.passed, res.eps_measured
 
 
+def test_expander_chain_keeps_its_shape():
+    # the fractional_chain benchmark's chain: its top two levels are filled
+    # (78% and 100% of n^2) and multiply densely
+    m = random_regular(512, 3, seed=1)
+    chain = build_chain(normalize(m, validate_sddm(m)), -0.5, 0.3)
+    assert [x.full_nnz for x in chain.levels] == [2048, 5102, 22690, 203634, 262144]
+    assert [poly.t for poly in chain.polys] == [3, 2, 2, 2, 2]
+
+
 def test_chain_requires_d_plus_one_lambdas(grid9):
     chain = exact_chain_op(grid9, -1.0, 0.5)[1].chain
     with pytest.raises(InvalidParamsError, match="lambdas"):

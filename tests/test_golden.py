@@ -54,28 +54,29 @@ def direct_prepared():
                            mean=np.zeros(m.n), eps=op.chain.eps_total)
 
 
-# Format note, container schema 6: every level polynomial is stored in
-# Chebyshev form, its header record {s, t, delta, eps, certificate, bound}.
-# The direct chain's levels are now fit by the certified Chebyshev builder
-# maclaurin.power instead of the binomial series, at lower degree, so its
-# operator and sample bytes changed.  Both refined cases store depth 0, with
-# no level polynomial: their operators moved only by the header's schema
-# digit and their sample bytes did not move.
+# Format note, container schema 7: the layout is schema 6's, in which every
+# level polynomial is stored in Chebyshev form.  Filled matrices (at least
+# half of n^2 entries) now multiply through BLAS on a dense array, padded to
+# 8 columns per gemm, and square densely with a mirrored upper triangle.
+# The direct chain's top levels fill, so its radii, polynomials, operator
+# and sample bytes changed.  Both refined cases store depth 0, with no
+# level polynomial: their operators moved only by the header's schema digit
+# and their sample bytes did not move.
 GOLDEN = {
     "grid2d_8": (
         grid_prepared,
-        "e7fa845300a89f3e5ee01dc392a89298aeeb85d569dc9214fbf1b25fec90eda2",
+        "e209f88dd309add3eb482ca63dc4642abf8a65ded00c12680e6db0af1bfccc0a",
         "bb139db7be3186b976f1308ffb879164e74a977700b0087d077b9e3a7d7cd703",
     ),
     "lifted_sdd_mixed_24": (
         lifted_prepared,
-        "5d47cb00babb1ad75db7dce24aef646aa5ecf5d701f8f1052fad30e88bb816b6",
+        "58437ede2da07826a7eabb09311a41ecd92970a9ac787a2cdfd003449a9d894b",
         "ec748142ecf5f22322192fd80b6593cbb1d969bc582ac0db3f5ab3867879c9a6",
     ),
     "direct_p_half_random_regular_64": (
         direct_prepared,
-        "21dc8258aa502d4e781de53fbfb1e7531564b0f6fc12cca428acd61e7a936e7e",
-        "6a4d47500bc5effe39ea0757badbdc6996ef277d6eebaaa169050a27fe8c5be8",
+        "d3d0db02d22fcc7619259c48aa3e336554bed4b759c1ebf32cdde904edeab51b",
+        "fccd0668e53dc017aa073c520dc69ed00884273db4c1ca92b4906a8f5364d244",
     ),
 }
 

@@ -354,6 +354,85 @@ def test_gremban_project_batched():
     assert np.allclose(gremban_project(v), cols)
 
 
+# ----------------------------------------------------------- dense kernel
+
+
+def _filled(n, seed):
+    """Nonnegative symmetric matrix with about 80% of its n^2 entries."""
+    rng = np.random.default_rng(seed)
+    a = rng.random((n, n)) * (rng.random((n, n)) < 0.8)
+    m = SparseSymMatrix.from_dense(np.triu(a) + np.triu(a, 1).T)
+    assert 2 * m.full_nnz >= n * n
+    return m
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [63, 64, 257])
+def test_dense_block_columns_do_not_depend_on_block_width(n):
+    m = _filled(n, seed=n)
+    x = np.random.default_rng(n + 1).standard_normal((n, 128))
+    wide = m.matvec(x)
+    for k in [*range(1, 18), 64, 127]:
+        assert np.array_equal(_bits(m.matvec(x[:, :k])), _bits(wide[:, :k])), k
+    # a vector takes the padded path of a one-column block
+    v = m.matvec(x[:, 0])
+    assert v.shape == (n,) and np.array_equal(_bits(v), _bits(wide[:, 0]))
+
+
+@pytest.mark.parametrize("n", [63, 64, 257])
+def test_dense_product_is_within_rounding_of_the_csr_product(n):
+    m = _filled(n, seed=n)
+    x = np.random.default_rng(n + 2).standard_normal((n, 9))
+    dense = m.to_dense()
+    # a forward error bound of either sum: 1e-13 of sum_j |a_ij x_j|
+    scale = np.abs(dense) @ np.abs(x)
+    assert np.all(np.abs(m.matvec(x) - m.to_scipy() @ x) <= 1e-13 * scale)
+
+
+def test_fill_rule_is_half_of_n_squared():
+    # 64 diagonal entries and 2 * 991 mirrored ones: 2046 of 4096 stored
+    n = 64
+    rng = np.random.default_rng(5)
+    r, c = np.triu_indices(n, 1)
+    keep = rng.permutation(r.size)
+    x = rng.standard_normal((n, 3))
+    for offdiag, filled in ((991, False), (992, True)):
+        k = np.sort(keep[:offdiag])
+        m = SparseSymMatrix(n, np.concatenate([np.arange(n), r[k]]),
+                            np.concatenate([np.arange(n), c[k]]),
+                            rng.random(n + offdiag) + 0.5)
+        assert (2 * m.full_nnz >= n * n) is filled
+        assert (m._filled_array() is not None) is filled
+        if not filled:
+            assert np.array_equal(_bits(m.matvec(x)), _bits(m.to_scipy() @ x))
+
+
+def test_dense_square_is_symmetric_with_the_sparse_pattern():
+    # two dense diagonal blocks: exactly half of n^2 entries, so filled, and
+    # the square keeps the zero off-diagonal blocks; at n = 100 a plain gemm
+    # of a symmetric matrix is not bitwise symmetric
+    n = 100
+    rng = np.random.default_rng(6)
+    a = np.zeros((n, n))
+    for lo in (0, n // 2):
+        b = rng.random((n // 2, n // 2))
+        a[lo:lo + n // 2, lo:lo + n // 2] = np.triu(b) + np.triu(b, 1).T
+    m = SparseSymMatrix.from_dense(a)
+    assert m._filled_array() is not None
+    out = square(m).to_scipy()
+    ref = m.to_scipy() @ m.to_scipy()
+    ref.sort_indices()
+    assert np.array_equal(out.indptr, ref.indptr)
+    assert np.array_equal(out.indices, ref.indices)
+    assert np.allclose(out.data, ref.data, rtol=1e-13, atol=0.0)
+    t = out.T.tocsr()
+    t.sort_indices()
+    assert np.array_equal(_bits(out.data), _bits(t.data))
+
+
 # ------------------------------------------------ canonical full storage
 
 
