@@ -22,6 +22,7 @@ import json
 import sys
 import time
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .errors import (
     check_eps,
 )
 from .generators import grid2d, path_graph, random_regular, sdd_mixed
-from .mmio import read_matrix, write_matrix
+from .mmio import parse_matrix_string, write_matrix
 from .oracle import DENSE_CHECK_LIMIT, dense_power, loewner_check
 from .sampler import _block_columns, _color, _mean_of, _potential, write_batch_bin, write_batch_csv
 from .serialize import load_operator, save_operator
@@ -78,6 +79,27 @@ def _write_report(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(body, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _parse_dominant(path):
+    """Parse a matrix for factor or check, refusing before the build one with
+    fewer entries than rows: a strictly dominant matrix stores its diagonal."""
+    parsed = parse_matrix_string(Path(path).read_text(encoding="utf-8"))
+    if parsed.n > parsed.entries[2].size:
+        raise NotSddError(f"n = {parsed.n} but the file lists {parsed.entries[2].size} "
+                          "entries: a strictly dominant matrix stores all n diagonal ones")
+    return parsed
+
+
+def _lift_of(meta, op) -> tuple[bool, int]:
+    """(lifted, sample width): lifted is absent or a bool, and a lifted
+    operator's n_original is an int, half its output dimension."""
+    lifted, n = meta.get("lifted", False), meta.get("n_original")
+    fits = not lifted or (type(n) is int and 2 * n == op.output_dim)
+    if not isinstance(lifted, bool) or not fits:
+        raise SerializationError(
+            f"container meta {meta!r} does not fit an operator of dimension {op.output_dim}")
+    return lifted, n if lifted else op.output_dim
 
 
 def _chain_summary(chain) -> dict:
@@ -132,7 +154,7 @@ def cmd_factor(args) -> int:
         raise InvalidParamsError("--no-refine is only supported with p = -1")
     check_eps(eps)
 
-    m, _ = read_matrix(args.matrix)
+    m = _parse_dominant(args.matrix).build()
     cert = validate_sddm(m)
     lifted = False
     if cert.is_sddm:
@@ -208,8 +230,7 @@ def cmd_sample(args) -> int:
     if op.chain.p != -1.0:
         raise WrongExponentError(
             f"sampling needs an inverse factor (p = -1), chain has p = {op.chain.p}")
-    lifted = bool(meta.get("lifted", False))
-    n_out = int(meta.get("n_original", op.output_dim)) if lifted else op.output_dim
+    lifted, n_out = _lift_of(meta, op)
     _block_columns(op.input_dim, args.count, n_out)  # refuse before allocating
 
     h = _read_potential(args.h, n_out) if args.h is not None else np.zeros(n_out)
@@ -239,17 +260,16 @@ def cmd_check(args) -> int:
     t0 = time.perf_counter()
     eps = args.eps
     check_eps(eps)
-    m, _ = read_matrix(args.matrix)
-    if m.n > DENSE_CHECK_LIMIT:
+    parsed = _parse_dominant(args.matrix)
+    if parsed.n > DENSE_CHECK_LIMIT:
         raise TooLargeForDenseCheckError(
-            f"n = {m.n} exceeds the dense check limit {DENSE_CHECK_LIMIT}")
+            f"n = {parsed.n} exceeds the dense check limit {DENSE_CHECK_LIMIT}")
+    m = parsed.build()
     op, meta = load_operator(args.chain)
-    lifted = bool(meta.get("lifted", False))
-    expect = 2 * m.n if lifted else m.n
-    if op.output_dim != expect:
+    lifted, n_out = _lift_of(meta, op)
+    if n_out != m.n:
         raise DimensionMismatchError(
-            f"operator dimension {op.output_dim} does not match matrix "
-            f"({'lifted ' if lifted else ''}n = {expect})")
+            f"operator samples n = {n_out}, the matrix has n = {m.n}")
 
     dense = op.as_dense()
     w = dense @ dense.T

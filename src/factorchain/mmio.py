@@ -2,12 +2,14 @@
 
 Values are written with shortest round-trip formatting, so write followed
 by read reproduces every float bit for bit, and header comment lines are
-returned to the caller instead of being dropped.
+returned to the caller instead of being dropped.  Parsing allocates by
+the entries a file lists; building the n-row matrix is a separate step.
 """
 
 from __future__ import annotations
 
 import io
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,13 +32,27 @@ def write_matrix_string(m: SparseSymMatrix, comments: Sequence[str] = ()) -> str
     out.write(f"{m.n} {m.n} {m.nnz}\n")
     # stored upper triangle goes out transposed to match the usual
     # lower-triangular layout of symmetric Matrix Market files
-    for r, c, v in zip(m.rows, m.cols, m.vals):
+    for r, c, v in zip(*m.upper_triangle()):
         out.write(f"{c + 1} {r + 1} {float(v)!r}\n")
     return out.getvalue()
 
 
-def read_matrix_string(text: str) -> tuple[SparseSymMatrix, list[str]]:
-    """Parse Matrix Market text; returns (matrix, comment lines)."""
+@dataclass(frozen=True)
+class MatrixEntries:
+    """A parsed file, not yet built: 0-based (rows, cols, vals), one per entry line."""
+
+    n: int
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray]
+    comments: list[str]
+
+    def build(self) -> SparseSymMatrix:
+        # a symmetric file stores one triangle, a general one both; the
+        # mirror-merge accepts either and raises on conflicting mirrors
+        return SparseSymMatrix.from_entries(self.n, *self.entries)
+
+
+def parse_matrix_string(text: str) -> MatrixEntries:
+    """Parse Matrix Market text into its entry arrays and comment lines."""
     lines = text.splitlines()
     if not lines:
         raise SerializationError("empty matrix market input")
@@ -59,22 +75,25 @@ def read_matrix_string(text: str) -> tuple[SparseSymMatrix, list[str]]:
     if nr != nc:
         raise NonSymmetricError("matrix market input is not square")
     # allocate by the entries present, never by the size line alone
-    entries = [line for line in lines[idx + 1:] if line.strip()]
+    entries = [(k, line) for k, line in enumerate(lines[idx + 1:], idx + 2) if line.strip()]
     if len(entries) != nnz:
         raise SerializationError(f"expected {nnz} entries, found {len(entries)}")
     rows = np.empty(nnz, dtype=np.int64)
     cols = np.empty(nnz, dtype=np.int64)
     vals = np.empty(nnz, dtype=np.float64)
-    for k, line in enumerate(entries):
-        parts = line.split()
-        if len(parts) != 3:
-            raise SerializationError(f"bad entry line: {line.strip()!r}")
-        rows[k] = int(parts[0]) - 1
-        cols[k] = int(parts[1]) - 1
-        vals[k] = float(parts[2])
-    # a symmetric file stores one triangle, a general one both; the
-    # mirror-merge accepts either and raises on conflicting mirrors
-    return SparseSymMatrix.from_entries(nr, rows, cols, vals), comments
+    for k, (lineno, line) in enumerate(entries):
+        try:
+            i, j, v = line.split()
+            rows[k], cols[k], vals[k] = int(i) - 1, int(j) - 1, float(v)
+        except (ValueError, OverflowError) as exc:
+            raise SerializationError(f"bad entry on line {lineno}: {line.strip()!r}") from exc
+    return MatrixEntries(nr, (rows, cols, vals), comments)
+
+
+def read_matrix_string(text: str) -> tuple[SparseSymMatrix, list[str]]:
+    """Parse and build Matrix Market text; returns (matrix, comment lines)."""
+    parsed = parse_matrix_string(text)
+    return parsed.build(), parsed.comments
 
 
 def write_matrix(path, m: SparseSymMatrix, comments: Sequence[str] = ()) -> None:

@@ -3,10 +3,10 @@
 The carrier type stores one matrix: the full symmetric expansion as a
 scipy CSR with sorted column indices, no duplicates and no explicit
 zeros.  Row sums, sums and scalings run on it directly, and every arithmetic
-result is canonicalized straight from scipy's output.  The upper
-triangle, which Matrix Market files, the edge factor and the Gremban
-lift read, is derived from it on first use and cached; the operator
-container derives it afresh on each save and load instead.
+result is canonicalized straight from scipy's output.  No triangle is
+stored: upper_triangle derives it on each call for the readers of entry
+lists, and the Gremban lift is built from CSR blocks.  The only cache is
+the dense array of a filled matrix, below.
 
 Matvecs and squares take one of two kernels by the matrix's fill.  A
 matrix whose CSR holds at least half of its n^2 entries is filled: its
@@ -71,18 +71,16 @@ _GEMM_WIDTH = 8
 class SparseSymMatrix:
     """Immutable symmetric sparse matrix, stored as its sorted full CSR.
 
-    A filled matrix (at least half of n^2 entries stored) also caches a
-    dense array for its products; see the module docstring.
+    upper_triangle derives the triangle on each call.  A filled matrix (at
+    least half of n^2 entries stored) also caches a dense array for its
+    products, its only cached state; see the module docstring.
 
     Attributes
     ----------
-    n : int                dimension
-    rows, cols, vals :     upper-triangle view derived from the CSR:
-                           rows[k] <= cols[k], sorted row-major, no
-                           duplicates, no explicit zeros
+    n : int    dimension
     """
 
-    __slots__ = ("n", "_csr", "_upper", "_dense")
+    __slots__ = ("n", "_csr", "_dense")
 
     def __init__(self, n: int, rows, cols, vals):
         """Build from upper-triangle entry arrays (row <= col)."""
@@ -117,7 +115,6 @@ class SparseSymMatrix:
             a.setflags(write=False)
         self.n = int(mat.shape[0])
         self._csr = csr
-        self._upper = None
         self._dense = None
 
     # -- construction ---------------------------------------------------
@@ -173,20 +170,12 @@ class SparseSymMatrix:
     # -- queries ---------------------------------------------------------
 
     def upper_triangle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Upper triangle (rows, cols, vals) in row-major order, derived on
-        every call and not cached; rows, cols and vals cache it."""
+        """Upper triangle (rows, cols, vals): rows[k] <= cols[k], row-major,
+        no duplicates, no explicit zeros.  Derived on every call, not cached."""
         csr = self._csr
         r = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(csr.indptr))
         keep = csr.indices >= r
         return r[keep], csr.indices[keep].astype(np.int64), csr.data[keep]
-
-    def _triangle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._upper is None:
-            upper = self.upper_triangle()
-            for a in upper:
-                a.setflags(write=False)
-            self._upper = upper
-        return self._upper
 
     def _filled_array(self) -> np.ndarray | None:
         """The dense array of a filled matrix, derived once; None otherwise."""
@@ -201,18 +190,6 @@ class SparseSymMatrix:
                 self._dense = csr.toarray()
                 self._dense.setflags(write=False)
         return self._dense
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self._triangle()[0]
-
-    @property
-    def cols(self) -> np.ndarray:
-        return self._triangle()[1]
-
-    @property
-    def vals(self) -> np.ndarray:
-        return self._triangle()[2]
 
     @property
     def nnz(self) -> int:
@@ -318,9 +295,9 @@ def validate_sddm(m: SparseSymMatrix) -> SddmCertificate:
     Symmetry and finiteness are enforced by the carrier type; the
     certificate records the dominance slack reused by later stages.
     """
-    off = m.rows != m.cols
-    offdiag_ok = not np.any(m.vals[off] > 0.0)
-    slack = m.diagonal() - m.offdiag_abs_row_sums()
+    r, c, v = m.upper_triangle()
+    offdiag_ok = not np.any(v[r != c] > 0.0)
+    slack = sdd_slack(m)
     is_sddm = bool(offdiag_ok and m.n > 0 and np.all(slack > 0.0))
     min_slack = float(slack.min()) if m.n else 0.0
     max_diag = float(m.diagonal().max()) if m.n else 0.0
@@ -352,8 +329,9 @@ def edge_factor(m: SparseSymMatrix) -> EdgeFactor:
     cert = validate_sddm(m)
     if not cert.is_sddm:
         raise NotSddmError("edge_factor requires an SDDM matrix")
-    off = m.rows != m.cols
-    eu, ev, w = m.rows[off], m.cols[off], -m.vals[off]
+    r, c, v = m.upper_triangle()
+    off = r != c
+    eu, ev, w = r[off], c[off], -v[off]
     slack_rows = np.flatnonzero(cert.row_slack > 0.0)
     n_e, n_s = eu.size, slack_rows.size
     sw = np.sqrt(w)
@@ -477,7 +455,7 @@ def normalize(m: SparseSymMatrix, cert: SddmCertificate) -> Splitting:
     kap = max(2.0, kappa_estimate(m))
     c = (1.0 - 1.0 / kap) / cert.max_diag
     x = identity_minus_scaled(c, m)
-    if x.vals.size and x.min_value() < 0.0:
+    if x.min_value() < 0.0:
         # cannot happen for a valid certificate; guards rounding surprises
         raise NotSddmError("normalization produced a negative entry")
     return Splitting(c=c, X=x, kappa_bound=kap)
@@ -508,32 +486,12 @@ def gremban_lift(lam: SparseSymMatrix) -> GrembanLift:
     slack = sdd_slack(lam)
     if lam.n == 0 or not np.all(slack > 0.0):
         raise NotSddError("gremban_lift requires strict diagonal dominance")
-    n = lam.n
-    rs, cs, vs = [], [], []
-    off = lam.rows != lam.cols
-    # diagonal blocks: D + A_n, duplicated
-    diag_mask = ~off
-    neg_mask = off & (lam.vals < 0.0)
-    pos_mask = off & (lam.vals > 0.0)
-    for shift in (0, n):
-        rs.append(lam.rows[diag_mask] + shift)
-        cs.append(lam.cols[diag_mask] + shift)
-        vs.append(lam.vals[diag_mask])
-        rs.append(lam.rows[neg_mask] + shift)
-        cs.append(lam.cols[neg_mask] + shift)
-        vs.append(lam.vals[neg_mask])
-    # off-diagonal blocks: -A_p mirrored into (i, n+j) and (j, n+i)
-    pr, pc, pv = lam.rows[pos_mask], lam.cols[pos_mask], lam.vals[pos_mask]
-    rs.append(pr)
-    cs.append(pc + n)
-    vs.append(-pv)
-    rs.append(pc)
-    cs.append(pr + n)
-    vs.append(-pv)
-    s = SparseSymMatrix.from_entries(
-        2 * n, np.concatenate(rs), np.concatenate(cs), np.concatenate(vs)
-    )
-    return GrembanLift(S=s, n_original=n)
+    a = lam._csr
+    # A_p: the positive entries less the diagonal, which dominance makes positive
+    ap = a.multiply(a > 0.0) - sp.diags(a.diagonal(), format="csr")
+    dn = a - ap  # D + A_n
+    s = SparseSymMatrix._from_scipy(sp.bmat([[dn, -ap], [-ap, dn]]))
+    return GrembanLift(S=s, n_original=lam.n)
 
 
 def gremban_project(v: np.ndarray) -> np.ndarray:

@@ -202,8 +202,9 @@ def average_and_sparsify(x: SparseSymMatrix, xp: SparseSymMatrix,
         raise NotPositiveDefiniteError(
             f"dominance slack {sigma.min():.3e} is not positive"
         )
-    off = t_avg.rows != t_avg.cols
-    eu, ev, w = t_avg.rows[off], t_avg.cols[off], t_avg.vals[off]
+    r, c, v = t_avg.upper_triangle()
+    off = r != c
+    eu, ev, w = r[off], c[off], v[off]
     if n <= 2 or eu.size <= 2:
         return t_avg, 0, False
     m_tilde = identity_minus_scaled(1.0, t_avg)

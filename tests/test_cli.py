@@ -19,6 +19,8 @@ from factorchain import (
     prepare,
     read_matrix,
     sample,
+    SparseSymMatrix,
+    save_operator,
     sdd_mixed,
     solve,
     validate_sddm,
@@ -26,6 +28,7 @@ from factorchain import (
 )
 from factorchain.chain import flops_per_sample
 from factorchain.cli import main
+from factorchain.oracle import DENSE_CHECK_LIMIT
 from factorchain.sampler import REFINE_SHARE
 from factorchain.serialize import MAGIC
 
@@ -415,6 +418,55 @@ def test_factor_size_line_beyond_entries_exit_2(tmp_path, capsys):
     rc = main(["factor", str(mfile), "--out", str(tmp_path / "op.fcop")])
     assert rc == 2
     assert "expected 1000000000000 entries, found 1" in capsys.readouterr().err
+
+
+@pytest.fixture
+def no_build(monkeypatch):
+    """Record every matrix build; the test asserts there was none."""
+    built = []
+    monkeypatch.setattr(SparseSymMatrix, "from_entries",
+                        classmethod(lambda cls, n, *entries: built.append(n)))
+    return built
+
+
+@pytest.mark.parametrize("command", ["factor", "check"])
+def test_fewer_entries_than_rows_refused_before_build(tmp_path, command, no_build, capsys):
+    # a strictly dominant matrix stores all of its diagonal: 5 rows need 5 entries
+    mfile = tmp_path / "m.mtx"
+    mfile.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                     "5 5 3\n1 1 2.0\n2 2 2.0\n3 3 2.0\n")
+    args = (["factor", str(mfile), "--out", str(tmp_path / "op.fcop")]
+            if command == "factor" else ["check", str(mfile), str(tmp_path / "op.fcop")])
+    assert main(args) == 2
+    assert "lists 3 entries" in capsys.readouterr().err
+    assert no_build == []
+
+
+def test_check_refuses_dense_limit_before_build(tmp_path, no_build, capsys):
+    n = DENSE_CHECK_LIMIT + 1
+    mfile = tmp_path / "m.mtx"
+    mfile.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                     f"{n} {n} {n}\n" + "".join(f"{i} {i} 1.0\n" for i in range(1, n + 1)))
+    assert main(["check", str(mfile), str(tmp_path / "op.fcop")]) == 2
+    assert "dense check limit" in capsys.readouterr().err
+    assert no_build == []
+
+
+@pytest.mark.parametrize("meta", [
+    {"lifted": True, "n_original": [8]},
+    {"lifted": [], "n_original": 8},
+    {"lifted": True, "n_original": 5},
+], ids=["n_original_list", "lifted_not_bool", "n_original_not_half"])
+@pytest.mark.parametrize("command", ["sample", "check"])
+def test_bad_container_meta_exit_2(tmp_path, grid_file, meta, command, capsys):
+    # the operator is the 16-node grid's, so a lifted record needs n_original = 8
+    _, out, _ = factored(tmp_path, grid_file)
+    op, _ = load_operator(out)
+    save_operator(out, op, meta=meta)
+    args = (["sample", str(out), "--out", str(tmp_path / "s.csv")]
+            if command == "sample" else ["check", str(grid_file), str(out)])
+    assert main(args) == 2
+    assert "container meta" in capsys.readouterr().err
 
 
 def test_sample_gremban_projected_width(tmp_path):

@@ -50,9 +50,9 @@ def test_random_regular_degrees():
 def test_random_regular_deterministic():
     a = random_regular(16, degree=3, seed=5)
     b = random_regular(16, degree=3, seed=5)
-    assert a.same_entries(b) and np.array_equal(a.vals, b.vals)
+    assert a.same_entries(b)
     c = random_regular(16, degree=3, seed=6)
-    assert not (a.same_entries(c) and np.array_equal(a.vals, c.vals))
+    assert not a.same_entries(c)
 
 
 def test_random_regular_rejects_odd_product():
@@ -86,7 +86,7 @@ def test_random_sddm_validates():
 def test_random_sddm_deterministic():
     a = random_sddm(24, seed=3)
     b = random_sddm(24, seed=3)
-    assert a.same_entries(b) and np.array_equal(a.vals, b.vals)
+    assert a.same_entries(b)
 
 
 def test_slack_parameter_scales_dominance():

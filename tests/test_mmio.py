@@ -87,6 +87,14 @@ def test_size_line_beyond_entries_rejected():
         read_matrix_string(text)
 
 
+@pytest.mark.parametrize("entry", ["1 1 abc", "1 x 1.0", "1 1", "1.5 1 2.0",
+                                   "99999999999999999999 1 1.0"])
+def test_bad_entry_line_names_the_line(entry):
+    text = f"%%MatrixMarket matrix coordinate real symmetric\n%c\n2 2 2\n1 1 1.0\n\n{entry}\n"
+    with pytest.raises(SerializationError, match=f"line 6: '{entry}'"):
+        read_matrix_string(text)
+
+
 def test_non_square_rejected():
     text = "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 1 1.0\n"
     with pytest.raises(NonSymmetricError):

@@ -131,9 +131,10 @@ def test_layout_is_header_then_raw_arrays():
     levels = [blocks[1 + 3 * i:4 + 3 * i] for i in range(chain.d)]
     levels.append(blocks[-4:-1])  # the refinement matrix
     for (rows, cols, vals), m in zip(levels, [*chain.levels, refined.matrix]):
-        assert np.array_equal(np.frombuffer(rows, "<i4"), m.rows)
-        assert np.array_equal(np.frombuffer(cols, "<i4"), m.cols)
-        assert np.frombuffer(vals, "<f8").tobytes() == m.vals.tobytes()
+        r, c, v = m.upper_triangle()
+        assert np.array_equal(np.frombuffer(rows, "<i4"), r)
+        assert np.array_equal(np.frombuffer(cols, "<i4"), c)
+        assert np.frombuffer(vals, "<f8").tobytes() == v.tobytes()
     assert len(blocks) == 1 + 3 * chain.d + chain.d + 4
     # the refinement's last block holds its Chebyshev coefficients
     assert np.frombuffer(blocks[-1], "<f8").tobytes() == refined.poly.coeffs.tobytes()

@@ -21,6 +21,7 @@ from factorchain import (
     normalize,
     path_graph,
     random_sddm,
+    sdd_mixed,
     sdd_slack,
     sparsify_square_step,
     square_walk_sparsify,
@@ -310,20 +311,25 @@ def sdd_pos_offdiag(n, seed):
 
 
 def test_gremban_lift_block_structure():
-    lam = np.array([[3.0, 1.0, -0.5],
-                    [1.0, 4.0, 0.0],
-                    [-0.5, 0.0, 2.0]])
-    lift = gremban_lift(SparseSymMatrix.from_dense(lam))
-    assert isinstance(lift, GrembanLift)
-    assert lift.n_original == 3
-    s = lift.S.to_dense()
-    d = np.diag(np.diag(lam))
-    an = np.minimum(lam - np.diag(np.diag(lam)), 0.0)
-    ap = np.maximum(lam - np.diag(np.diag(lam)), 0.0)
-    assert np.allclose(s[:3, :3], d + an)
-    assert np.allclose(s[3:, 3:], d + an)
-    assert np.allclose(s[:3, 3:], -ap)
-    assert validate_sddm(lift.S).is_sddm
+    small = SparseSymMatrix.from_dense(np.array([[3.0, 1.0, -0.5],
+                                                 [1.0, 4.0, 0.0],
+                                                 [-0.5, 0.0, 2.0]]))
+    for lam in (small, sdd_mixed(64, seed=0)):
+        lift = gremban_lift(lam)
+        n = lam.n
+        assert isinstance(lift, GrembanLift)
+        assert lift.n_original == n
+        s = lift.S.to_dense()
+        a = lam.to_dense()
+        d = np.diag(np.diag(a))
+        an = np.minimum(a - d, 0.0)
+        ap = np.maximum(a - d, 0.0)
+        # every entry is copied or negated, so the blocks match bit for bit
+        assert np.array_equal(s[:n, :n], d + an)
+        assert np.array_equal(s[n:, n:], d + an)
+        assert np.array_equal(s[:n, n:], -ap)
+        assert np.array_equal(s[n:, :n], -ap)
+        assert validate_sddm(lift.S).is_sddm
 
 
 def test_gremban_lift_rejects_non_sdd():
@@ -468,6 +474,7 @@ def test_arithmetic_results_are_canonical_and_bitwise_symmetric(op):
     assert np.all(csr.data != 0.0)
     # the upper triangle is the row-major list of entries with row <= col
     r, c = np.nonzero(np.triu(out.to_dense()))
-    assert np.array_equal(out.rows, r) and np.array_equal(out.cols, c)
-    assert np.array_equal(out.vals, out.to_dense()[r, c])
+    ur, uc, uv = out.upper_triangle()
+    assert np.array_equal(ur, r) and np.array_equal(uc, c)
+    assert np.array_equal(uv, out.to_dense()[r, c])
     assert out.nnz == r.size
