@@ -185,6 +185,8 @@ def cmd_factor(args) -> int:
     refinement = getattr(op, "refinement", None)
     summary = _chain_summary(op.chain)
     summary["flops_per_sample"] = flops_per_sample(op)
+    # a refined operator's chain is its crude factor, op.base
+    summary["dense_suffix"] = getattr(op, "base", op).dense_suffix
     if refinement:
         # the stored levels share one chosen degree, or there are none at
         # degree 0; the error is the refinement's eps, not the chain's sum

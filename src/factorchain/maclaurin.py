@@ -288,11 +288,12 @@ def eval_scalar(poly: MaclaurinPoly | ChebyshevPoly, lam):
 
 
 def _clenshaw(poly: ChebyshevPoly, mv, alpha: float, beta: float,
-              v: np.ndarray) -> np.ndarray:
+              v: np.ndarray, xv: np.ndarray | None) -> np.ndarray:
     """sum_k c_k T_k(U) v for U = ((alpha - 1) I + beta X)/delta.
 
     b_k = c_k v + 2 U b_{k+1} - b_{k+2} for k = t - 1 .. 1, then
-    c_0 v + U b_1 - b_2: one product with X per degree.
+    c_0 v + U b_1 - b_2: one product with X per degree.  The first is
+    X (c_t v), so given xv = X v it is the scaling c_t xv instead.
     """
     c, t = poly.coeffs, poly.t
     if t == 0:
@@ -304,7 +305,7 @@ def _clenshaw(poly: ChebyshevPoly, mv, alpha: float, beta: float,
     tmp = np.empty_like(v)
     for k in range(t - 1, -1, -1):
         f = 1.0 if k == 0 else 2.0
-        u = mv(b1)
+        u = mv(b1) if xv is None or k < t - 1 else c[t] * xv
         u *= f * g
         # chain levels apply at alpha = 1, where the shift term is zero
         if h != 0.0:
@@ -316,12 +317,13 @@ def _clenshaw(poly: ChebyshevPoly, mv, alpha: float, beta: float,
 
 
 def apply_operator_poly(poly: ChebyshevPoly, op,
-                        shift_scale: tuple[float, float], v: np.ndarray) -> np.ndarray:
+                        shift_scale: tuple[float, float], v: np.ndarray,
+                        xv: np.ndarray | None = None) -> np.ndarray:
     """Apply p(alpha I + beta X) to v, X given by op (matrix or matvec).
 
     Clenshaw's recurrence scales each product in place, so a matvec
-    callable must return a new array.  Exactly t products with X; v may be
-    a vector or an (n, k) block.
+    callable must return a new array.  Exactly t products with X, or t - 1
+    when the caller passes xv = X v; v may be a vector or an (n, k) block.
     """
     if not isinstance(poly, ChebyshevPoly):
         raise InvalidParamsError("apply_operator_poly applies a ChebyshevPoly")
@@ -335,4 +337,4 @@ def apply_operator_poly(poly: ChebyshevPoly, op,
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2):
         raise DimensionMismatchError("v must be a vector or a 2-d block")
-    return _clenshaw(poly, mv, alpha, beta, v)
+    return _clenshaw(poly, mv, alpha, beta, v, xv)

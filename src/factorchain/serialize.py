@@ -1,4 +1,4 @@
-"""Binary container for factor operators, schema 7.
+"""Binary container for factor operators, schema 8.
 
 Layout: the magic ``FCOP1`` and a newline, then blocks, each a uint64
 little-endian byte count followed by that many bytes:
@@ -19,10 +19,13 @@ little-endian byte count followed by that many bytes:
 
 Every level polynomial is stored in Chebyshev form: a direct chain's
 levels carry power's certificate "truncation", a crude p = -1 chain's the
-binomial series re-expanded, certificate "series".  Schema 7 has schema
-6's layout; it marks that filled levels (sparse.py) now multiply through
-BLAS, so an operator with such a level colours to other bytes than it
-did under schema 6.  Schema 5 stored the levels as binomial-series
+binomial series re-expanded, certificate "series".  Schema 8 has the
+layout of schemas 6 and 7; it marks that a chain's filled top levels are
+now applied as one dense product (chain.ChainOperator), which rounds
+differently, so an operator with a filled suffix colours to other bytes
+than it did under schema 7.  Schema 7 marked that filled levels
+(sparse.py) multiply through BLAS, where schema 6 multiplied them as
+CSR.  Schema 5 stored the levels as binomial-series
 coefficients, schema 4 the refinement at the Bernstein bound's degree and
 schema 3 the refinement as a binomial series.  Older schemas have no
 reader and are rejected.
@@ -56,7 +59,7 @@ from .maclaurin import CERTIFICATES, ChebyshevPoly
 from .sparse import SparseSymMatrix
 
 MAGIC = b"FCOP1\n"
-SCHEMA = 7
+SCHEMA = 8
 
 # indices are stored as <i4
 INDEX_LIMIT = 2**31

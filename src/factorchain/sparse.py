@@ -29,7 +29,13 @@ it would alone (OpenBLAS 0.3.31's Haswell kernels, n from 63 to 1,024,
 one and two threads; tests/test_sparse.py checks it), so a sample
 block's columns do not depend on its width (the sampler's prefix
 contract), and a vector gives the bits of a one-column block.  Padding
-to 4 is not enough.
+to 4 is not enough.  dense_matvec is that product; chain.ChainOperator
+also multiplies by a folded suffix's product P through it, and by the
+view P.T, whose columns keep the same width-independence.
+
+A dense square with no zero entry (an expander's, once filled) is wrapped
+as a full-row CSR built from the array directly, without scipy's scan for
+nonzeros: the same arrays, in 0.7 ms against 8 ms at n = 512.
 
 Arithmetic keeps the expansion bitwise symmetric: scipy's sparse product
 of a symmetric CSR with sorted indices accumulates entries (i, j) and
@@ -177,10 +183,15 @@ class SparseSymMatrix:
         keep = csr.indices >= r
         return r[keep], csr.indices[keep].astype(np.int64), csr.data[keep]
 
+    @property
+    def filled(self) -> bool:
+        """At least half of the n^2 entries stored: products run densely."""
+        return self.n > 0 and 2 * self._csr.nnz >= self.n * self.n
+
     def _filled_array(self) -> np.ndarray | None:
         """The dense array of a filled matrix, derived once; None otherwise."""
         n, csr = self.n, self._csr
-        if n == 0 or 2 * csr.nnz < n * n:
+        if not self.filled:
             return None
         if self._dense is None:
             if csr.nnz == n * n:
@@ -205,13 +216,7 @@ class SparseSymMatrix:
         if x.shape[0] != self.n:
             raise DimensionMismatchError(f"matvec: expected leading dim {self.n}, got {x.shape[0]}")
         a = self._filled_array()
-        if a is None:
-            return self._csr @ x
-        k = x.size // self.n
-        padded = np.zeros((self.n, -(-k // _GEMM_WIDTH) * _GEMM_WIDTH))
-        padded[:, :k] = x.reshape(self.n, k)
-        out = np.ascontiguousarray((a @ padded)[:, :k])
-        return out.reshape(x.shape)
+        return self._csr @ x if a is None else dense_matvec(a, x)
 
     def diagonal(self) -> np.ndarray:
         return self._csr.diagonal()
@@ -247,6 +252,17 @@ class SparseSymMatrix:
         return f"SparseSymMatrix(n={self.n}, nnz={self.nnz})"
 
 
+def dense_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for a square array and a vector or block, as one gemm on x
+    padded with zero columns to a multiple of 8; see the module docstring."""
+    n = a.shape[1]
+    k = x.size // n
+    padded = np.zeros((n, -(-k // _GEMM_WIDTH) * _GEMM_WIDTH))
+    padded[:, :k] = x.reshape(n, k)
+    out = np.ascontiguousarray((a @ padded)[:, :k])
+    return out.reshape(x.shape)
+
+
 # -- arithmetic helpers (all return canonical SparseSymMatrix) ------------
 
 
@@ -261,7 +277,14 @@ def square(x: SparseSymMatrix) -> SparseSymMatrix:
     if a is None:
         return SparseSymMatrix._from_scipy(x._csr @ x._csr)
     sq = a @ a
-    return SparseSymMatrix._from_scipy(sp.csr_matrix(np.triu(sq) + np.triu(sq, 1).T))
+    full = np.triu(sq) + np.triu(sq, 1).T
+    n = x.n
+    if full.all():
+        # every entry stored: the CSR of full rows, built without a scan
+        return SparseSymMatrix._from_scipy(sp.csr_matrix(
+            (full.ravel(), np.tile(np.arange(n), n), np.arange(0, n * n + 1, n)),
+            shape=(n, n)))
+    return SparseSymMatrix._from_scipy(sp.csr_matrix(full))
 
 
 def blend(x: SparseSymMatrix, y: SparseSymMatrix, wx: float = 0.5, wy: float = 0.5) -> SparseSymMatrix:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -158,6 +157,9 @@ def square_walk_sparsify(x: SparseSymMatrix, params: SparsifyParams) -> SparseSy
 def _effective_resistances(m_tilde: SparseSymMatrix, eu: np.ndarray, ev: np.ndarray,
                            seed: int) -> np.ndarray:
     """R_e = ||B^T M~^{-1} b_e||^2 (B B^T = M~), with B^T sketched to O(log n) rows."""
+    # imported here, so that loading and sampling a stored operator skip it
+    from scipy.sparse.linalg import cg
+
     n = m_tilde.n
     b = edge_factor(m_tilde).b
     t = max(16, int(math.ceil(8.0 * math.log(max(n, 2)))))
@@ -167,8 +169,8 @@ def _effective_resistances(m_tilde: SparseSymMatrix, eu: np.ndarray, ev: np.ndar
     precond = sp.diags(1.0 / a.diagonal())
     z = np.empty((n, t))
     for j in range(t):
-        zj, info = scipy.sparse.linalg.cg(a, probes[:, j], M=precond,
-                                          rtol=1e-10, atol=0.0, maxiter=2000)
+        zj, info = cg(a, probes[:, j], M=precond,
+                       rtol=1e-10, atol=0.0, maxiter=2000)
         if info != 0:
             raise NoConvergenceError(
                 f"resistance sketch: CG solve {j} of {t} stopped with info = {info}")

@@ -312,6 +312,74 @@ def test_apply_rejects_wrong_dimension(grid9):
         op.apply(np.ones(5))
 
 
+# ------------------------------------------------------------ folded suffix
+
+
+def crude_op(m, t):
+    """refine_by_cost's crude p = -1 factor of m at level degree t."""
+    split = split_of(m)
+    squarings = list(chain_module._squarings(split, chain_module.CRUDE_EPS, None))
+    return chain_module._crude_factor(split, squarings, t)
+
+
+def level_by_level(op, v, transpose=False):
+    """op applied to v one level at a time, as if nothing were folded."""
+    ch = op.chain
+    for i in (range(ch.d) if transpose else range(ch.d - 1, -1, -1)):
+        v = apply_operator_poly(ch.polys[i], ch.levels[i], (1.0, 0.5), v)
+    return op.out_scale * v
+
+
+FOLDED = {
+    # the top two levels fill, at degrees 2 and 2
+    "direct_expander": lambda: exact_chain_op(random_regular(128, 3, seed=0), -0.5, 0.3)[1],
+    # levels 3 to 20 of a nearly singular grid fill, at degree 2 each
+    "crude_grid": lambda: crude_op(grid2d(8, slack=1e-3), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLDED))
+def test_folded_columns_do_not_depend_on_block_width(name):
+    # the sampler's prefix contract: a column's bits do not depend on its block
+    op = FOLDED[name]()
+    assert op.dense_suffix >= 2
+    x = np.random.default_rng(7).standard_normal((op.chain.n, 128))
+    for f in (op.apply, op.apply_transpose):
+        wide = f(x).view(np.uint64)
+        for j in range(128):
+            assert np.array_equal(f(x[:, j]).view(np.uint64), wide[:, j]), j
+        for k in [*range(1, 18), 64, 127]:
+            blocks = np.hstack([f(x[:, j:j + k]) for j in range(0, 128, k)])
+            assert np.array_equal(blocks.view(np.uint64), wide), k
+
+
+@pytest.mark.parametrize("name", sorted(FOLDED))
+def test_folded_operator_matches_the_level_by_level_product(name):
+    op = FOLDED[name]()
+    x = np.random.default_rng(8).standard_normal((op.chain.n, 9))
+    c = level_by_level(op, np.eye(op.chain.n))
+    for transpose, f, dense in ((False, op.apply, c), (True, op.apply_transpose, c.T)):
+        err = np.abs(f(x) - level_by_level(op, x, transpose))
+        assert np.all(err <= 1e-13 * (np.abs(dense) @ np.abs(x)))
+
+
+@pytest.mark.parametrize("build", [
+    # no level of a path's chain fills
+    lambda: exact_chain_op(path_graph(64), -0.5, 0.3)[1],
+    # one filled top level at degree 1: the fold would save nothing
+    lambda: crude_op(random_regular(128, 3, seed=0), 1),
+], ids=["no_filled_level", "degree_sum_one"])
+def test_no_fold_without_two_filled_degrees(build):
+    op = build()
+    ch = op.chain
+    filled = [x.filled for x in ch.levels]
+    assert op.dense_suffix == 0 and op._folded is None
+    assert not any(filled) or (filled[-1] and ch.polys[-1].t == 1 and not filled[-2])
+    x = np.random.default_rng(9).standard_normal((ch.n, 5))
+    assert np.array_equal(op.apply(x), level_by_level(op, x))
+    assert np.array_equal(op.apply_transpose(x), level_by_level(op, x, True))
+
+
 # -------------------------------------------------------------- edge factor
 
 

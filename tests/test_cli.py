@@ -1,5 +1,8 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -189,6 +192,21 @@ def test_factor_reports_flops_of_a_direct_chain(tmp_path, grid_file, flags, p):
     assert "chosen_degree" not in chain
 
 
+def test_factor_reports_the_dense_suffix(tmp_path):
+    # an expander's top levels fill, and a direct chain multiplies them as one
+    mfile, out, rep = tmp_path / "m.mtx", tmp_path / "op.fcop", tmp_path / "r.json"
+    assert main(["gen", "--kind", "random_regular", "--size", "64", "--seed", "2",
+                 "--out", str(mfile)]) == 0
+    assert main(["factor", str(mfile), "--p", "-0.5", "--eps", "0.5",
+                 "--out", str(out), "--report", str(rep)]) == 0
+    chain = json.loads(rep.read_text())["chain"]
+    op, _ = load_operator(out)
+    k = chain["d"] - chain["dense_suffix"]
+    assert chain["dense_suffix"] == op.dense_suffix >= 2
+    filled = [2 * nnz >= 64 * 64 for nnz in chain["level_nnz"]]
+    assert all(filled[k:]) and not filled[k - 1]
+
+
 def test_factor_report_lists_merge_attempts(tmp_path, grid_file):
     rc, out, rep = factored(tmp_path, grid_file, "--no-refine")
     assert rc == 0
@@ -338,34 +356,36 @@ def test_sample_malformed_container_exit_2(tmp_path):
     assert rc == 2
 
 
-def test_sample_schema_4_container_exit_2(tmp_path, grid_file, capsys):
-    # schema 4 stored the degree the Bernstein bound alone certified
+def sample_with_schema(tmp_path, grid_file, schema):
+    """Exit code of sample on a fresh container whose header claims schema."""
     rc, out, _ = factored(tmp_path, grid_file)
     assert rc == 0
     data = out.read_bytes()
     (size,) = struct.unpack_from("<Q", data, len(MAGIC))
     start = len(MAGIC) + 8
-    header = json.dumps({**json.loads(data[start:start + size]), "schema": 4}).encode("utf-8")
+    header = json.dumps({**json.loads(data[start:start + size]),
+                         "schema": schema}).encode("utf-8")
     old = tmp_path / "old.fcop"
     old.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header + data[start + size:])
-    rc = main(["sample", str(old), "--count", "1", "--out", str(tmp_path / "s.csv")])
-    assert rc == 2
+    return main(["sample", str(old), "--count", "1", "--out", str(tmp_path / "s.csv")])
+
+
+def test_sample_schema_4_container_exit_2(tmp_path, grid_file, capsys):
+    # schema 4 stored the degree the Bernstein bound alone certified
+    assert sample_with_schema(tmp_path, grid_file, 4) == 2
     assert "unsupported schema 4" in capsys.readouterr().err
 
 
 def test_sample_schema_5_container_exit_2(tmp_path, grid_file, capsys):
     # schema 5 stored the level polynomials as binomial-series coefficients
-    rc, out, _ = factored(tmp_path, grid_file)
-    assert rc == 0
-    data = out.read_bytes()
-    (size,) = struct.unpack_from("<Q", data, len(MAGIC))
-    start = len(MAGIC) + 8
-    header = json.dumps({**json.loads(data[start:start + size]), "schema": 5}).encode("utf-8")
-    old = tmp_path / "old.fcop"
-    old.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header + data[start + size:])
-    rc = main(["sample", str(old), "--count", "1", "--out", str(tmp_path / "s.csv")])
-    assert rc == 2
+    assert sample_with_schema(tmp_path, grid_file, 5) == 2
     assert "unsupported schema 5" in capsys.readouterr().err
+
+
+def test_sample_schema_7_container_exit_2(tmp_path, grid_file, capsys):
+    # schema 7 applied a filled suffix level by level, not as one product
+    assert sample_with_schema(tmp_path, grid_file, 7) == 2
+    assert "unsupported schema 7" in capsys.readouterr().err
 
 
 def test_sample_container_smaller_than_its_n_exit_2(tmp_path, capsys):
@@ -555,6 +575,24 @@ def test_factor_writes_the_library_operator(tmp_path, gremban):
     assert chain["lambdas"] == list(op.chain.lambdas)
     assert chain["chosen_degree"] == 0
     assert chain["flops_per_sample"] == flops_per_sample(op)
+    assert chain["dense_suffix"] == 0
+
+
+def test_sample_skips_the_resistance_solver(tmp_path, grid_file):
+    # only sampled sparsification runs CG: neither importing the package nor
+    # sampling a stored operator loads scipy.sparse.linalg
+    rc, out, _ = factored(tmp_path, grid_file)
+    assert rc == 0
+    code = ("import sys; import factorchain; "
+            "loaded = 'scipy.sparse.linalg' in sys.modules; "
+            "from factorchain.cli import main; "
+            f"rc = main(['sample', {str(out)!r}, '--count', '2', "
+            f"'--out', {str(tmp_path / 's.csv')!r}]); "
+            "print(rc, loaded, 'scipy.sparse.linalg' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "0 False False"
 
 
 def test_threads_flag_is_gone(tmp_path, grid_file):

@@ -54,29 +54,29 @@ def direct_prepared():
                            mean=np.zeros(m.n), eps=op.chain.eps_total)
 
 
-# Format note, container schema 7: the layout is schema 6's, in which every
-# level polynomial is stored in Chebyshev form.  Filled matrices (at least
-# half of n^2 entries) now multiply through BLAS on a dense array, padded to
-# 8 columns per gemm, and square densely with a mirrored upper triangle.
-# The direct chain's top levels fill, so its radii, polynomials, operator
-# and sample bytes changed.  Both refined cases store depth 0, with no
-# level polynomial: their operators moved only by the header's schema digit
-# and their sample bytes did not move.
+# Format note, container schema 8: the layout is that of schemas 6 and 7,
+# in which every level polynomial is stored in Chebyshev form.  A chain's
+# filled top levels, whose degrees sum to at least 2, are now multiplied as
+# one dense matrix formed when the operator is built, which rounds
+# differently from applying them one by one.  The direct chain's top two
+# levels fill, so its sample bytes changed; its operator moved only by the
+# header's schema digit.  Both refined cases store depth 0: their operators
+# moved only by the schema digit and their sample bytes did not move.
 GOLDEN = {
     "grid2d_8": (
         grid_prepared,
-        "e209f88dd309add3eb482ca63dc4642abf8a65ded00c12680e6db0af1bfccc0a",
+        "86b060f43bdca5fb4d0a9239963b5c8179deef87486952566b06fa9af9c9e777",
         "bb139db7be3186b976f1308ffb879164e74a977700b0087d077b9e3a7d7cd703",
     ),
     "lifted_sdd_mixed_24": (
         lifted_prepared,
-        "58437ede2da07826a7eabb09311a41ecd92970a9ac787a2cdfd003449a9d894b",
+        "7771c68b6a5c57440e3b14f9823d0567144ece0bbf2106ede30b6d5ea70127c1",
         "ec748142ecf5f22322192fd80b6593cbb1d969bc582ac0db3f5ab3867879c9a6",
     ),
     "direct_p_half_random_regular_64": (
         direct_prepared,
-        "d3d0db02d22fcc7619259c48aa3e336554bed4b759c1ebf32cdde904edeab51b",
-        "fccd0668e53dc017aa073c520dc69ed00884273db4c1ca92b4906a8f5364d244",
+        "3e1b4910ce1b888e8b112a38b15569053603f78f561dc6308d0bdebc02f85a43",
+        "19450243e7b6f7962f7a03c1989404b8f94efc5e784c8e87c0b4060eebbc4dcd",
     ),
 }
 

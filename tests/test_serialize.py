@@ -126,7 +126,7 @@ def test_layout_is_header_then_raw_arrays():
     _, _, refined = make_ops()
     blocks = blocks_of(operator_bytes(refined))
     header = json.loads(blocks[0])
-    assert header["schema"] == SCHEMA == 7
+    assert header["schema"] == SCHEMA == 8
     chain = refined.chain
     levels = [blocks[1 + 3 * i:4 + 3 * i] for i in range(chain.d)]
     levels.append(blocks[-4:-1])  # the refinement matrix
@@ -241,6 +241,15 @@ def test_schema_6_container_rejected():
     blocks = blocks_of(operator_bytes(refined))
     blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": 6}).encode("utf-8")
     with pytest.raises(SerializationError, match="unsupported schema 6"):
+        operator_from_bytes(container(blocks))
+
+
+def test_schema_7_container_rejected():
+    # schema 7 had this layout, but applied a filled suffix level by level
+    _, _, refined = make_ops()
+    blocks = blocks_of(operator_bytes(refined))
+    blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": 7}).encode("utf-8")
+    with pytest.raises(SerializationError, match="unsupported schema 7"):
         operator_from_bytes(container(blocks))
 
 

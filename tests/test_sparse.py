@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -437,6 +438,20 @@ def test_dense_square_is_symmetric_with_the_sparse_pattern():
     t = out.T.tocsr()
     t.sort_indices()
     assert np.array_equal(_bits(out.data), _bits(t.data))
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_full_dense_square_builds_the_csr_of_its_array(n):
+    # a square with no zero entry gets its full-row CSR without a scan: the
+    # same arrays as scipy's conversion of the mirrored array
+    m = _filled(n, seed=n + 3)
+    sq = m.to_dense() @ m.to_dense()
+    ref = sp.csr_matrix(np.triu(sq) + np.triu(sq, 1).T)
+    out = square(m).to_scipy()
+    assert out.nnz == n * n
+    for a, b in ((out.indptr, ref.indptr), (out.indices, ref.indices)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.array_equal(_bits(out.data), _bits(ref.data))
 
 
 # ------------------------------------------------ canonical full storage
