@@ -206,7 +206,8 @@ def _fold(levels, polys) -> np.ndarray:
     apply sends a sample block.  The top level's first Clenshaw product is
     X (c_t E), the scaling c_t X[:, cols], so the array costs sum t - 1
     products of a column block with a level, and every temporary is a
-    column block.
+    column block.  No product reads the levels' cached dense arrays after
+    the fold, so it drops them; a direct product re-derives one.
     """
     n = levels[0].n
     top = levels[-1]._filled_array()
@@ -219,6 +220,8 @@ def _fold(levels, polys) -> np.ndarray:
             w = apply_operator_poly(poly, x, (1.0, 0.5), w)
         out[:, cols] = w
     out.setflags(write=False)
+    for x in levels:
+        x._dense = None
     return out
 
 
@@ -240,7 +243,9 @@ class ChainOperator:
     3 and 4 filled, at degree 2 each) the fold takes three 512 x 512 x 512
     products, about 25 ms at one BLAS thread, and one 2 MB array; a
     128-column apply then takes 6.3 ms where it took 12.9 ms, a single
-    column 0.43 ms where it took 1.18 ms.
+    column 0.43 ms where it took 1.18 ms.  Every build and every load pays
+    the fold, so it pays off once an operator serves about a dozen
+    one-column applies or one block of a few dozen columns.
     """
 
     kind = "chain"

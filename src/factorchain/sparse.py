@@ -33,9 +33,11 @@ to 4 is not enough.  dense_matvec is that product; chain.ChainOperator
 also multiplies by a folded suffix's product P through it, and by the
 view P.T, whose columns keep the same width-independence.
 
-A dense square with no zero entry (an expander's, once filled) is wrapped
-as a full-row CSR built from the array directly, without scipy's scan for
-nonzeros: the same arrays, in 0.7 ms against 8 ms at n = 512.
+A dense square is wrapped as the full-row CSR of its array, built
+directly, and canonicalization drops its zero entries: the arrays of
+scipy's conversion of the array, without its scan for nonzeros, in 0.7 ms
+against 8 ms at n = 512 for a square with no zero entry (an expander's,
+once filled).
 
 Arithmetic keeps the expansion bitwise symmetric: scipy's sparse product
 of a symmetric CSR with sorted indices accumulates entries (i, j) and
@@ -279,12 +281,10 @@ def square(x: SparseSymMatrix) -> SparseSymMatrix:
     sq = a @ a
     full = np.triu(sq) + np.triu(sq, 1).T
     n = x.n
-    if full.all():
-        # every entry stored: the CSR of full rows, built without a scan
-        return SparseSymMatrix._from_scipy(sp.csr_matrix(
-            (full.ravel(), np.tile(np.arange(n), n), np.arange(0, n * n + 1, n)),
-            shape=(n, n)))
-    return SparseSymMatrix._from_scipy(sp.csr_matrix(full))
+    # the CSR of full rows, built without a scan; _store drops its zeros
+    return SparseSymMatrix._from_scipy(sp.csr_matrix(
+        (full.ravel(), np.tile(np.arange(n), n), np.arange(0, n * n + 1, n)),
+        shape=(n, n)))
 
 
 def blend(x: SparseSymMatrix, y: SparseSymMatrix, wx: float = 0.5, wy: float = 0.5) -> SparseSymMatrix:

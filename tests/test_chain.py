@@ -343,6 +343,8 @@ def test_folded_columns_do_not_depend_on_block_width(name):
     # the sampler's prefix contract: a column's bits do not depend on its block
     op = FOLDED[name]()
     assert op.dense_suffix >= 2
+    # after the fold no product reads the folded levels' dense arrays
+    assert all(x._dense is None for x in op.chain.levels[-op.dense_suffix:])
     x = np.random.default_rng(7).standard_normal((op.chain.n, 128))
     for f in (op.apply, op.apply_transpose):
         wide = f(x).view(np.uint64)

@@ -417,17 +417,21 @@ def test_fill_rule_is_half_of_n_squared():
             assert np.array_equal(_bits(m.matvec(x)), _bits(m.to_scipy() @ x))
 
 
-def test_dense_square_is_symmetric_with_the_sparse_pattern():
-    # two dense diagonal blocks: exactly half of n^2 entries, so filled, and
-    # the square keeps the zero off-diagonal blocks; at n = 100 a plain gemm
-    # of a symmetric matrix is not bitwise symmetric
-    n = 100
-    rng = np.random.default_rng(6)
+def _two_blocks(n, seed):
+    """Two dense diagonal blocks: half of n^2 entries, a square with zeros."""
+    rng = np.random.default_rng(seed)
     a = np.zeros((n, n))
     for lo in (0, n // 2):
         b = rng.random((n // 2, n // 2))
         a[lo:lo + n // 2, lo:lo + n // 2] = np.triu(b) + np.triu(b, 1).T
-    m = SparseSymMatrix.from_dense(a)
+    return SparseSymMatrix.from_dense(a)
+
+
+def test_dense_square_is_symmetric_with_the_sparse_pattern():
+    # two dense diagonal blocks: exactly half of n^2 entries, so filled, and
+    # the square keeps the zero off-diagonal blocks; at n = 100 a plain gemm
+    # of a symmetric matrix is not bitwise symmetric
+    m = _two_blocks(100, seed=6)
     assert m._filled_array() is not None
     out = square(m).to_scipy()
     ref = m.to_scipy() @ m.to_scipy()
@@ -440,15 +444,16 @@ def test_dense_square_is_symmetric_with_the_sparse_pattern():
     assert np.array_equal(_bits(out.data), _bits(t.data))
 
 
-@pytest.mark.parametrize("n", [63, 64])
-def test_full_dense_square_builds_the_csr_of_its_array(n):
-    # a square with no zero entry gets its full-row CSR without a scan: the
-    # same arrays as scipy's conversion of the mirrored array
-    m = _filled(n, seed=n + 3)
+@pytest.mark.parametrize("n, full", [(63, True), (64, True), (64, False)])
+def test_full_dense_square_builds_the_csr_of_its_array(n, full):
+    # a dense square gets its full-row CSR without a scan, its zeros dropped:
+    # the same arrays as scipy's conversion of the mirrored array
+    m = _filled(n, seed=n + 3) if full else _two_blocks(n, seed=n + 3)
+    assert m.filled
     sq = m.to_dense() @ m.to_dense()
     ref = sp.csr_matrix(np.triu(sq) + np.triu(sq, 1).T)
     out = square(m).to_scipy()
-    assert out.nnz == n * n
+    assert out.nnz == (n * n if full else n * n // 2)
     for a, b in ((out.indptr, ref.indptr), (out.indices, ref.indices)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert np.array_equal(_bits(out.data), _bits(ref.data))
