@@ -1,4 +1,4 @@
-"""Binary container for factor operators, schema 8.
+"""Binary container for factor operators, schema 9.
 
 Layout: the magic ``FCOP1`` and a newline, then blocks, each a uint64
 little-endian byte count followed by that many bytes:
@@ -19,13 +19,15 @@ little-endian byte count followed by that many bytes:
 
 Every level polynomial is stored in Chebyshev form: a direct chain's
 levels carry power's certificate "truncation", a crude p = -1 chain's the
-binomial series re-expanded, certificate "series".  Schema 8 has the
-layout of schemas 6 and 7; it marks that a chain's filled top levels are
-now applied as one dense product (chain.ChainOperator), which rounds
-differently, so an operator with a filled suffix colours to other bytes
-than it did under schema 7.  Schema 7 marked that filled levels
-(sparse.py) multiply through BLAS, where schema 6 multiplied them as
-CSR.  Schema 5 stored the levels as binomial-series
+binomial series re-expanded, certificate "series".  Schema 9 has the
+layout of schemas 6 to 8; it marks that Clenshaw's products with a sparse
+matrix add into the recurrence's buffers through a matrix 2U with its
+shift merged (maclaurin), which rounds differently, so an operator with a
+sparse polynomial of degree at least 1 colours to other bytes than it did
+under schema 8.  Schema 8 marked that a chain's filled top levels are
+applied as one dense product (chain.ChainOperator).  Schema 7 marked that
+filled levels (sparse.py) multiply through BLAS, where schema 6
+multiplied them as CSR.  Schema 5 stored the levels as binomial-series
 coefficients, schema 4 the refinement at the Bernstein bound's degree and
 schema 3 the refinement as a binomial series.  Older schemas have no
 reader and are rejected.
@@ -59,7 +61,7 @@ from .maclaurin import CERTIFICATES, ChebyshevPoly
 from .sparse import SparseSymMatrix
 
 MAGIC = b"FCOP1\n"
-SCHEMA = 8
+SCHEMA = 9
 
 # indices are stored as <i4
 INDEX_LIMIT = 2**31

@@ -5,8 +5,9 @@ scipy CSR with sorted column indices, no duplicates and no explicit
 zeros.  Row sums, sums and scalings run on it directly, and every arithmetic
 result is canonicalized straight from scipy's output.  No triangle is
 stored: upper_triangle derives it on each call for the readers of entry
-lists, and the Gremban lift is built from CSR blocks.  The only cache is
-the dense array of a filled matrix, below.
+lists, and the Gremban lift is built from CSR blocks.  A matrix caches at
+most two derived forms, and never serializes either: the dense array of a
+filled matrix, below, and its last scaled shift, further below.
 
 Matvecs and squares take one of two kernels by the matrix's fill.  A
 matrix whose CSR holds at least half of its n^2 entries is filled: its
@@ -32,6 +33,24 @@ contract), and a vector gives the bits of a one-column block.  Padding
 to 4 is not enough.  dense_matvec is that product; chain.ChainOperator
 also multiplies by a folded suffix's product P through it, and by the
 view P.T, whose columns keep the same width-independence.
+
+Clenshaw's recurrence (maclaurin) multiplies a sparse matrix X at every
+degree as 2U b = (2g X + 2h I) b and adds the result to a block it
+already holds.  scaled_shift(2g, 2h) is that matrix, the shift merged into
+the diagonal, derived on first use and cached for the last (scale, shift)
+asked for: a chain level and a depth-0 refinement each ask for one pair,
+so the cache holds one matrix with its own CSR arrays, as large as the
+matrix's own (64 KB on grid2d(32), 0.36 MB over the three sparse levels
+of random_regular(512, 3) at p = -1/2).  matvec_add multiplies into the
+caller's buffer, out += A @ x, through scipy's private kernels
+sparsetools.csr_matvecs, and csr_matvec for a vector or a single column:
+the kernels that csr @ x runs on a zeroed result it allocates (scipy
+1.17.1).
+Each entry adds its products in the same order, starting from out's
+value, and a product into a sample block allocates nothing.  Each column
+is summed on its own, so a block's columns do not depend on its width,
+and a vector gives the bits of a one-column block; tests/test_sparse.py
+checks both, so a scipy release that moves the kernels fails there.
 
 A dense square is wrapped as the full-row CSR of its array, built
 directly, and canonicalization drops its zero entries: the arrays of
@@ -61,9 +80,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import (
     DimensionMismatchError,
+    InvalidParamsError,
     NonFiniteError,
     NonSymmetricError,
     NotSddError,
@@ -80,15 +101,17 @@ class SparseSymMatrix:
     """Immutable symmetric sparse matrix, stored as its sorted full CSR.
 
     upper_triangle derives the triangle on each call.  A filled matrix (at
-    least half of n^2 entries stored) also caches a dense array for its
-    products, its only cached state; see the module docstring.
+    least half of n^2 entries stored) caches a dense array for its
+    products, and scaled_shift caches its last result; these are the only
+    cached state, see the module docstring.
 
     Attributes
     ----------
     n : int    dimension
     """
 
-    __slots__ = ("n", "_csr", "_dense")
+    # _shifted: ((scale, shift), scale X + shift I) of the last scaled_shift
+    __slots__ = ("n", "_csr", "_dense", "_shifted")
 
     def __init__(self, n: int, rows, cols, vals):
         """Build from upper-triangle entry arrays (row <= col)."""
@@ -124,6 +147,7 @@ class SparseSymMatrix:
         self.n = int(mat.shape[0])
         self._csr = csr
         self._dense = None
+        self._shifted = None
 
     # -- construction ---------------------------------------------------
 
@@ -219,6 +243,40 @@ class SparseSymMatrix:
             raise DimensionMismatchError(f"matvec: expected leading dim {self.n}, got {x.shape[0]}")
         a = self._filled_array()
         return self._csr @ x if a is None else dense_matvec(a, x)
+
+    def matvec_add(self, x: np.ndarray, out: np.ndarray) -> None:
+        """out += A @ x in place, through the CSR kernel whatever the fill.
+
+        x and out are C-contiguous float64 arrays of one shape, a vector or
+        an (n, k) block; see the module docstring for the kernel.
+        """
+        if not (x.shape == out.shape and x.shape[:1] == (self.n,) and x.ndim in (1, 2)):
+            raise DimensionMismatchError(
+                f"matvec_add: expected equal shapes ({self.n},) or ({self.n}, k), "
+                f"got {x.shape} and {out.shape}")
+        for a in (x, out):
+            if a.dtype != np.float64 or not a.flags.c_contiguous:
+                raise InvalidParamsError("matvec_add: needs C-contiguous float64 arrays")
+        if not out.flags.writeable:
+            raise InvalidParamsError("matvec_add: out is read-only")
+        csr, n, k = self._csr, self.n, x.size // max(self.n, 1)
+        # one column takes the vector kernel, as csr @ x does: the same sums,
+        # without the block kernel's loads and stores of out per entry
+        if k == 1:
+            _sparsetools.csr_matvec(n, n, csr.indptr, csr.indices, csr.data,
+                                    x.ravel(), out.ravel())
+        else:
+            _sparsetools.csr_matvecs(n, n, k, csr.indptr, csr.indices, csr.data,
+                                     x.ravel(), out.ravel())
+
+    def scaled_shift(self, scale: float, shift: float) -> "SparseSymMatrix":
+        """scale X + shift I, derived on first use and cached for the last
+        (scale, shift) asked for; see the module docstring."""
+        key = (scale, shift)
+        if self._shifted is None or self._shifted[0] != key:
+            a = scale * self._csr + shift * sp.identity(self.n, format="csr")
+            self._shifted = (key, SparseSymMatrix._from_scipy(a))
+        return self._shifted[1]
 
     def diagonal(self) -> np.ndarray:
         return self._csr.diagonal()

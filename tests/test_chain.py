@@ -338,14 +338,9 @@ FOLDED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(FOLDED))
-def test_folded_columns_do_not_depend_on_block_width(name):
-    # the sampler's prefix contract: a column's bits do not depend on its block
-    op = FOLDED[name]()
-    assert op.dense_suffix >= 2
-    # after the fold no product reads the folded levels' dense arrays
-    assert all(x._dense is None for x in op.chain.levels[-op.dense_suffix:])
-    x = np.random.default_rng(7).standard_normal((op.chain.n, 128))
+def assert_columns_do_not_depend_on_block_width(op):
+    """Every column of a 128-wide block keeps its bits alone and in narrower blocks."""
+    x = np.random.default_rng(7).standard_normal((op.input_dim, 128))
     for f in (op.apply, op.apply_transpose):
         wide = f(x).view(np.uint64)
         for j in range(128):
@@ -353,6 +348,36 @@ def test_folded_columns_do_not_depend_on_block_width(name):
         for k in [*range(1, 18), 64, 127]:
             blocks = np.hstack([f(x[:, j:j + k]) for j in range(0, 128, k)])
             assert np.array_equal(blocks.view(np.uint64), wide), k
+
+
+@pytest.mark.parametrize("name", sorted(FOLDED))
+def test_folded_columns_do_not_depend_on_block_width(name):
+    # the sampler's prefix contract: a column's bits do not depend on its block
+    op = FOLDED[name]()
+    assert op.dense_suffix >= 2
+    # after the fold no product reads the folded levels' dense arrays
+    assert all(x._dense is None for x in op.chain.levels[-op.dense_suffix:])
+    assert_columns_do_not_depend_on_block_width(op)
+
+
+CSR_CLENSHAW = {
+    # depth 0: a degree-3 polynomial in the grid's own M, through its 2U
+    "refined_depth_0": lambda: prepare(make_field(grid2d(8)), 0.2).operator,
+    # no level fills: every level goes through its 2U
+    "direct_sparse_levels": lambda: exact_chain_op(path_graph(64), -0.5, 0.3)[1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSR_CLENSHAW))
+def test_csr_clenshaw_columns_do_not_depend_on_block_width(name):
+    # the in-place CSR kernel sums each column on its own, so the prefix
+    # contract holds for sparse levels too
+    op = CSR_CLENSHAW[name]()
+    if op.refinement is None:
+        assert op.dense_suffix == 0 and max(q.t for q in op.chain.polys) >= 2
+    else:
+        assert op.chain.d == 0 and op.poly.t >= 2
+    assert_columns_do_not_depend_on_block_width(op)
 
 
 @pytest.mark.parametrize("name", sorted(FOLDED))

@@ -388,6 +388,12 @@ def test_sample_schema_7_container_exit_2(tmp_path, grid_file, capsys):
     assert "unsupported schema 7" in capsys.readouterr().err
 
 
+def test_sample_schema_8_container_exit_2(tmp_path, grid_file, capsys):
+    # schema 8 scaled each of Clenshaw's sparse products apart from the sum
+    assert sample_with_schema(tmp_path, grid_file, 8) == 2
+    assert "unsupported schema 8" in capsys.readouterr().err
+
+
 def test_sample_container_smaller_than_its_n_exit_2(tmp_path, capsys):
     bad = tmp_path / "big.fcop"
     bad.write_bytes(empty_level_container(10**7, d=1))

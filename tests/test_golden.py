@@ -54,29 +54,29 @@ def direct_prepared():
                            mean=np.zeros(m.n), eps=op.chain.eps_total)
 
 
-# Format note, container schema 8: the layout is that of schemas 6 and 7,
-# in which every level polynomial is stored in Chebyshev form.  A chain's
-# filled top levels, whose degrees sum to at least 2, are now multiplied as
-# one dense matrix formed when the operator is built, which rounds
-# differently from applying them one by one.  The direct chain's top two
-# levels fill, so its sample bytes changed; its operator moved only by the
-# header's schema digit.  Both refined cases store depth 0: their operators
-# moved only by the schema digit and their sample bytes did not move.
+# Format note, container schema 9: the layout is that of schemas 6 to 8,
+# in which every level polynomial is stored in Chebyshev form.  Clenshaw's
+# products with a sparse matrix now add into the recurrence's own buffers
+# through 2U = 2(g X + h I), its shift merged into the CSR, which rounds
+# differently from scaling a product of X and adding the shift apart.
+# Every case applies a sparse polynomial of degree at least 1, so all three
+# sample hashes changed; no stored value did, and each operator moved only
+# by the header's schema digit.
 GOLDEN = {
     "grid2d_8": (
         grid_prepared,
-        "86b060f43bdca5fb4d0a9239963b5c8179deef87486952566b06fa9af9c9e777",
-        "bb139db7be3186b976f1308ffb879164e74a977700b0087d077b9e3a7d7cd703",
+        "69697647be6549b1a98ccc10238fe145394a873a304bef2a6846a2881f9ee03a",
+        "3b767714d8a05ca41c984ba87f2c2ec3257fc076c95d478222032de8c5208329",
     ),
     "lifted_sdd_mixed_24": (
         lifted_prepared,
-        "7771c68b6a5c57440e3b14f9823d0567144ece0bbf2106ede30b6d5ea70127c1",
-        "ec748142ecf5f22322192fd80b6593cbb1d969bc582ac0db3f5ab3867879c9a6",
+        "ce2834c1a6c6903de13ee48798e184e25052b2deaa8bc1fcbc615997a5719a01",
+        "ede01217d9291ee8571c314ab9f2a0f967eae4c7158881633b53736c82753fda",
     ),
     "direct_p_half_random_regular_64": (
         direct_prepared,
-        "3e1b4910ce1b888e8b112a38b15569053603f78f561dc6308d0bdebc02f85a43",
-        "19450243e7b6f7962f7a03c1989404b8f94efc5e784c8e87c0b4060eebbc4dcd",
+        "d36914c5c16ac7094996dd2d3be4cc7dfc607786efb3dcf3dcae227115ab1d4b",
+        "b28b109b2bd05b59312592e6121be64071232ef3f2ba69512f919a6a95389ccd",
     ),
 }
 

@@ -9,6 +9,8 @@ from numpy.polynomial.chebyshev import chebval
 
 from factorchain import (
     InvalidParamsError,
+    SparseSymMatrix,
+    grid2d,
     MaclaurinPoly,
     NoConvergenceError,
     abs_residue_bound,
@@ -362,3 +364,35 @@ def test_clenshaw_shift_scale_composition():
     got = apply_operator_poly(poly, lambda u: x @ u, (0.6, 0.8), v)
     expect = eval_scalar(poly, 0.6 + 0.8 * np.diag(x))
     assert np.allclose(got, expect, rtol=1e-14, atol=0)
+
+
+def test_sparse_polynomial_builds_its_2u_once(monkeypatch):
+    # the prepared 2U is derived on the first apply and reused by the next
+    builds = 0
+    wrap = SparseSymMatrix._from_scipy.__func__
+
+    def counting(cls, mat):
+        nonlocal builds
+        builds += 1
+        return wrap(cls, mat)
+
+    m = grid2d(8)
+    poly = inverse_sqrt(0.6, 1e-6)
+    monkeypatch.setattr(SparseSymMatrix, "_from_scipy", classmethod(counting))
+    x = np.random.default_rng(3).standard_normal((m.n, 5))
+    first = apply_operator_poly(poly, m, (0.0, 0.1), x)
+    for v in (x, x[:, 0], x[:, :2]):
+        apply_operator_poly(poly, m, (0.0, 0.1), v)
+    assert builds == 1
+    assert np.array_equal(apply_operator_poly(poly, m, (0.0, 0.1), x), first)
+
+
+def test_sparse_clenshaw_matches_the_callable_path():
+    # the CSR path on 2U and the product path on X sum the same series
+    m = grid2d(8)
+    poly = inverse_sqrt(0.6, 1e-8)
+    x = np.random.default_rng(4).standard_normal((m.n, 3))
+    for shift_scale in ((0.0, 0.1), (1.0, 0.05)):
+        csr = apply_operator_poly(poly, m, shift_scale, x)
+        ref = apply_operator_poly(poly, lambda u: m.to_scipy() @ u, shift_scale, x)
+        assert np.allclose(csr, ref, rtol=1e-13, atol=1e-13)

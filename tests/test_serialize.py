@@ -126,7 +126,7 @@ def test_layout_is_header_then_raw_arrays():
     _, _, refined = make_ops()
     blocks = blocks_of(operator_bytes(refined))
     header = json.loads(blocks[0])
-    assert header["schema"] == SCHEMA == 8
+    assert header["schema"] == SCHEMA == 9
     chain = refined.chain
     levels = [blocks[1 + 3 * i:4 + 3 * i] for i in range(chain.d)]
     levels.append(blocks[-4:-1])  # the refinement matrix
@@ -250,6 +250,15 @@ def test_schema_7_container_rejected():
     blocks = blocks_of(operator_bytes(refined))
     blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": 7}).encode("utf-8")
     with pytest.raises(SerializationError, match="unsupported schema 7"):
+        operator_from_bytes(container(blocks))
+
+
+def test_schema_8_container_rejected():
+    # schema 8 had this layout, but Clenshaw scaled each sparse product apart
+    _, _, refined = make_ops()
+    blocks = blocks_of(operator_bytes(refined))
+    blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": 8}).encode("utf-8")
+    with pytest.raises(SerializationError, match="unsupported schema 8"):
         operator_from_bytes(container(blocks))
 
 

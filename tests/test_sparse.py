@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from factorchain import (
+    DimensionMismatchError,
     GrembanLift,
+    InvalidParamsError,
     NonFiniteError,
     NonSymmetricError,
     NotSddError,
@@ -359,6 +361,76 @@ def test_gremban_project_batched():
     v = np.random.default_rng(0).standard_normal((6, 3))
     cols = np.stack([gremban_project(v[:, j]) for j in range(3)], axis=1)
     assert np.allclose(gremban_project(v), cols)
+
+
+# --------------------------------------------------- in-place CSR product
+
+
+def _no_diagonal(n, seed):
+    """Sparse symmetric matrix with no stored diagonal entry."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.1)
+    a = np.triu(a, 1)
+    m = SparseSymMatrix.from_dense(a + a.T)
+    assert not np.any(m.diagonal()) and not m.filled
+    return m
+
+
+@pytest.mark.parametrize("m", [grid2d(9), _no_diagonal(40, 1), random_sddm(57, seed=2)],
+                         ids=["grid", "no_diagonal", "random"])
+def test_matvec_add_is_out_plus_the_csr_product(m):
+    rng = np.random.default_rng(m.n)
+    a = m.to_scipy()
+    scale = abs(a)
+    for shape in [(m.n,), (m.n, 1), (m.n, 2), (m.n, 64)]:
+        x, out0 = rng.standard_normal(shape), rng.standard_normal(shape)
+        out = out0.copy()
+        m.matvec_add(x, out)
+        # either sum rounds at most n + 1 times: a few units of roundoff of
+        # |out| + |A| |x| per entry
+        bound = 4 * m.n * np.finfo(float).eps * (np.abs(out0) + scale @ np.abs(x))
+        assert np.all(np.abs(out - (out0 + a @ x)) <= bound), shape
+    # this pins scipy's kernels: a vector, a one-column block and each column
+    # of a wider block add the same products in the same order
+    x, out0 = rng.standard_normal((m.n, 64)), rng.standard_normal((m.n, 64))
+    wide = out0.copy()
+    m.matvec_add(x, wide)
+    for j in range(64):
+        vec, col = out0[:, j].copy(), out0[:, j:j + 1].copy()
+        m.matvec_add(np.ascontiguousarray(x[:, j]), vec)
+        m.matvec_add(np.ascontiguousarray(x[:, j:j + 1]), col)
+        assert np.array_equal(_bits(vec), _bits(col[:, 0])), j
+        assert np.array_equal(_bits(vec), _bits(wide[:, j])), j
+
+
+def test_matvec_add_refuses_what_the_kernel_cannot_write():
+    m = grid2d(4)
+    x = np.ones((m.n, 3))
+    with pytest.raises(DimensionMismatchError):
+        m.matvec_add(x, np.zeros((m.n, 2)))
+    with pytest.raises(DimensionMismatchError):
+        m.matvec_add(np.ones((5, 3)), np.zeros((5, 3)))
+    with pytest.raises(InvalidParamsError):
+        m.matvec_add(x, np.zeros((m.n, 3), order="F"))
+    with pytest.raises(InvalidParamsError):
+        m.matvec_add(x.astype(np.float32), np.zeros((m.n, 3)))
+    frozen = np.zeros((m.n, 3))
+    frozen.setflags(write=False)
+    with pytest.raises(InvalidParamsError):
+        m.matvec_add(x, frozen)
+
+
+@pytest.mark.parametrize("m", [grid2d(9), _no_diagonal(40, 1)], ids=["diagonal", "no_diagonal"])
+def test_scaled_shift_is_scale_x_plus_shift_i_entry_for_entry(m):
+    g2, h2 = 2.0 * (0.37 / 0.81), 2.0 * (-1.0 / 0.81)
+    a2 = m.scaled_shift(g2, h2)
+    expect = g2 * m.to_dense() + h2 * np.eye(m.n)
+    assert np.array_equal(a2.to_dense(), expect)
+    # cached for the last pair asked for, and replaced by a new pair
+    assert m.scaled_shift(g2, h2) is a2
+    b2 = m.scaled_shift(g2, 0.0)
+    assert b2 is not a2 and np.array_equal(b2.to_dense(), g2 * m.to_dense())
+    assert m.scaled_shift(g2, 0.0) is b2
 
 
 # ----------------------------------------------------------- dense kernel
