@@ -291,61 +291,50 @@ def _clenshaw(poly: ChebyshevPoly, op, alpha: float, beta: float,
               v: np.ndarray, xv: np.ndarray | None) -> np.ndarray:
     """sum_k c_k T_k(U) v for U = g X + h I, g = beta/delta, h = (alpha - 1)/delta.
 
-    b_k = c_k v + 2 U b_{k+1} - b_{k+2} for k = t - 1 .. 1, then
-    c_0 v + U b_1 - b_2: one product with X per degree.  A sparse X runs
-    _clenshaw_csr on its cached 2U.  A filled X or a callable gives X b_1,
-    which is scaled by 2g (g at the last step), shifted by 2h b_1 when
-    h != 0 (a chain level applies at alpha = 1, where it is zero), and
-    added to c_k v - b_2.  There the first product is X (c_t v), so given
-    xv = X v it is the scaling c_t xv instead.
+    b_k = c_k v + 2 U b_{k+1} - b_{k+2} for k = t - 1 .. 0, with b_1 halved
+    in place before the last step, exact but for subnormals, so that every
+    degree adds 2U b_1: one product with X per degree.  Each degree sets
+    u = c_k v, subtracts b_2 (the first degree has none) and adds 2U b_1
+    into u, and three blocks rotate.  For a sparse X that is one product
+    into u through the CSR kernel on its cached 2U = scaled_shift(2g, 2h)
+    (SparseSymMatrix.matvec_add), which allocates nothing.  Otherwise X b_1
+    is a fresh array, scaled by 2g and added, with 2h b_1 added through it
+    when h != 0 (a chain level applies at alpha = 1, where h is zero); it
+    takes the place of b_2, which is spent by then, so that no more than
+    three blocks are live: a fourth makes the allocator return and fault
+    in a block's pages at every apply.  That is the step for a filled X
+    or a callable, and for a sparse X's first degree, whose X.matvec is the
+    product that the benchmark's tracer (bench/spans.py) counts.  The
+    first product is X (c_t v), so given xv = X v it is the scaling c_t xv
+    instead.
     """
     c, t = poly.coeffs, poly.t
     if t == 0:
         return c[0] * v
-    g, h = beta / poly.delta, (alpha - 1.0) / poly.delta
-    if isinstance(op, SparseSymMatrix) and not op.filled:
-        return _clenshaw_csr(c, op.scaled_shift(2.0 * g, 2.0 * h), v)
-    mv = op.matvec if isinstance(op, SparseSymMatrix) else op
-    b1, b2 = c[t] * v, np.zeros_like(v)
-    # one scratch block for the scaled terms: fresh temporaries of a
-    # sample block's size cost more than the arithmetic
-    tmp = np.empty_like(v)
-    for k in range(t - 1, -1, -1):
-        f = 1.0 if k == 0 else 2.0
-        u = mv(b1) if xv is None or k < t - 1 else c[t] * xv
-        u *= f * g
-        if h != 0.0:
-            u += np.multiply(b1, f * h, out=tmp)
-        u -= b2
-        u += np.multiply(v, c[k], out=tmp)
-        b1, b2 = u, b1
-    return b1
-
-
-def _clenshaw_csr(c: np.ndarray, a2: SparseSymMatrix, v: np.ndarray) -> np.ndarray:
-    """Clenshaw's sum for a sparse X, given a2 = 2U with its shift in the CSR.
-
-    The last step halves b_1 in place, exact but for subnormals, and takes
-    2U (b_1 / 2), so one matrix serves every degree.  The first step has
-    no b_2: its product is a2.matvec's fresh array, to which c_{t-1} v is
-    added through a second buffer.  From then on three C-ordered buffers
-    rotate, and each degree makes two elementwise passes, u = c_k v and
-    u -= b_2, and adds 2U b_1 into u through the CSR kernel
-    (SparseSymMatrix.matvec_add), so the loop allocates nothing.
-    """
-    t = c.size - 1
-    b1 = np.multiply(v, c[t], out=np.empty(v.shape))
+    g2, h2 = 2.0 * (beta / poly.delta), 2.0 * ((alpha - 1.0) / poly.delta)
+    a2 = None
+    if isinstance(op, SparseSymMatrix):
+        if not op.filled:
+            a2 = op.scaled_shift(g2, h2)
+        op = op.matvec
+    b1, b2, u = np.multiply(v, c[t], out=np.empty(v.shape)), None, np.empty(v.shape)
     for k in range(t - 1, -1, -1):
         if k == 0:
             b1 *= 0.5
-        if k == t - 1:
-            u = a2.matvec(b1)
-            b2 = np.multiply(v, c[k], out=np.empty(v.shape))
-            u += b2
-        else:
-            np.multiply(v, c[k], out=u)
+        np.multiply(v, c[k], out=u)
+        if k < t - 1:
             u -= b2
+        if a2 is not None and k < t - 1:
             a2.matvec_add(b1, u)
+        else:
+            # b_2 is spent: free it before X b_1 is allocated in its place;
+            # the first b_1 is c_t v, halved when k = 0
+            b2 = None
+            b2 = op(b1) if xv is None or k < t - 1 else xv * (c[t] if k else 0.5 * c[t])
+            b2 *= g2
+            u += b2
+            if h2 != 0.0:
+                u += np.multiply(b1, h2, out=b2)
         b1, b2, u = u, b1, b2
     return b1
 
@@ -357,8 +346,7 @@ def apply_operator_poly(poly: ChebyshevPoly, op,
 
     Clenshaw's recurrence scales each product in place, so a matvec
     callable must return a new array.  Exactly t products with X, or t - 1
-    when the caller passes xv = X v for a filled X or a callable; v may be
-    a vector or an (n, k) block.
+    when the caller passes xv = X v; v may be a vector or an (n, k) block.
     """
     if not isinstance(poly, ChebyshevPoly):
         raise InvalidParamsError("apply_operator_poly applies a ChebyshevPoly")

@@ -34,19 +34,20 @@ to 4 is not enough.  dense_matvec is that product; chain.ChainOperator
 also multiplies by a folded suffix's product P through it, and by the
 view P.T, whose columns keep the same width-independence.
 
-Clenshaw's recurrence (maclaurin) multiplies a sparse matrix X at every
-degree as 2U b = (2g X + 2h I) b and adds the result to a block it
-already holds.  scaled_shift(2g, 2h) is that matrix, the shift merged into
-the diagonal, derived on first use and cached for the last (scale, shift)
-asked for: a chain level and a depth-0 refinement each ask for one pair,
-so the cache holds one matrix with its own CSR arrays, as large as the
-matrix's own (64 KB on grid2d(32), 0.36 MB over the three sparse levels
-of random_regular(512, 3) at p = -1/2).  matvec_add multiplies into the
-caller's buffer, out += A @ x, through scipy's private kernels
+Clenshaw's recurrence (maclaurin) multiplies a sparse matrix X, at every
+degree after the first, as 2U b = (2g X + 2h I) b and adds the result to
+a block it already holds.  scaled_shift(2g, 2h) is that matrix, the shift
+merged into the diagonal, derived on first use and cached for the last
+(scale, shift) asked for: a chain level and a depth-0 refinement each ask
+for one pair, so the cache holds one matrix with its own CSR arrays, as
+large as the matrix's own (64 KB on grid2d(32), 0.36 MB over the three
+sparse levels of random_regular(512, 3) at p = -1/2).  Clenshaw reads it
+only through matvec_add, so it derives no dense array, even where the
+shift's diagonal takes it past the fill rule.  matvec_add multiplies into
+the caller's buffer, out += A @ x, through scipy's private kernels
 sparsetools.csr_matvecs, and csr_matvec for a vector or a single column:
 the kernels that csr @ x runs on a zeroed result it allocates (scipy
-1.17.1).
-Each entry adds its products in the same order, starting from out's
+1.17.1).  Each entry adds its products in the same order, starting from out's
 value, and a product into a sample block allocates nothing.  Each column
 is summed on its own, so a block's columns do not depend on its width,
 and a vector gives the bits of a one-column block; tests/test_sparse.py

@@ -55,28 +55,30 @@ def direct_prepared():
 
 
 # Format note, container schema 9: the layout is that of schemas 6 to 8,
-# in which every level polynomial is stored in Chebyshev form.  Clenshaw's
-# products with a sparse matrix now add into the recurrence's own buffers
-# through 2U = 2(g X + h I), its shift merged into the CSR, which rounds
-# differently from scaling a product of X and adding the shift apart.
-# Every case applies a sparse polynomial of degree at least 1, so all three
-# sample hashes changed; no stored value did, and each operator moved only
-# by the header's schema digit.
+# in which every level polynomial is stored in Chebyshev form.  Each
+# Clenshaw degree now sets c_k v - b_2 first and adds 2U b_1 into it, with
+# U = g X + h I; past the first degree a sparse matrix adds its product
+# through 2U, its shift merged into the CSR.  That rounds differently from
+# scaling a product of X, then adding the shift and c_k v - b_2, both for
+# sparse levels and for the direct chain's folded dense product.  Every
+# case applies a polynomial of degree at least 2, so all three sample
+# hashes changed; no stored value did, and each operator moved only by the
+# header's schema digit.
 GOLDEN = {
     "grid2d_8": (
         grid_prepared,
         "69697647be6549b1a98ccc10238fe145394a873a304bef2a6846a2881f9ee03a",
-        "3b767714d8a05ca41c984ba87f2c2ec3257fc076c95d478222032de8c5208329",
+        "278e7a8d3eb111eff8ee7251fa9c88411aaa76d8dca1962725acefdbcf20af45",
     ),
     "lifted_sdd_mixed_24": (
         lifted_prepared,
         "ce2834c1a6c6903de13ee48798e184e25052b2deaa8bc1fcbc615997a5719a01",
-        "ede01217d9291ee8571c314ab9f2a0f967eae4c7158881633b53736c82753fda",
+        "61b49f76cc1490e8a36e16b5066ca0a46ac7664a5028094cab4c0aac1c3e6801",
     ),
     "direct_p_half_random_regular_64": (
         direct_prepared,
         "d36914c5c16ac7094996dd2d3be4cc7dfc607786efb3dcf3dcae227115ab1d4b",
-        "b28b109b2bd05b59312592e6121be64071232ef3f2ba69512f919a6a95389ccd",
+        "cd14817248e2a59fba01975aef82a827350d8b35afbe4b6c1fa62fcebb43d802",
     ),
 }
 

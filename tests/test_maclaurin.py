@@ -396,3 +396,22 @@ def test_sparse_clenshaw_matches_the_callable_path():
         csr = apply_operator_poly(poly, m, shift_scale, x)
         ref = apply_operator_poly(poly, lambda u: m.to_scipy() @ u, shift_scale, x)
         assert np.allclose(csr, ref, rtol=1e-13, atol=1e-13)
+
+
+def test_sparse_x_whose_2u_fills_stays_on_the_csr_kernel():
+    # 780 of X's 1,600 entries are stored, and 2U's diagonal adds 40 more,
+    # past the fill rule; Clenshaw still reads 2U only through matvec_add
+    n, rng = 40, np.random.default_rng(5)
+    upper = np.zeros((n, n))
+    rows, cols = np.triu_indices(n, 1)
+    pick = rng.choice(rows.size, 390, replace=False)
+    upper[rows[pick], cols[pick]] = rng.random(390)
+    m = SparseSymMatrix.from_dense(upper + upper.T)
+    assert not m.filled
+    poly = inverse_sqrt(0.6, 1e-8)
+    x = rng.standard_normal((n, 3))
+    got = apply_operator_poly(poly, m, (0.0, 0.05), x)
+    a2 = m._shifted[1]
+    assert a2.filled and a2._dense is None
+    ref = apply_operator_poly(poly, lambda u: m.to_scipy() @ u, (0.0, 0.05), x)
+    assert np.allclose(got, ref, rtol=1e-13, atol=1e-13)
