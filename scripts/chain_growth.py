@@ -2,10 +2,10 @@
 
 For each test graph this prints the lambda (= 1 - rho(X_i)) sequence, the
 growth ratio between consecutive levels, each level's stored entries and
-fill (full nnz / n^2; a level filled to at least 0.5 multiplies densely
-through BLAS), each level polynomial's degree and the delta
-(= rho(X_i)/2) it is fit to, and compares the realized chain length
-against the a priori bound.  Useful for eyeballing whether the
+fill (full nnz / n^2; the chain ends at the first level filled to at least
+0.5, which it keeps as one dense factor), each level polynomial's degree
+and the delta (= rho(X_i)/2) it is fit to, and compares the realized chain
+length against the a priori bound.  Useful for eyeballing whether the
 sparsified squares keep the geometric decay that the exact squares have.
 
 After each chain it prints what refine_by_cost stores for the same input
@@ -35,8 +35,9 @@ def describe(name, m, eps, mode, seed):
     sp = SparsifyParams(eps=1.0, seed=seed, mode=mode)
     chain = build_chain(split, -1.0, eps, sp)
     bound = chain_length_bound(split.kappa_bound, eps)
+    end = "dense factor" if chain.terminal is not None else "dropped"
     print(f"\n{name}: n={m.n} kappa_hat={split.kappa_bound:.3f} "
-          f"d={chain.d} bound={bound} eps_total={chain.eps_total:.4f}")
+          f"d={chain.d} bound={bound} eps_total={chain.eps_total:.4f} X_d {end}")
     print(f"  {'level':>5} {'lambda':>10} {'ratio':>8} {'nnz':>8} {'fill':>6} "
           f"{'poly_t':>6} {'delta':>8}")
     prev = None

@@ -9,10 +9,15 @@ the per-step identity
 turns the chain into a product form: applying, level by level, the
 polynomial surrogate of (I + X_i/2)^{-p/2} to a vector realizes an
 operator C with C C^T close to (I - X_0)^p, rescaled to M^p through the
-normalization constant.  Every level polynomial is a Chebyshev series
-(maclaurin.ChebyshevPoly) applied by Clenshaw's recurrence; build_chain
-fits level i as maclaurin.power(-p/2, rho_i/2, eps_level), certified on the
-level's measured spectrum.  The p = -1 case additionally supports refinement
+normalization constant.  The chain ends at its first level X_k that is
+filled (sparse.SparseSymMatrix.filled) or whose radius is small enough.
+Once a level is dense, squaring it again saves nothing, so a filled X_k
+is kept as one exact dense factor F = (I - X_k)^{p/2} (Kyng & Sachdeva,
+arXiv:1605.02353, also factor the last dense block exactly); a small
+radius lets I - X_k be dropped for I.  Every level polynomial is a
+Chebyshev series (maclaurin.ChebyshevPoly) applied by Clenshaw's
+recurrence; build_chain fits level i as maclaurin.power(-p/2, rho_i/2,
+eps_level), certified on the level's measured spectrum.  The p = -1 case additionally supports refinement
 to much tighter tolerances and a combinatorial edge factor for
 edge-indexed randomness.
 
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -44,6 +49,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidParamsError,
     NoConvergenceError,
+    NotPositiveDefiniteError,
     SpectrumEstimateFailedError,
     WrongExponentError,
     check_eps,
@@ -91,11 +97,13 @@ def chain_length_bound(kappa: float, eps: float) -> int:
 class FactorChain:
     """Levels X_0..X_{d-1} that C applies, each paired with its polynomial.
 
-    The terminal level X_d is built only for its radius and then dropped:
-    lambdas records the measured smallest eigenvalue 1 - rho(X_i) of all
-    d + 1 levels, eps_schedule lists the d per-level targets (build_chain's
-    budget, or the sandwich bound of a degree refine_by_cost chose)
-    followed by the measured terminal gap, and eps_total is its sum.
+    The chain ends at X_d.  A filled X_d is kept as terminal, the dense
+    array F = (I - X_d)^{p/2}; otherwise X_d is built only for its radius
+    and then dropped (terminal is None).  lambdas records the smallest
+    eigenvalue 1 - rho(X_i) of all d + 1 levels, eps_schedule lists the d
+    per-level targets (build_chain's budget, or the sandwich bound of a
+    degree refine_by_cost chose) followed by the terminal's error, F's
+    rounding allowance or the dropped level's gap, and eps_total is its sum.
     """
 
     n: int
@@ -108,12 +116,16 @@ class FactorChain:
     eps_total: float
     lambdas: tuple[float, ...]
     reports: tuple[SparsifyReport, ...]
+    terminal: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.levels) != self.d or len(self.polys) != self.d:
             raise InvalidParamsError("levels and polys must hold d entries each")
         if len(self.eps_schedule) != self.d + 1 or len(self.lambdas) != self.d + 1:
             raise InvalidParamsError("eps_schedule and lambdas must hold d + 1 values each")
+        f = self.terminal
+        if f is not None and (f.shape != (self.n, self.n) or not np.all(np.isfinite(f))):
+            raise InvalidParamsError("the terminal factor must be a finite n x n array")
 
 
 def _rho_stop(eps: float) -> float:
@@ -122,12 +134,16 @@ def _rho_stop(eps: float) -> float:
 
 
 def _squarings(split: Splitting, eps: float, sp_params: SparsifyParams | None):
-    """Yield (X_i, rho_i, report_i), X_0 first, until rho_i <= min(5 eps / 6, 0.4).
+    """Yield (X_i, rho_i, report_i), X_0 first, until X_i is terminal.
 
+    X_i is terminal once it is filled or rho_i <= min(5 eps / 6, 0.4).
     rho_i is X_i's residual-padded radius and report_i the step that made X_i
-    (None for X_0).  Step i squares with sp_params at eps / (8 d_max), d_max =
-    chain_length_bound, seeded by level i's substream; passing d_max by more
-    than one level, or 3 levels whose radius does not fall, raises ChainDiverged.
+    (None for X_0).  A filled X_i past X_0 is yielded with rho_i None: its
+    gap is read from the eigenvalues of its terminal factor (_terminal), so
+    it needs no Lanczos run.  Step i squares with sp_params at eps / (8
+    d_max), d_max = chain_length_bound, seeded by level i's substream;
+    passing d_max by more than one level, or 3 levels whose radius does not
+    fall, raises ChainDiverged.
     """
     if sp_params is None:
         sp_params = SparsifyParams(eps=1.0)
@@ -137,7 +153,7 @@ def _squarings(split: Splitting, eps: float, sp_params: SparsifyParams | None):
     rho_stop = _rho_stop(eps)
     eps_level = eps / (8.0 * max(d_max, 1))
     i = stall = 0
-    while rho > rho_stop:
+    while not (x.filled or rho <= rho_stop):
         if i >= d_max + 1:
             raise ChainDivergedError(
                 f"radius {rho:.3f} above {rho_stop:.3f} after {i} levels "
@@ -145,6 +161,9 @@ def _squarings(split: Splitting, eps: float, sp_params: SparsifyParams | None):
             )
         x_next, report = sparsify_square_step(x, replace(
             sp_params, eps=eps_level, seed=substream_seed(sp_params.seed, TAG_LEVEL, i)))
+        if x_next.filled:
+            yield x_next, None, report
+            return
         rho_next = nonneg_spectral_radius(x_next)
         stall = stall + 1 if 1.0 - rho_next <= 1.0 - rho else 0
         if stall >= 3:
@@ -155,9 +174,31 @@ def _squarings(split: Splitting, eps: float, sp_params: SparsifyParams | None):
         yield x, rho, report
 
 
-def _terminal_eps(rho: float) -> float:
-    """Error of dropping the terminal level I - X_d for I."""
-    return -math.log1p(-rho) if rho > 0.0 else 0.0
+def _terminal(x: SparseSymMatrix, rho: float | None, p: float):
+    """(F, gap, error) for the last level X of a chain at exponent p.
+
+    A level that is not filled is dropped: F is None, gap = 1 - rho and the
+    error is -log(1 - rho).  A filled X is kept exactly: one eigh of I - X =
+    V diag(w) V^T gives F = (V w^{p/2}) V^T, so F F^T = (I - X)^p but for
+    rounding, and gap = w_min unless X_0's radius gives it.  A non-positive
+    w_min raises NotPositiveDefinite.  The error is a rounding allowance.
+    eigh is backward stable, within a modest c n u ||I - X|| of I - X for
+    unit roundoff u, which moves (I - X)^p by a factor within exp(+-|p| c n
+    u kappa), kappa = w_max / w_min (|p| <= 1); forming F moves F F^T by
+    about 2 c n u kappa^{|p|/2} more.  With c = 8 the allowance is 8 (|p| +
+    2) n u kappa, 1.7e-12 on random_regular(512, 3) at p = -1/2.
+    """
+    if not x.filled:
+        return None, 1.0 - rho, -math.log1p(-rho) if rho > 0.0 else 0.0
+    w, v = np.linalg.eigh(np.eye(x.n) - x.to_dense())
+    if not w[0] > 0.0:
+        raise NotPositiveDefiniteError(
+            f"I - X_k has smallest eigenvalue {w[0]:.3e}: the chain's last level "
+            "is not contracting")
+    f = (v * w ** (p / 2.0)) @ v.T
+    f.setflags(write=False)
+    gap = float(w[0]) if rho is None else 1.0 - rho
+    return f, gap, 8.0 * (abs(p) + 2.0) * x.n * 2.0 ** -53 * float(w[-1] / w[0])
 
 
 def build_chain(split: Splitting, p: float, eps: float,
@@ -167,7 +208,7 @@ def build_chain(split: Splitting, p: float, eps: float,
     The spectrum of I + X_i/2 lies within 1 +- rho_i/2 for the padded radius
     rho_i, so level i's polynomial is power(-p/2, rho_i/2, eps_level), the
     certified Chebyshev surrogate of y^{-p/2} there; the radii fall level by
-    level, so the degrees do too.
+    level, so the degrees do too.  The last level is the terminal (_terminal).
     """
     if not (-1.0 <= p <= 1.0):
         raise InvalidParamsError(f"exponent {p} outside [-1, 1]")
@@ -181,94 +222,40 @@ def build_chain(split: Splitting, p: float, eps: float,
             lambdas=(1.0 - rho,), reports=(),
         )
     xs, radii, reports = zip(*squarings)
+    f, gap, eps_end = _terminal(xs[-1], radii[-1], p)
     targets = tuple(r.eps_requested for r in reports[1:])
     polys = tuple(power(-p / 2.0, r / 2.0, e) for r, e in zip(radii, targets))
-    schedule = targets + (_terminal_eps(radii[-1]),)
+    schedule = targets + (eps_end,)
     return FactorChain(
         n=split.X.n, levels=xs[:-1], eps_schedule=schedule, polys=polys,
         p=p, d=len(targets), kappa_used=split.kappa_bound, eps_total=sum(schedule),
-        lambdas=tuple(1.0 - r for r in radii), reports=reports[1:],
+        lambdas=tuple(1.0 - r for r in radii[:-1]) + (gap,), reports=reports[1:],
+        terminal=f,
     )
 
 
 # -- operators -----------------------------------------------------------------
 
 
-# the fold builds its product this many columns at a time, so that its
-# temporaries stay at a sample block's size
-_FOLD_BLOCK = 128
-
-
-def _fold(levels, polys) -> np.ndarray:
-    """T_k ... T_{d-1} for the given filled levels, as one dense array.
-
-    Each block of identity columns E goes through the levels top down, as
-    apply sends a sample block.  The top level's first Clenshaw product is
-    X (c_t E), the scaling c_t X[:, cols], so the array costs sum t - 1
-    products of a column block with a level, and every temporary is a
-    column block.  No product reads the levels' cached dense arrays after
-    the fold, so it drops them; a direct product re-derives one.
-    """
-    n = levels[0].n
-    top = levels[-1]._filled_array()
-    out = np.empty((n, n))
-    for j in range(0, n, _FOLD_BLOCK):
-        cols = slice(j, min(j + _FOLD_BLOCK, n))
-        w = apply_operator_poly(polys[-1], levels[-1], (1.0, 0.5),
-                                np.eye(n, cols.stop - j, -j), xv=top[:, cols])
-        for x, poly in zip(levels[-2::-1], polys[-2::-1]):
-            w = apply_operator_poly(poly, x, (1.0, 0.5), w)
-        out[:, cols] = w
-    out.setflags(write=False)
-    for x in levels:
-        x._dense = None
-    return out
-
-
 class ChainOperator:
-    """C = out_scale * T_0 T_1 ... T_{d-1} with T_i = poly_i(I + X_i/2).
+    """C = out_scale * T_0 T_1 ... T_{d-1} F with T_i = poly_i(I + X_i/2).
 
-    Each factor is a symmetric polynomial in one level, so the transpose
-    is the same product in reversed order.  C C^T approximates M^p when
-    out_scale = c^{-p/2} for the normalization scale c.
-
-    The filled suffix, the top levels X_k .. X_{d-1} that all multiply
-    densely (sparse.py), is folded when the operator is built: if its
-    degrees sum to at least 2, P = T_k ... T_{d-1} is formed once (_fold)
-    and apply multiplies by P, apply_transpose by P^T, each in one padded
-    gemm (sparse.dense_matvec), and only X_0 .. X_{k-1} go through
-    Clenshaw.  A sample block then pays one product with P where it paid
-    sum t products with n x n levels.  P is derived, never stored: a loaded
-    container folds again.  On random_regular(512, 3) at p = -1/2 (levels
-    3 and 4 filled, at degree 2 each) the fold takes three 512 x 512 x 512
-    products, about 25 ms at one BLAS thread, and one 2 MB array; a
-    128-column apply then takes 6.3 ms where it took 12.9 ms, a single
-    column 0.43 ms where it took 1.18 ms.  Every build and every load pays
-    the fold, so it pays off once an operator serves about a dozen
-    one-column applies or one block of a few dozen columns.
+    Each T_i is a symmetric polynomial in one level and F is the chain's
+    terminal factor (the identity when the chain has none), so the
+    transpose is F^T and the T_i in reversed order.  C C^T approximates
+    M^p when out_scale = c^{-p/2} for the normalization scale c.  apply
+    multiplies by F and apply_transpose by the view F.T, each in one padded
+    gemm (sparse.dense_matvec), whose columns do not depend on the block's
+    width; the levels go through Clenshaw.
     """
 
     kind = "chain"
     refinement = None
-    # _depth: the levels X_0 .. X_{_depth - 1} that go through Clenshaw;
-    # _folded: P, or None when nothing is folded (_depth == d)
-    __slots__ = ("chain", "out_scale", "_depth", "_folded")
+    __slots__ = ("chain", "out_scale")
 
     def __init__(self, chain: FactorChain, out_scale: float = 1.0):
         self.chain = chain
         self.out_scale = float(out_scale)
-        k = chain.d
-        while k > 0 and chain.levels[k - 1].filled:
-            k -= 1
-        if sum(q.t for q in chain.polys[k:]) >= 2:
-            self._depth, self._folded = k, _fold(chain.levels[k:], chain.polys[k:])
-        else:
-            self._depth, self._folded = chain.d, None
-
-    @property
-    def dense_suffix(self) -> int:
-        """The number of top levels applied as one dense matrix (0 if none)."""
-        return self.chain.d - self._depth
 
     @property
     def input_dim(self) -> int:
@@ -289,19 +276,19 @@ class ChainOperator:
     def apply(self, v: np.ndarray) -> np.ndarray:
         w = self._check(v)
         ch = self.chain
-        if self._folded is not None:
-            w = dense_matvec(self._folded, w)
-        for i in range(self._depth - 1, -1, -1):
+        if ch.terminal is not None:
+            w = dense_matvec(ch.terminal, w)
+        for i in range(ch.d - 1, -1, -1):
             w = apply_operator_poly(ch.polys[i], ch.levels[i], (1.0, 0.5), w)
         return self.out_scale * w
 
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
         w = self._check(v)
         ch = self.chain
-        for i in range(self._depth):
+        for i in range(ch.d):
             w = apply_operator_poly(ch.polys[i], ch.levels[i], (1.0, 0.5), w)
-        if self._folded is not None:
-            w = dense_matvec(self._folded.T, w)
+        if ch.terminal is not None:
+            w = dense_matvec(ch.terminal.T, w)
         return self.out_scale * w
 
     def as_dense(self) -> np.ndarray:
@@ -369,8 +356,10 @@ class RefinedOperator:
         return self.base.apply_transpose(self.matrix.matvec(self.base.apply(u)))
 
     def _poly_apply(self, v: np.ndarray) -> np.ndarray:
-        """p(s Z^T M Z) v; at depth 0 Z is out_scale I, so Z^T M Z = out_scale^2 M."""
-        if isinstance(self.base, ChainOperator) and self.base.chain.d == 0:
+        """p(s Z^T M Z) v; at depth 0 with no terminal factor Z is out_scale I,
+        so Z^T M Z = out_scale^2 M."""
+        ch = self.base.chain
+        if isinstance(self.base, ChainOperator) and ch.d == 0 and ch.terminal is None:
             beta = self.scale * self.base.out_scale ** 2
             return apply_operator_poly(self.poly, self.matrix, (0.0, beta), v)
         return apply_operator_poly(self.poly, self._inner, (0.0, self.scale), v)
@@ -473,12 +462,15 @@ def refine_inverse_factor(m: SparseSymMatrix, crude, eps: float):
 def flops_per_sample(op: ChainOperator | RefinedOperator) -> int:
     """Predicted nnz-weighted flops of one sample through op.
 
-    One apply of a chain operator Z costs L = sum_i t_i nnz(X_i), and a
-    sample through Z is one apply.  Refined, each of the t_ref inner applies
-    Z^T M Z costs 2 L + nnz(M), and the final Z one more L.
+    One apply of a chain operator Z costs L = sum_i t_i nnz(X_i), plus n^2
+    for a terminal factor, and a sample through Z is one apply.  Refined,
+    each of the t_ref inner applies Z^T M Z costs 2 L + nnz(M), and the
+    final Z one more L.
     """
     ch = op.chain
     level = sum(q.t * x.full_nnz for q, x in zip(ch.polys, ch.levels))
+    if ch.terminal is not None:
+        level += ch.n * ch.n
     if isinstance(op, ChainOperator):
         return level
     return op.info.degree * (2 * level + op.matrix.full_nnz) + level
@@ -498,20 +490,30 @@ def crude_level_poly(t: int) -> ChebyshevPoly:
                          eps=bound, certificate="series", bound=bound)
 
 
-def _crude_factor(split: Splitting, squarings, t: int) -> ChainOperator:
-    """Z over the squarings at level degree t; at t = 0, Z = c^{1/2} I with X_0's gap."""
+def _crude_factor(split: Splitting, squarings, t: int, top=None) -> ChainOperator:
+    """Z over the squarings at level degree t, ending in top, the last
+    level's _terminal at p = -1; at t = 0, Z = c^{1/2} I with X_0's gap.
+
+    A padded radius of X_0 at or above 1 leaves depth 0 no gap to record,
+    and raises SpectrumEstimateFailed.
+    """
     xs, radii, reports = zip(*squarings)
-    d = len(xs) - 1 if t else 0
-    lambdas = tuple(1.0 - r for r in radii[:d + 1])
     if t:
+        d = len(xs) - 1
+        f, gap, eps_end = top
         poly = crude_level_poly(t)
-        schedule = (poly.eps,) * d + (_terminal_eps(radii[-1]),)
+        schedule = (poly.eps,) * d + (eps_end,)
+        lambdas = tuple(1.0 - r for r in radii[:-1]) + (gap,)
     else:
-        poly, schedule = None, (max(0.0, -math.log(lambdas[0])),)
+        d, f, poly, lambdas = 0, None, None, (1.0 - radii[0],)
+        if not lambdas[0] > 0.0:
+            raise SpectrumEstimateFailedError(
+                f"X_0's padded radius {radii[0]:.6g} leaves depth 0 no gap")
+        schedule = (max(0.0, -math.log(lambdas[0])),)
     return chain_operator(split, FactorChain(
         n=split.X.n, levels=xs[:d], eps_schedule=schedule, polys=(poly,) * d,
         p=-1.0, d=d, kappa_used=split.kappa_bound, eps_total=sum(schedule),
-        lambdas=lambdas, reports=reports[1:d + 1],
+        lambdas=lambdas, reports=reports[1:d + 1], terminal=f,
     ))
 
 
@@ -522,25 +524,34 @@ def refine_by_cost(m: SparseSymMatrix, split: Splitting, eps: float,
     Depth 0 (Z = c^{1/2} I) is refined first, then the crude chain, squared
     at CRUDE_EPS with sp_params, at t = 1, 2, ... until t is not cheaper.  A
     candidate costs its flops_per_sample, or infinity if its refinement fails.
-    A level whose radius shows it is not terminal is held by every t >= 1
-    candidate, so each such level counts into L = sum nnz(X_i) as soon as it
-    arrives: when L reaches the best cost, no further level is squared.  If
-    no candidate is finite, the last failure is raised.
+    Every t >= 1 candidate holds each level that is not terminal, and a
+    filled terminal level as its n^2 factor, so each counts into the lower
+    bound L = sum nnz(X_i) (+ n^2) as soon as it arrives: when L reaches
+    the best cost, no further level is squared and no terminal factor is
+    formed.  If no candidate is finite, the last failure is raised.
     """
     rho_stop = _rho_stop(CRUDE_EPS)
     levels = _squarings(split, CRUDE_EPS, sp_params)
     squarings = [next(levels)]
     best, best_cost, failure = None, math.inf, None
-    stored = 0
+    stored, top = 0, None
     for t in itertools.count():
         # all squaring precedes t = 1; the last level is terminal
-        while t == 1 and squarings[-1][1] > rho_stop:
-            stored += squarings[-1][0].full_nnz
+        while t == 1 and top is None:
+            x, rho, _ = squarings[-1]
+            last = x.filled or rho <= rho_stop
+            if x.filled:
+                stored += x.n * x.n
+            elif not last:
+                stored += x.full_nnz
             if stored >= best_cost:
                 return best
-            squarings.append(next(levels))
+            if last:
+                top = _terminal(x, rho, -1.0)
+            else:
+                squarings.append(next(levels))
         try:
-            op = refine_inverse_factor(m, _crude_factor(split, squarings, t), eps)
+            op = refine_inverse_factor(m, _crude_factor(split, squarings, t, top), eps)
             cost = flops_per_sample(op)
         except (SpectrumEstimateFailedError, NoConvergenceError) as exc:
             op, cost, failure = None, math.inf, exc

@@ -112,6 +112,8 @@ def _chain_summary(chain) -> dict:
         "lambdas": [float(l) for l in chain.lambdas],
         "level_nnz": [int(level.full_nnz) for level in chain.levels],
         "poly_degrees": [int(poly.t) for poly in chain.polys],
+        # the level X_d kept as the dense factor the chain ends in, or None
+        "dense_terminal_level": chain.d if chain.terminal is not None else None,
         "merge_attempts": [r.merge_attempts for r in chain.reports],
         "merge_fallbacks": [r.merge_fallback for r in chain.reports],
     }
@@ -185,8 +187,6 @@ def cmd_factor(args) -> int:
     refinement = getattr(op, "refinement", None)
     summary = _chain_summary(op.chain)
     summary["flops_per_sample"] = flops_per_sample(op)
-    # a refined operator's chain is its crude factor, op.base
-    summary["dense_suffix"] = getattr(op, "base", op).dense_suffix
     if refinement:
         # the stored levels share one chosen degree, or there are none at
         # degree 0; the error is the refinement's eps, not the chain's sum

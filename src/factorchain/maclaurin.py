@@ -288,7 +288,7 @@ def eval_scalar(poly: MaclaurinPoly | ChebyshevPoly, lam):
 
 
 def _clenshaw(poly: ChebyshevPoly, op, alpha: float, beta: float,
-              v: np.ndarray, xv: np.ndarray | None) -> np.ndarray:
+              v: np.ndarray) -> np.ndarray:
     """sum_k c_k T_k(U) v for U = g X + h I, g = beta/delta, h = (alpha - 1)/delta.
 
     b_k = c_k v + 2 U b_{k+1} - b_{k+2} for k = t - 1 .. 0, with b_1 halved
@@ -302,11 +302,9 @@ def _clenshaw(poly: ChebyshevPoly, op, alpha: float, beta: float,
     when h != 0 (a chain level applies at alpha = 1, where h is zero); it
     takes the place of b_2, which is spent by then, so that no more than
     three blocks are live: a fourth makes the allocator return and fault
-    in a block's pages at every apply.  That is the step for a filled X
-    or a callable, and for a sparse X's first degree, whose X.matvec is the
-    product that the benchmark's tracer (bench/spans.py) counts.  The
-    first product is X (c_t v), so given xv = X v it is the scaling c_t xv
-    instead.
+    in a block's pages at every apply.  That is the step for a callable,
+    and for a sparse X's first degree, whose X.matvec is the product that
+    the benchmark's tracer (bench/spans.py) counts.
     """
     c, t = poly.coeffs, poly.t
     if t == 0:
@@ -314,8 +312,7 @@ def _clenshaw(poly: ChebyshevPoly, op, alpha: float, beta: float,
     g2, h2 = 2.0 * (beta / poly.delta), 2.0 * ((alpha - 1.0) / poly.delta)
     a2 = None
     if isinstance(op, SparseSymMatrix):
-        if not op.filled:
-            a2 = op.scaled_shift(g2, h2)
+        a2 = op.scaled_shift(g2, h2)
         op = op.matvec
     b1, b2, u = np.multiply(v, c[t], out=np.empty(v.shape)), None, np.empty(v.shape)
     for k in range(t - 1, -1, -1):
@@ -327,10 +324,9 @@ def _clenshaw(poly: ChebyshevPoly, op, alpha: float, beta: float,
         if a2 is not None and k < t - 1:
             a2.matvec_add(b1, u)
         else:
-            # b_2 is spent: free it before X b_1 is allocated in its place;
-            # the first b_1 is c_t v, halved when k = 0
+            # b_2 is spent: free it before X b_1 is allocated in its place
             b2 = None
-            b2 = op(b1) if xv is None or k < t - 1 else xv * (c[t] if k else 0.5 * c[t])
+            b2 = op(b1)
             b2 *= g2
             u += b2
             if h2 != 0.0:
@@ -340,13 +336,12 @@ def _clenshaw(poly: ChebyshevPoly, op, alpha: float, beta: float,
 
 
 def apply_operator_poly(poly: ChebyshevPoly, op,
-                        shift_scale: tuple[float, float], v: np.ndarray,
-                        xv: np.ndarray | None = None) -> np.ndarray:
+                        shift_scale: tuple[float, float], v: np.ndarray) -> np.ndarray:
     """Apply p(alpha I + beta X) to v, X given by op (matrix or matvec).
 
     Clenshaw's recurrence scales each product in place, so a matvec
-    callable must return a new array.  Exactly t products with X, or t - 1
-    when the caller passes xv = X v; v may be a vector or an (n, k) block.
+    callable must return a new array.  Exactly t products with X; v may be
+    a vector or an (n, k) block.
     """
     if not isinstance(poly, ChebyshevPoly):
         raise InvalidParamsError("apply_operator_poly applies a ChebyshevPoly")
@@ -356,4 +351,4 @@ def apply_operator_poly(poly: ChebyshevPoly, op,
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2):
         raise DimensionMismatchError("v must be a vector or a 2-d block")
-    return _clenshaw(poly, op, alpha, beta, v, xv)
+    return _clenshaw(poly, op, alpha, beta, v)

@@ -1,4 +1,4 @@
-"""Binary container for factor operators, schema 9.
+"""Binary container for factor operators, schema 10.
 
 Layout: the magic ``FCOP1`` and a newline, then blocks, each a uint64
 little-endian byte count followed by that many bytes:
@@ -6,12 +6,15 @@ little-endian byte count followed by that many bytes:
 - the header, JSON with sorted keys: schema, kind, n, the chain's p, d,
   kappa_used, eps_total, eps_schedule and lambdas, out_scale, one
   {s, t, delta, eps, certificate, bound} record per level polynomial
-  (maclaurin.ChebyshevPoly's fields but its coefficients), the RefinementInfo
-  fields (or null; they include the refinement's certificate name and
-  bound) and the caller's meta dict;
+  (maclaurin.ChebyshevPoly's fields but its coefficients), terminal (true
+  when the chain ends in a dense factor), the RefinementInfo fields (or
+  null; they include the refinement's certificate name and bound) and the
+  caller's meta dict;
 - each level X_0..X_{d-1} as three raw arrays holding its upper
   triangle as SparseSymMatrix.upper_triangle gives it: rows ``<i4``,
   cols ``<i4``, vals ``<f8``; every matrix has dimension n;
+- if terminal, the chain's terminal factor F as one ``<f8`` block of its
+  n x n entries, row-major, exactly 8 n^2 bytes;
 - each level polynomial's Chebyshev coefficients c_0..c_t, ``<f8``, of
   sum_k c_k T_k((y - 1)/delta);
 - for a refined operator, its matrix as three arrays and its
@@ -19,18 +22,18 @@ little-endian byte count followed by that many bytes:
 
 Every level polynomial is stored in Chebyshev form: a direct chain's
 levels carry power's certificate "truncation", a crude p = -1 chain's the
-binomial series re-expanded, certificate "series".  Schema 9 has the
-layout of schemas 6 to 8; it marks that Clenshaw's products with a sparse
-matrix add into the recurrence's buffers through a matrix 2U with its
-shift merged (maclaurin), which rounds differently, so an operator with a
-sparse polynomial of degree at least 1 colours to other bytes than it did
-under schema 8.  Schema 8 marked that a chain's filled top levels are
-applied as one dense product (chain.ChainOperator).  Schema 7 marked that
-filled levels (sparse.py) multiply through BLAS, where schema 6
-multiplied them as CSR.  Schema 5 stored the levels as binomial-series
-coefficients, schema 4 the refinement at the Bernstein bound's degree and
-schema 3 the refinement as a binomial series.  Older schemas have no
-reader and are rejected.
+binomial series re-expanded, certificate "series".  Schema 10 ends a
+chain at its first filled level with the exact factor F = (I - X_k)^{p/2}
+(chain.build_chain), which it stores; loading takes F as stored.  Schema
+9 had the layout of schemas 6 to 8 without F; it marked that Clenshaw's
+products with a sparse matrix add into the recurrence's buffers through a
+matrix 2U with its shift merged (maclaurin).  Schema 8 marked that a
+chain's filled top levels were applied as one dense product derived at
+load.  Schema 7 marked that filled levels multiplied through BLAS, where
+schema 6 multiplied them as CSR.  Schema 5 stored the levels as
+binomial-series coefficients, schema 4 the refinement at the Bernstein
+bound's degree and schema 3 the refinement as a binomial series.  Older
+schemas have no reader and are rejected.
 
 Floats round-trip exactly and loading accepts only the canonical
 triangle, so saving a loaded operator reproduces the input byte for byte.
@@ -61,7 +64,7 @@ from .maclaurin import CERTIFICATES, ChebyshevPoly
 from .sparse import SparseSymMatrix
 
 MAGIC = b"FCOP1\n"
-SCHEMA = 9
+SCHEMA = 10
 
 # indices are stored as <i4
 INDEX_LIMIT = 2**31
@@ -97,8 +100,8 @@ _HEADER = _object({
     "schema": _INT, "kind": _type(str), "n": _INT, "p": _NUMBER, "d": _INT,
     "out_scale": _NUMBER, "kappa_used": _NUMBER, "eps_total": _NUMBER,
     "eps_schedule": _list_of(_NUMBER), "lambdas": _list_of(_NUMBER),
-    "polys": _list_of(_POLY), "refinement": lambda v: v is None or _REFINEMENT(v),
-    "meta": _type(dict),
+    "polys": _list_of(_POLY), "terminal": _type(bool),
+    "refinement": lambda v: v is None or _REFINEMENT(v), "meta": _type(dict),
 })
 
 
@@ -129,12 +132,15 @@ def operator_bytes(op, meta: dict | None = None) -> bytes:
         "eps_schedule": list(ch.eps_schedule),
         "lambdas": list(ch.lambdas),
         "polys": [{k: getattr(q, k) for k in _POLY_RECORD} for q in ch.polys],
+        "terminal": ch.terminal is not None,
         "refinement": None,
         "meta": meta or {},
     }
     blocks: list[bytes] = []
     for level in ch.levels:
         blocks += _matrix_blocks(level)
+    if ch.terminal is not None:
+        blocks.append(np.asarray(ch.terminal, dtype="<f8").tobytes())
     for q in ch.polys:
         blocks.append(np.asarray(q.coeffs, dtype="<f8").tobytes())
     if refined is not None:
@@ -195,11 +201,18 @@ def _poly(ph: dict, blocks) -> ChebyshevPoly:
     return ChebyshevPoly(coeffs=_array(next(blocks), "<f8"), **ph)
 
 
+def _terminal_factor(n: int, raw: bytes) -> np.ndarray:
+    if len(raw) != 8 * n * n:
+        raise SerializationError(
+            f"terminal factor block of {len(raw)} bytes, expected 8 n^2 = {8 * n * n}")
+    return _array(raw, "<f8").reshape(n, n)
+
+
 def operator_from_bytes(buf: bytes):
     blocks = _split(buf)
     header = _read_header(blocks[0])
-    n, d, rh = header["n"], header["d"], header["refinement"]
-    expect = 1 + 3 * d + len(header["polys"]) + (0 if rh is None else 4)
+    n, d, rh, terminal = header["n"], header["d"], header["refinement"], header["terminal"]
+    expect = 1 + 3 * d + terminal + len(header["polys"]) + (0 if rh is None else 4)
     if len(blocks) != expect:
         raise SerializationError(
             f"container holds {len(blocks)} blocks, its header implies {expect}")
@@ -207,9 +220,11 @@ def operator_from_bytes(buf: bytes):
         raise SerializationError(f"n = {n} is too large for a {len(buf)}-byte container")
     it = iter(blocks[1:])
     try:
+        levels = tuple(_matrix(n, it) for _ in range(d))
+        f = _terminal_factor(n, next(it)) if terminal else None
         chain = FactorChain(
             n=n,
-            levels=tuple(_matrix(n, it) for _ in range(d)),
+            levels=levels,
             eps_schedule=tuple(header["eps_schedule"]),
             polys=tuple(_poly(ph, it) for ph in header["polys"]),
             p=header["p"],
@@ -218,6 +233,7 @@ def operator_from_bytes(buf: bytes):
             eps_total=header["eps_total"],
             lambdas=tuple(header["lambdas"]),
             reports=(),
+            terminal=f,
         )
         op = ChainOperator(chain, out_scale=header["out_scale"])
         if rh is not None:

@@ -2,37 +2,25 @@
 
 The carrier type stores one matrix: the full symmetric expansion as a
 scipy CSR with sorted column indices, no duplicates and no explicit
-zeros.  Row sums, sums and scalings run on it directly, and every arithmetic
-result is canonicalized straight from scipy's output.  No triangle is
-stored: upper_triangle derives it on each call for the readers of entry
-lists, and the Gremban lift is built from CSR blocks.  A matrix caches at
-most two derived forms, and never serializes either: the dense array of a
-filled matrix, below, and its last scaled shift, further below.
+zeros.  Row sums, sums, products and scalings run on it directly, and
+every arithmetic result is canonicalized straight from scipy's output.
+No triangle is stored: upper_triangle derives it on each call for the
+readers of entry lists, and the Gremban lift is built from CSR blocks.  A
+matrix caches one derived form, its last scaled shift, below, and never
+serializes it.  A matrix whose CSR holds at least half of its n^2 entries
+is filled: a factor chain ends at its first filled level, which it keeps
+as one dense factor (chain.py) and never squares.
 
-Matvecs and squares take one of two kernels by the matrix's fill.  A
-matrix whose CSR holds at least half of its n^2 entries is filled: its
-products run through BLAS on a dense array derived from the CSR on first
-use and cached (for a full matrix, the CSR's own data, reshaped), and
-every other matrix multiplies as CSR.  The expander levels of a direct
-chain fill in: on random_regular(512, 3) at p = -1/2 the top two levels
-hold 78% and 100% of n^2.  At n = 512 (one BLAS thread) a 128-column
-product of such a level takes 1.5 ms dense against 9-12 ms as CSR, a
-square 5-7 ms against 0.2-0.3 s, and one padded column 0.25-0.3 ms
-against 0.2-0.25 ms.  Blocks gain from a fill of about 0.15 on, single
-columns never; the rule sits at one half, where a 128-column block is
-still 4x faster dense and a single column 0.2 ms slower.
-
-A dense product is one gemm call on its block padded with zero columns
-to a multiple of 8.  OpenBLAS sends a single column to gemv and computes
-a block's edge columns in narrower kernels, whose sums round
-differently.  Padded to 8, every column of every block width rounded as
-it would alone (OpenBLAS 0.3.31's Haswell kernels, n from 63 to 1,024,
-one and two threads; tests/test_sparse.py checks it), so a sample
-block's columns do not depend on its width (the sampler's prefix
-contract), and a vector gives the bits of a one-column block.  Padding
-to 4 is not enough.  dense_matvec is that product; chain.ChainOperator
-also multiplies by a folded suffix's product P through it, and by the
-view P.T, whose columns keep the same width-independence.
+dense_matvec multiplies a square array, such as a chain's terminal factor
+F or the view F.T, by a vector or block in one gemm call on the block
+padded with zero columns to a multiple of 8.  OpenBLAS sends a single
+column to gemv and computes a block's edge columns in narrower kernels,
+whose sums round differently.  Padded to 8, every column of every block
+width rounded as it would alone (OpenBLAS 0.3.31's Haswell kernels, n
+from 63 to 1,024, one and two threads; tests/test_sparse.py checks it),
+so a sample block's columns do not depend on its width (the sampler's
+prefix contract), and a vector gives the bits of a one-column block.
+Padding to 4 is not enough.
 
 Clenshaw's recurrence (maclaurin) multiplies a sparse matrix X, at every
 degree after the first, as 2U b = (2g X + 2h I) b and adds the result to
@@ -41,31 +29,20 @@ merged into the diagonal, derived on first use and cached for the last
 (scale, shift) asked for: a chain level and a depth-0 refinement each ask
 for one pair, so the cache holds one matrix with its own CSR arrays, as
 large as the matrix's own (64 KB on grid2d(32), 0.36 MB over the three
-sparse levels of random_regular(512, 3) at p = -1/2).  Clenshaw reads it
-only through matvec_add, so it derives no dense array, even where the
-shift's diagonal takes it past the fill rule.  matvec_add multiplies into
-the caller's buffer, out += A @ x, through scipy's private kernels
-sparsetools.csr_matvecs, and csr_matvec for a vector or a single column:
-the kernels that csr @ x runs on a zeroed result it allocates (scipy
-1.17.1).  Each entry adds its products in the same order, starting from out's
+sparse levels of random_regular(512, 3) at p = -1/2).  matvec_add
+multiplies into the caller's buffer, out += A @ x, through scipy's
+private kernels sparsetools.csr_matvecs, and csr_matvec for a vector or
+a single column: the kernels that csr @ x runs on a zeroed result it
+allocates (scipy 1.17.1).  Each entry adds its products in the same order, starting from out's
 value, and a product into a sample block allocates nothing.  Each column
 is summed on its own, so a block's columns do not depend on its width,
 and a vector gives the bits of a one-column block; tests/test_sparse.py
 checks both, so a scipy release that moves the kernels fails there.
 
-A dense square is wrapped as the full-row CSR of its array, built
-directly, and canonicalization drops its zero entries: the arrays of
-scipy's conversion of the array, without its scan for nonzeros, in 0.7 ms
-against 8 ms at n = 512 for a square with no zero entry (an expander's,
-once filled).
-
 Arithmetic keeps the expansion bitwise symmetric: scipy's sparse product
 of a symmetric CSR with sorted indices accumulates entries (i, j) and
-(j, i) from the same products in the same order, a dense square mirrors
-its upper triangle into its lower one, and sums and scalings act
-entrywise.  For a nonnegative matrix the dense square has the sparse
-one's pattern: a sum of nonnegative products is zero only when every
-product is.
+(j, i) from the same products in the same order, and sums and scalings
+act entrywise.
 
 Also here: SDDM validation, the edge factor, Lanczos spectral bounds, the
 normalization M = (1/c)(I - X) with X entrywise nonnegative, and the Gremban
@@ -101,10 +78,9 @@ _GEMM_WIDTH = 8
 class SparseSymMatrix:
     """Immutable symmetric sparse matrix, stored as its sorted full CSR.
 
-    upper_triangle derives the triangle on each call.  A filled matrix (at
-    least half of n^2 entries stored) caches a dense array for its
-    products, and scaled_shift caches its last result; these are the only
-    cached state, see the module docstring.
+    upper_triangle derives the triangle on each call, and scaled_shift
+    caches its last result, the only cached state; see the module
+    docstring.
 
     Attributes
     ----------
@@ -112,7 +88,7 @@ class SparseSymMatrix:
     """
 
     # _shifted: ((scale, shift), scale X + shift I) of the last scaled_shift
-    __slots__ = ("n", "_csr", "_dense", "_shifted")
+    __slots__ = ("n", "_csr", "_shifted")
 
     def __init__(self, n: int, rows, cols, vals):
         """Build from upper-triangle entry arrays (row <= col)."""
@@ -147,7 +123,6 @@ class SparseSymMatrix:
             a.setflags(write=False)
         self.n = int(mat.shape[0])
         self._csr = csr
-        self._dense = None
         self._shifted = None
 
     # -- construction ---------------------------------------------------
@@ -212,22 +187,8 @@ class SparseSymMatrix:
 
     @property
     def filled(self) -> bool:
-        """At least half of the n^2 entries stored: products run densely."""
+        """At least half of the n^2 entries stored: a chain ends here."""
         return self.n > 0 and 2 * self._csr.nnz >= self.n * self.n
-
-    def _filled_array(self) -> np.ndarray | None:
-        """The dense array of a filled matrix, derived once; None otherwise."""
-        n, csr = self.n, self._csr
-        if not self.filled:
-            return None
-        if self._dense is None:
-            if csr.nnz == n * n:
-                # sorted full rows: the CSR's data is the array, row-major
-                self._dense = csr.data.reshape(n, n)
-            else:
-                self._dense = csr.toarray()
-                self._dense.setflags(write=False)
-        return self._dense
 
     @property
     def nnz(self) -> int:
@@ -242,11 +203,10 @@ class SparseSymMatrix:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[0] != self.n:
             raise DimensionMismatchError(f"matvec: expected leading dim {self.n}, got {x.shape[0]}")
-        a = self._filled_array()
-        return self._csr @ x if a is None else dense_matvec(a, x)
+        return self._csr @ x
 
     def matvec_add(self, x: np.ndarray, out: np.ndarray) -> None:
-        """out += A @ x in place, through the CSR kernel whatever the fill.
+        """out += A @ x in place, through the CSR kernel.
 
         x and out are C-contiguous float64 arrays of one shape, a vector or
         an (n, k) block; see the module docstring for the kernel.
@@ -333,17 +293,8 @@ def identity_minus_scaled(c: float, m: SparseSymMatrix) -> SparseSymMatrix:
 
 
 def square(x: SparseSymMatrix) -> SparseSymMatrix:
-    """Return X @ X, dense with its upper triangle mirrored when X is filled."""
-    a = x._filled_array()
-    if a is None:
-        return SparseSymMatrix._from_scipy(x._csr @ x._csr)
-    sq = a @ a
-    full = np.triu(sq) + np.triu(sq, 1).T
-    n = x.n
-    # the CSR of full rows, built without a scan; _store drops its zeros
-    return SparseSymMatrix._from_scipy(sp.csr_matrix(
-        (full.ravel(), np.tile(np.arange(n), n), np.arange(0, n * n + 1, n)),
-        shape=(n, n)))
+    """Return X @ X."""
+    return SparseSymMatrix._from_scipy(x._csr @ x._csr)
 
 
 def blend(x: SparseSymMatrix, y: SparseSymMatrix, wx: float = 0.5, wy: float = 0.5) -> SparseSymMatrix:

@@ -53,7 +53,7 @@ def empty_level_container(n, d):
         "eps_schedule": [0.1] * d + [0.5 - 0.1 * d], "lambdas": [0.5] * (d + 1),
         "polys": [{"s": 0.5, "t": 0, "delta": 0.5, "eps": 0.1,
                    "certificate": "series", "bound": 0.1}] * d,
-        "refinement": None, "meta": {},
+        "terminal": False, "refinement": None, "meta": {},
     }
     blocks = ([json.dumps(header).encode("utf-8")] + [b""] * (3 * d)
               + [np.ones(1).tobytes()] * d)

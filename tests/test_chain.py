@@ -175,16 +175,27 @@ def test_budget_overrun_raises():
         build_chain(split, -1.0, 0.5, SparsifyParams(eps=1.0, mode="exact"))
 
 
-def test_schedule_sums_to_eps_total(grid9):
-    split, op = exact_chain_op(grid9, -1.0, 0.5)
-    chain = op.chain
-    assert chain.eps_total == pytest.approx(sum(chain.eps_schedule), abs=0)
-    assert len(chain.eps_schedule) == chain.d + 1
-    assert len(chain.levels) == len(chain.polys) == chain.d
-    # the dropped terminal level is the one the last radius and nnz describe
-    terminal = terminal_level(chain, SparsifyParams(eps=1.0, mode="exact"))
-    assert terminal.nnz == chain.reports[-1].nnz_out
-    assert chain.lambdas[-1] == 1.0 - nonneg_spectral_radius(terminal)
+def test_schedule_sums_to_eps_total():
+    # grid9's X_d fills, and the chain keeps it; path32's does not
+    for m, filled in ((grid2d(3), True), (path_graph(32), False)):
+        split, op = exact_chain_op(m, -1.0, 0.5)
+        chain = op.chain
+        assert chain.eps_total == pytest.approx(sum(chain.eps_schedule), abs=0)
+        assert len(chain.eps_schedule) == chain.d + 1
+        assert len(chain.levels) == len(chain.polys) == chain.d
+        # the terminal level is the one the last gap and nnz describe
+        terminal = terminal_level(chain, SparsifyParams(eps=1.0, mode="exact"))
+        assert terminal.nnz == chain.reports[-1].nnz_out
+        assert terminal.filled is filled is (chain.terminal is not None)
+        if not filled:
+            assert chain.lambdas[-1] == 1.0 - nonneg_spectral_radius(terminal)
+            continue
+        # F = (I - X_d)^{-1/2}, the gap read from its eigenvalues
+        a = np.eye(m.n) - terminal.to_dense()
+        assert chain.lambdas[-1] == pytest.approx(np.linalg.eigvalsh(a)[0], rel=1e-12)
+        f = chain.terminal
+        assert loewner_check(f @ f.T, np.linalg.inv(a), chain.eps_schedule[-1]).passed
+        assert chain.eps_schedule[-1] < 1e-12
 
 
 FIT_INPUTS = {
@@ -202,7 +213,7 @@ def test_level_polynomials_fit_the_measured_radius(name, p):
     split, op = exact_chain_op(m, p, eps)
     chain = op.chain
     # the budget is the unchanged one: eps / (8 d_max) per level, then the
-    # terminal gap, with lambdas the measured 1 - rho(X_i)
+    # terminal's error, with lambdas the measured 1 - rho(X_i)
     eps_level = eps / (8.0 * max(chain_length_bound(split.kappa_bound, eps), 1))
     assert chain.eps_schedule[:-1] == (eps_level,) * chain.d
     assert chain.eps_total == sum(chain.eps_schedule)
@@ -217,8 +228,9 @@ def test_level_polynomials_fit_the_measured_radius(name, p):
         assert poly.bound <= -math.expm1(-eps_level)
         # never dearer than the binomial series at that delta
         assert poly.t <= degree_for(-p / 2.0, poly.delta, eps_level)
-    # the radii fall level by level, and the degrees with them
-    assert chain.polys[-1].t < chain.polys[0].t
+    # the radii fall level by level, and the degrees with them; a chain
+    # that ends at its first filled level may keep one degree throughout
+    assert all(a.t >= b.t for a, b in zip(chain.polys, chain.polys[1:]))
 
 
 @pytest.mark.parametrize("p", [-0.5, 0.5])
@@ -232,12 +244,29 @@ def test_fitted_direct_chain_certifies_on_an_expander(p):
 
 
 def test_expander_chain_keeps_its_shape():
-    # the fractional_chain benchmark's chain: its top two levels are filled
-    # (78% and 100% of n^2) and multiply densely
+    # the fractional_chain benchmark's chain: X_3 holds 78% of n^2, so the
+    # chain ends there, in the dense factor F = (I - X_3)^{1/4}
     m = random_regular(512, 3, seed=1)
     chain = build_chain(normalize(m, validate_sddm(m)), -0.5, 0.3)
-    assert [x.full_nnz for x in chain.levels] == [2048, 5102, 22690, 203634, 262144]
-    assert [poly.t for poly in chain.polys] == [3, 2, 2, 2, 2]
+    assert [x.full_nnz for x in chain.levels] == [2048, 5102, 22690]
+    assert [poly.t for poly in chain.polys] == [3, 2, 2]
+    assert chain.terminal.shape == (512, 512)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fractional_chain_certifies_against_the_dense_spectrum(seed):
+    # the fractional_chain benchmark's operator: the log-eigenvalues of
+    # M^{1/4} C C^T M^{1/4} lie within 2 eps_total, the tolerance the
+    # benchmark's factor check applies
+    m = random_regular(512, 3, seed=seed)
+    op = chain_operator(split_of(m), build_chain(split_of(m), -0.5, 0.3))
+    assert op.chain.d == 3 and op.chain.terminal is not None
+    assert op.chain.eps_total < 0.01
+    w, u = np.linalg.eigh(m.to_dense())
+    quarter = (u * w ** 0.25) @ u.T
+    c = quarter @ op.as_dense()
+    logs = np.log(np.linalg.eigvalsh(c @ c.T))
+    assert np.max(np.abs(logs)) <= 2.0 * op.chain.eps_total, np.max(np.abs(logs))
 
 
 def test_chain_requires_d_plus_one_lambdas(grid9):
@@ -312,28 +341,21 @@ def test_apply_rejects_wrong_dimension(grid9):
         op.apply(np.ones(5))
 
 
-# ------------------------------------------------------------ folded suffix
+# ------------------------------------------------------------ terminal factor
 
 
 def crude_op(m, t):
     """refine_by_cost's crude p = -1 factor of m at level degree t."""
     split = split_of(m)
     squarings = list(chain_module._squarings(split, chain_module.CRUDE_EPS, None))
-    return chain_module._crude_factor(split, squarings, t)
+    top = chain_module._terminal(*squarings[-1][:2], -1.0)
+    return chain_module._crude_factor(split, squarings, t, top)
 
 
-def level_by_level(op, v, transpose=False):
-    """op applied to v one level at a time, as if nothing were folded."""
-    ch = op.chain
-    for i in (range(ch.d) if transpose else range(ch.d - 1, -1, -1)):
-        v = apply_operator_poly(ch.polys[i], ch.levels[i], (1.0, 0.5), v)
-    return op.out_scale * v
-
-
-FOLDED = {
-    # the top two levels fill, at degrees 2 and 2
+TERMINAL = {
+    # X_2 fills: the chain ends in F = (I - X_2)^{1/4}
     "direct_expander": lambda: exact_chain_op(random_regular(128, 3, seed=0), -0.5, 0.3)[1],
-    # levels 3 to 20 of a nearly singular grid fill, at degree 2 each
+    # X_3 of a nearly singular grid fills: F = (I - X_3)^{-1/2}
     "crude_grid": lambda: crude_op(grid2d(8, slack=1e-3), 2),
 }
 
@@ -350,13 +372,11 @@ def assert_columns_do_not_depend_on_block_width(op):
             assert np.array_equal(blocks.view(np.uint64), wide), k
 
 
-@pytest.mark.parametrize("name", sorted(FOLDED))
-def test_folded_columns_do_not_depend_on_block_width(name):
+@pytest.mark.parametrize("name", sorted(TERMINAL))
+def test_terminal_columns_do_not_depend_on_block_width(name):
     # the sampler's prefix contract: a column's bits do not depend on its block
-    op = FOLDED[name]()
-    assert op.dense_suffix >= 2
-    # after the fold no product reads the folded levels' dense arrays
-    assert all(x._dense is None for x in op.chain.levels[-op.dense_suffix:])
+    op = TERMINAL[name]()
+    assert op.chain.terminal is not None and op.chain.d >= 2
     assert_columns_do_not_depend_on_block_width(op)
 
 
@@ -374,37 +394,34 @@ def test_csr_clenshaw_columns_do_not_depend_on_block_width(name):
     # contract holds for sparse levels too
     op = CSR_CLENSHAW[name]()
     if op.refinement is None:
-        assert op.dense_suffix == 0 and max(q.t for q in op.chain.polys) >= 2
+        assert op.chain.terminal is None and max(q.t for q in op.chain.polys) >= 2
     else:
         assert op.chain.d == 0 and op.poly.t >= 2
     assert_columns_do_not_depend_on_block_width(op)
 
 
-@pytest.mark.parametrize("name", sorted(FOLDED))
-def test_folded_operator_matches_the_level_by_level_product(name):
-    op = FOLDED[name]()
-    x = np.random.default_rng(8).standard_normal((op.chain.n, 9))
-    c = level_by_level(op, np.eye(op.chain.n))
-    for transpose, f, dense in ((False, op.apply, c), (True, op.apply_transpose, c.T)):
-        err = np.abs(f(x) - level_by_level(op, x, transpose))
-        assert np.all(err <= 1e-13 * (np.abs(dense) @ np.abs(x)))
-
-
-@pytest.mark.parametrize("build", [
-    # no level of a path's chain fills
-    lambda: exact_chain_op(path_graph(64), -0.5, 0.3)[1],
-    # one filled top level at degree 1: the fold would save nothing
-    lambda: crude_op(random_regular(128, 3, seed=0), 1),
-], ids=["no_filled_level", "degree_sum_one"])
-def test_no_fold_without_two_filled_degrees(build):
-    op = build()
+@pytest.mark.parametrize("name", sorted(TERMINAL))
+def test_terminal_factor_is_the_exact_power(name):
+    # F F^T = (I - X_k)^p within F's rounding allowance, the terminal entry
+    # of eps_schedule, for the filled level X_k the squaring stopped at
+    op = TERMINAL[name]()
     ch = op.chain
-    filled = [x.filled for x in ch.levels]
-    assert op.dense_suffix == 0 and op._folded is None
-    assert not any(filled) or (filled[-1] and ch.polys[-1].t == 1 and not filled[-2])
-    x = np.random.default_rng(9).standard_normal((ch.n, 5))
-    assert np.array_equal(op.apply(x), level_by_level(op, x))
-    assert np.array_equal(op.apply_transpose(x), level_by_level(op, x, True))
+    x_k = sparsify_square_step(ch.levels[-1], SparsifyParams(eps=1.0, mode="exact"))[0]
+    assert x_k.filled and x_k.nnz == ch.reports[-1].nnz_out
+    f = ch.terminal
+    assert 0.0 < ch.eps_schedule[-1] < 1e-9
+    res = loewner_check(f @ f.T, dense_power(np.eye(ch.n) - x_k.to_dense(), ch.p),
+                        ch.eps_schedule[-1])
+    assert res.passed, res.eps_measured
+    # apply multiplies by F first, apply_transpose by F^T last
+    x = np.random.default_rng(8).standard_normal((ch.n, 3))
+    w = f @ x
+    for i in range(ch.d - 1, -1, -1):
+        w = apply_operator_poly(ch.polys[i], ch.levels[i], (1.0, 0.5), w)
+    scale = np.abs(w).max() * op.out_scale
+    assert np.abs(op.apply(x) - op.out_scale * w).max() <= 1e-12 * scale
+    c = op.as_dense()
+    assert np.abs(op.apply_transpose(np.eye(ch.n)) - c.T).max() <= 1e-12 * np.abs(c).max()
 
 
 # -------------------------------------------------------------- edge factor
@@ -503,7 +520,9 @@ def test_refinement_tightens_crude_chain():
 
 
 def test_refinement_degree_tracks_log_eps():
-    m = grid2d(4)
+    # path32's crude chain drops its terminal level, whose radius spreads
+    # Z^T M Z; a chain ending in F leaves almost nothing to refine
+    m = path_graph(32)
     _, crude = exact_chain_op(m, -1.0, 1.0)
     degrees = []
     for eps in (1e-2, 1e-4, 1e-6, 1e-8):
@@ -612,14 +631,15 @@ def at_level_degree(crude, t):
     """The built crude chain with every level polynomial at degree t.
 
     These are the candidates of the exhaustive rule below: at t = 0 the
-    chain keeps no level and its gap is X_0's, and at t >= 1 each level
-    records the sandwich bound of its degree at delta = 1/2.
+    chain keeps no level and no terminal factor and its gap is X_0's, and
+    at t >= 1 each level records the sandwich bound of its degree at
+    delta = 1/2.
     """
     ch = crude.chain
     if t == 0:
         gap = max(0.0, -math.log(ch.lambdas[0]))
         chain = replace(ch, levels=(), polys=(), d=0, eps_schedule=(gap,),
-                        eps_total=gap, lambdas=ch.lambdas[:1], reports=())
+                        eps_total=gap, lambdas=ch.lambdas[:1], reports=(), terminal=None)
     else:
         poly = crude_level_poly(t)
         schedule = (poly.eps,) * ch.d + ch.eps_schedule[-1:]
@@ -674,8 +694,10 @@ def test_cost_rule_stores_what_the_exhaustive_rule_stores(name, eps):
         exhaustive_rule(m, split, eps, sp))
 
 
-def test_prepare_stops_squaring_once_no_deeper_factor_can_win(monkeypatch):
-    calls = {"square": 0, "radius": 0, "refine": 0}
+def assert_squaring_stops(monkeypatch, m, calls_made, pruned_at):
+    """prepare on m makes calls_made and stores depth 0, pruned once X_0 ..
+    X_pruned_at, a filled level counted as n^2, cost as much as depth 0."""
+    calls = dict.fromkeys(calls_made, 0)
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -689,27 +711,43 @@ def test_prepare_stops_squaring_once_no_deeper_factor_can_win(monkeypatch):
                         counted("radius", nonneg_spectral_radius))
     monkeypatch.setattr(chain_module, "refine_inverse_factor",
                         counted("refine", refine_inverse_factor))
-    m = grid2d(16, slack=1e-2)
+    monkeypatch.setattr(chain_module, "_terminal", counted("terminal", chain_module._terminal))
     op = prepared_operator(m)
-    # one radius per level, X_0's serving depth 0 too, and one refinement:
-    # the whole crude chain would square 15 levels and refine twice
-    assert calls == {"square": 5, "radius": 6, "refine": 1}
+    assert calls == calls_made
     assert op.chain.d == 0
-    # X_5, not terminal and so a level of every t >= 1 candidate, was the
-    # last squaring: with it X_0 .. X_5 hold as many entries as depth 0
-    # costs, and X_0 .. X_4 did not
     monkeypatch.undo()
-    nnz = np.cumsum([x.full_nnz for x in build_chain(split_of(m), -1.0, 1.0).levels])
-    assert nnz[4] < flops_per_sample(op) <= nnz[5]
+    levels = [x for x, _, _ in itertools.islice(
+        chain_module._squarings(split_of(m), chain_module.CRUDE_EPS, None), pruned_at + 1)]
+    cost = [x.n ** 2 if x.filled else x.full_nnz for x in levels]
+    assert sum(cost[:-1]) < flops_per_sample(op) <= sum(cost)
+    return levels
+
+
+def test_prepare_stops_squaring_once_no_deeper_factor_can_win(monkeypatch):
+    # one radius per level, X_0's serving depth 0 too, and one refinement:
+    # X_2, sparse and not terminal, was the last squaring, since with it
+    # X_0 .. X_2 hold as many entries as depth 0 costs and X_0 .. X_1 did not
+    levels = assert_squaring_stops(
+        monkeypatch, grid2d(32), {"square": 2, "radius": 3, "refine": 1, "terminal": 0}, 2)
+    assert not levels[-1].filled
+
+
+def test_prepare_stops_at_a_filled_level_without_forming_its_factor(monkeypatch):
+    # X_6 fills: X_0 .. X_5 and X_6's factor, n^2, cost as much as depth 0,
+    # so no factor is formed, and X_6 needs no radius
+    levels = assert_squaring_stops(
+        monkeypatch, path_graph(128, slack=1e-2),
+        {"square": 6, "radius": 6, "refine": 1, "terminal": 0}, 6)
+    assert levels[-1].filled
 
 
 def test_prepare_picks_depth_zero_on_ill_conditioned_grid():
-    # kappa about 800: the Chebyshev degree grows like sqrt(kappa), so a
-    # polynomial in M alone beats the 15-level chain at degree 1
+    # kappa about 800: the Chebyshev degree grows like sqrt(kappa), yet a
+    # polynomial in M alone beats the chain of 4 levels and F at degree 1
     m = grid2d(16, slack=1e-2)
     op = prepared_operator(m)
     built = build_chain(split_of(m), -1.0, 1.0)
-    assert built.d == 15
+    assert built.d == 4 and built.terminal is not None
     assert op.chain.d == 0 and level_degree(op) == 0
     assert op.info.certificate == "truncation"
     at_one = refine_inverse_factor(m, at_level_degree(chain_operator(split_of(m), built), 1),
@@ -719,6 +757,40 @@ def test_prepare_picks_depth_zero_on_ill_conditioned_grid():
     # certificate of this operator is test_prepared_operator_certifies_densely
     assert op.chain.eps_schedule == (op.chain.eps_total,)
     assert op.chain.lambdas == built.lambdas[:1]
+
+
+def test_prepare_ends_an_ill_conditioned_grid_in_a_dense_factor():
+    # kappa about 7.9e6: depth 0 would pass MAX_DEGREE, and the crude chain
+    # ends at its first filled level, X_4, in F = (I - X_4)^{-1/2}
+    m = grid2d(16, slack=1e-6)
+    op = prepared_operator(m)
+    assert op.chain.d <= 5 and op.chain.terminal is not None
+    assert flops_per_sample(op) == op.info.degree * (
+        2 * (sum(x.full_nnz for x in op.chain.levels) + m.n ** 2) + m.full_nnz
+    ) + sum(x.full_nnz for x in op.chain.levels) + m.n ** 2
+    c = op.as_dense()
+    res = loewner_check(c @ c.T, dense_power(m.to_dense(), -1.0), 0.1 / REFINE_SHARE)
+    assert res.passed, res.eps_measured
+
+
+def test_depth_zero_without_a_gap_is_scored_infinite(monkeypatch):
+    # a padded radius of X_0 at or above 1 leaves depth 0 no gap: it raises
+    # a typed error, which refine_by_cost scores as an infinite cost
+    m = grid2d(8)
+    split = split_of(m)
+    radii = iter([1.0 + 1e-3])
+    real = chain_module.nonneg_spectral_radius
+    monkeypatch.setattr(chain_module, "nonneg_spectral_radius",
+                        lambda x: next(radii, None) or real(x))
+    squarings = [next(chain_module._squarings(split, chain_module.CRUDE_EPS, None))]
+    assert squarings[0][1] == 1.0 + 1e-3
+    with pytest.raises(SpectrumEstimateFailedError, match="no gap"):
+        chain_module._crude_factor(split, squarings, 0)
+    radii = iter([1.0 + 1e-3])
+    op = refine_by_cost(m, split, 0.1 / REFINE_SHARE)
+    assert op.chain.d >= 1 and op.chain.lambdas[0] == 1.0 - (1.0 + 1e-3)
+    c = op.as_dense()
+    assert loewner_check(c @ c.T, dense_power(m.to_dense(), -1.0), 0.1 / REFINE_SHARE).passed
 
 
 RULE_INPUTS = {

@@ -185,15 +185,17 @@ def test_factor_reports_flops_of_a_direct_chain(tmp_path, grid_file, flags, p):
     split = normalize(m, validate_sddm(m))
     op = chain_operator(split, build_chain(split, p, 0.3, SparsifyParams(eps=1.0)))
     chain = json.loads(rep.read_text())["chain"]
-    # one apply of the direct chain per sample: sum_i t_i nnz(X_i)
+    # one apply of the direct chain per sample: sum_i t_i nnz(X_i), and n^2
+    # for the dense factor its filled X_d is kept as
+    assert chain["dense_terminal_level"] == chain["d"] == op.chain.d
     assert chain["flops_per_sample"] == flops_per_sample(op) == sum(
-        t * nnz for t, nnz in zip(chain["poly_degrees"], chain["level_nnz"])) > 0
+        t * nnz for t, nnz in zip(chain["poly_degrees"], chain["level_nnz"])) + 16 * 16
     assert flops_per_sample(load_operator(out)[0]) == flops_per_sample(op)
     assert "chosen_degree" not in chain
 
 
-def test_factor_reports_the_dense_suffix(tmp_path):
-    # an expander's top levels fill, and a direct chain multiplies them as one
+def test_factor_reports_the_dense_terminal(tmp_path):
+    # an expander's levels fill: a direct chain ends at the first filled one
     mfile, out, rep = tmp_path / "m.mtx", tmp_path / "op.fcop", tmp_path / "r.json"
     assert main(["gen", "--kind", "random_regular", "--size", "64", "--seed", "2",
                  "--out", str(mfile)]) == 0
@@ -201,10 +203,22 @@ def test_factor_reports_the_dense_suffix(tmp_path):
                  "--out", str(out), "--report", str(rep)]) == 0
     chain = json.loads(rep.read_text())["chain"]
     op, _ = load_operator(out)
-    k = chain["d"] - chain["dense_suffix"]
-    assert chain["dense_suffix"] == op.dense_suffix >= 2
-    filled = [2 * nnz >= 64 * 64 for nnz in chain["level_nnz"]]
-    assert all(filled[k:]) and not filled[k - 1]
+    assert "dense_suffix" not in chain
+    assert chain["dense_terminal_level"] == chain["d"] == op.chain.d == 2
+    assert op.chain.terminal.shape == (64, 64)
+    assert not any(2 * nnz >= 64 * 64 for nnz in chain["level_nnz"])
+
+
+def test_factor_and_check_a_refined_chain_that_ends_in_a_dense_factor(tmp_path):
+    # kappa about 7.9e6: factor --eps 0.0125 stores prepare(field, 0.1)'s
+    # operator, at most 5 sparse levels and F, and check certifies it at 0.1
+    mfile, out, rep = tmp_path / "m.mtx", tmp_path / "op.fcop", tmp_path / "r.json"
+    write_matrix(mfile, grid2d(16, slack=1e-6))
+    assert main(["factor", str(mfile), "--eps", str(0.1 / REFINE_SHARE),
+                 "--out", str(out), "--report", str(rep)]) == 0
+    chain = json.loads(rep.read_text())["chain"]
+    assert chain["d"] <= 5 and chain["dense_terminal_level"] == chain["d"]
+    assert main(["check", str(mfile), str(out), "--eps", "0.1"]) == 0
 
 
 def test_factor_report_lists_merge_attempts(tmp_path, grid_file):
@@ -394,6 +408,12 @@ def test_sample_schema_8_container_exit_2(tmp_path, grid_file, capsys):
     assert "unsupported schema 8" in capsys.readouterr().err
 
 
+def test_sample_schema_9_container_exit_2(tmp_path, grid_file, capsys):
+    # schema 9 kept squaring a chain's filled levels and stored no dense factor
+    assert sample_with_schema(tmp_path, grid_file, 9) == 2
+    assert "unsupported schema 9" in capsys.readouterr().err
+
+
 def test_sample_container_smaller_than_its_n_exit_2(tmp_path, capsys):
     bad = tmp_path / "big.fcop"
     bad.write_bytes(empty_level_container(10**7, d=1))
@@ -581,7 +601,7 @@ def test_factor_writes_the_library_operator(tmp_path, gremban):
     assert chain["lambdas"] == list(op.chain.lambdas)
     assert chain["chosen_degree"] == 0
     assert chain["flops_per_sample"] == flops_per_sample(op)
-    assert chain["dense_suffix"] == 0
+    assert chain["dense_terminal_level"] is None
 
 
 def test_sample_skips_the_resistance_solver(tmp_path, grid_file):

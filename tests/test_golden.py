@@ -4,9 +4,17 @@ Each case pins the SHA-256 of a serialized operator and of the raw bytes
 of a sample batch.  A change to the sparse arithmetic, the chain or the
 colouring that moves a single bit of output fails here; an intended
 output change updates the hashes together with a format note.
+
+LAPACK's eigh gives other bits at two BLAS threads than at one from n =
+256 on, so a chain ending in a dense factor that large is built, and
+pinned, in a process held to one BLAS thread; sampling a stored
+container does not depend on the thread count.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -54,34 +62,30 @@ def direct_prepared():
                            mean=np.zeros(m.n), eps=op.chain.eps_total)
 
 
-# Format note, container schema 9: the layout is that of schemas 6 to 8,
-# in which every level polynomial is stored in Chebyshev form.  Each
-# Clenshaw degree now sets c_k v - b_2 first and adds 2U b_1 into it, with
-# U = g X + h I; past the first degree a sparse matrix adds its product
-# through 2U, its shift merged into the CSR.  That rounds differently from
-# scaling a product of X, then adding the shift and c_k v - b_2, both for
-# sparse levels and for the direct chain's folded dense product.  Every
-# case applies a polynomial of degree at least 2, so all three sample
-# hashes changed; no stored value did, and each operator moved only by the
-# header's schema digit.
+# Format note, container schema 10: a chain ends at its first filled level,
+# kept as the dense factor F = (I - X_k)^{p/2} stored after the levels, and
+# the header gained "terminal".  The direct chain on random_regular(64, 3)
+# now stores X_0 and X_1 and F (X_2 fills) where it stored four levels, so
+# both of its hashes changed.  The two refined cases store the same depth-0
+# operators: their containers moved by the schema digit and the header's
+# "terminal": false, and their samples kept every bit.
 GOLDEN = {
     "grid2d_8": (
         grid_prepared,
-        "69697647be6549b1a98ccc10238fe145394a873a304bef2a6846a2881f9ee03a",
+        "8974b707596bac8d03e26eb748e5f8347c880198294dd416dd0950893f9c5456",
         "278e7a8d3eb111eff8ee7251fa9c88411aaa76d8dca1962725acefdbcf20af45",
     ),
     "lifted_sdd_mixed_24": (
         lifted_prepared,
-        "ce2834c1a6c6903de13ee48798e184e25052b2deaa8bc1fcbc615997a5719a01",
+        "c1d64eb1f647c0d4a308f78baa9a7d81e5255831bec4423f08af74168fd96765",
         "61b49f76cc1490e8a36e16b5066ca0a46ac7664a5028094cab4c0aac1c3e6801",
     ),
     "direct_p_half_random_regular_64": (
         direct_prepared,
-        "d36914c5c16ac7094996dd2d3be4cc7dfc607786efb3dcf3dcae227115ab1d4b",
-        "cd14817248e2a59fba01975aef82a827350d8b35afbe4b6c1fa62fcebb43d802",
+        "1830eaad9e732ee77019f302266746ba3e7a2d2225ad3f14079ff9db54f6dd55",
+        "c6c548f52c051d8f0bc0ed7defba609c8af19189d2747e72b341f974c7ee81aa",
     ),
 }
-
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_operator_and_sample_bytes_are_pinned(name):
@@ -99,3 +103,54 @@ def test_sampled_square_step_bytes_are_pinned():
     xt, _ = sparsify_square_step(x, params)
     assert sha(write_matrix_string(xt).encode("utf-8")) == (
         "1b99bd042b64db4f122c48399fbfb0d9a6715c63000d299c10b16b97e2a0ad3b")
+
+
+# the fractional_chain benchmark's operator, random_regular(512, 3) at
+# p = -1/2: three sparse levels and F = (I - X_3)^{1/4}, 512 x 512; built
+# here, or loaded from the container named by the first argument
+_FRACTIONAL = """
+import hashlib, sys
+import numpy as np
+import factorchain as fc
+m = fc.random_regular(512, 3)
+if len(sys.argv) > 1:
+    op, _ = fc.load_operator(sys.argv[1])
+else:
+    split = fc.normalize(m, fc.validate_sddm(m))
+    op = fc.chain_operator(split, fc.build_chain(split, -0.5, 0.3))
+prep = fc.PreparedSampler(field=fc.make_field(m), operator=op, mean=np.zeros(m.n),
+                          eps=op.chain.eps_total)
+print(hashlib.sha256(fc.operator_bytes(op)).hexdigest())
+print(hashlib.sha256(fc.sample(prep, 7, seed=11).samples.tobytes()).hexdigest())
+"""
+
+
+def pinned_run(threads, *args):
+    """stdout words of _FRACTIONAL in a fresh process held to threads BLAS threads."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+           **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                            "MKL_NUM_THREADS"), str(threads))}
+    proc = subprocess.run([sys.executable, "-c", _FRACTIONAL, *args], env=env,
+                          check=True, capture_output=True, text=True)
+    return proc.stdout.split()
+
+
+def test_dense_terminal_bytes_are_pinned_at_one_thread():
+    assert pinned_run(1) == [
+        "917af933696d937ad1715a174ae9fa72c825ac6c7bea9f7a5ec70e455b632393",
+        "af78295e98559b0b3defe33d37ef71094edb16e3f99202c63503d4eb6f90552c",
+    ]
+
+
+def test_sampling_a_stored_container_does_not_depend_on_the_thread_count(tmp_path):
+    # a container built at this process's thread count is read back at one
+    # and at two BLAS threads: F and the levels keep their bytes, and so
+    # does every sample
+    m = random_regular(512, 3)
+    split = normalize(m, validate_sddm(m))
+    blob = operator_bytes(chain_operator(split, build_chain(split, -0.5, 0.3)))
+    path = tmp_path / "frac.fcop"
+    path.write_bytes(blob)
+    one = pinned_run(1, str(path))
+    assert one[0] == hashlib.sha256(blob).hexdigest()
+    assert pinned_run(2, str(path)) == one

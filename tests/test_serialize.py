@@ -126,7 +126,7 @@ def test_layout_is_header_then_raw_arrays():
     _, _, refined = make_ops()
     blocks = blocks_of(operator_bytes(refined))
     header = json.loads(blocks[0])
-    assert header["schema"] == SCHEMA == 9
+    assert header["schema"] == SCHEMA == 10
     chain = refined.chain
     levels = [blocks[1 + 3 * i:4 + 3 * i] for i in range(chain.d)]
     levels.append(blocks[-4:-1])  # the refinement matrix
@@ -135,16 +135,35 @@ def test_layout_is_header_then_raw_arrays():
         assert np.array_equal(np.frombuffer(rows, "<i4"), r)
         assert np.array_equal(np.frombuffer(cols, "<i4"), c)
         assert np.frombuffer(vals, "<f8").tobytes() == v.tobytes()
-    assert len(blocks) == 1 + 3 * chain.d + chain.d + 4
+    # X_1 of this crude chain fills: the levels are followed by F, n x n
+    # row-major
+    assert header["terminal"] is True and chain.d == 1
+    assert blocks[1 + 3 * chain.d] == chain.terminal.astype("<f8").tobytes()
+    assert len(blocks) == 1 + 3 * chain.d + 1 + chain.d + 4
     # the refinement's last block holds its Chebyshev coefficients
     assert np.frombuffer(blocks[-1], "<f8").tobytes() == refined.poly.coeffs.tobytes()
     assert header["refinement"]["certificate"] == refined.poly.certificate
     # each level polynomial's block holds its Chebyshev coefficients
-    for q, raw in zip(chain.polys, blocks[1 + 3 * chain.d:-4]):
+    for q, raw in zip(chain.polys, blocks[2 + 3 * chain.d:-4]):
         assert np.frombuffer(raw, "<f8").tobytes() == q.coeffs.tobytes()
     assert header["polys"] == [{"s": q.s, "t": q.t, "delta": q.delta, "eps": q.eps,
                                 "certificate": q.certificate, "bound": q.bound}
                                for q in chain.polys]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda f: f[:-8],
+    lambda f: f + f[:8],
+    lambda f: np.where(np.arange(len(f) // 8) == 3, np.nan,
+                       np.frombuffer(f, "<f8")).astype("<f8").tobytes(),
+], ids=["short", "long", "non_finite"])
+def test_malformed_terminal_factor_rejected(edit):
+    # F is validated by its exact length, 8 n^2 bytes, and its values
+    _, crude, _ = make_ops()
+    blocks = blocks_of(operator_bytes(crude))
+    blocks[4] = edit(blocks[4])
+    with pytest.raises(SerializationError):
+        operator_from_bytes(container(blocks))
 
 
 def without(record, key):
@@ -167,10 +186,14 @@ def without(record, key):
     lambda h: {**h, "refinement": without(h["refinement"], "scale")},
     lambda h: {**h, "refinement": {**h["refinement"], "certificate": "taylor"}},
     lambda h: {**h, "refinement": without(h["refinement"], "certificate")},
+    lambda h: {**h, "terminal": 1},
+    lambda h: {**h, "terminal": False},
+    lambda h: without(h, "terminal"),
 ], ids=["missing_d", "list", "d_string", "d_bool", "negative_n", "extra_field",
         "lambda_string", "lambda_count", "poly_record", "poly_certificate",
         "poly_delta_zero", "degree_float", "missing_scale",
-        "unknown_certificate", "missing_certificate"])
+        "unknown_certificate", "missing_certificate", "terminal_int",
+        "terminal_false_with_its_block", "missing_terminal"])
 def test_malformed_header_rejected(edit):
     _, _, refined = make_ops()
     blocks = blocks_of(operator_bytes(refined))
@@ -259,6 +282,15 @@ def test_schema_8_container_rejected():
     blocks = blocks_of(operator_bytes(refined))
     blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": 8}).encode("utf-8")
     with pytest.raises(SerializationError, match="unsupported schema 8"):
+        operator_from_bytes(container(blocks))
+
+
+def test_schema_9_container_rejected():
+    # schema 9 had no terminal factor: a chain kept squaring its filled levels
+    _, _, refined = make_ops()
+    blocks = blocks_of(operator_bytes(refined))
+    blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": 9}).encode("utf-8")
+    with pytest.raises(SerializationError, match="unsupported schema 9"):
         operator_from_bytes(container(blocks))
 
 

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -34,6 +33,7 @@ from factorchain.sparse import (
     LANCZOS_MAX_STEPS,
     SpectrumBounds,
     blend,
+    dense_matvec,
     identity,
     identity_minus_scaled,
     nonneg_spectral_radius,
@@ -451,14 +451,17 @@ def _bits(a):
 
 @pytest.mark.parametrize("n", [63, 64, 257])
 def test_dense_block_columns_do_not_depend_on_block_width(n):
-    m = _filled(n, seed=n)
+    # a chain's terminal factor and its transpose view, as apply and
+    # apply_transpose multiply them
+    a = np.random.default_rng(n).standard_normal((n, n))
     x = np.random.default_rng(n + 1).standard_normal((n, 128))
-    wide = m.matvec(x)
-    for k in [*range(1, 18), 64, 127]:
-        assert np.array_equal(_bits(m.matvec(x[:, :k])), _bits(wide[:, :k])), k
-    # a vector takes the padded path of a one-column block
-    v = m.matvec(x[:, 0])
-    assert v.shape == (n,) and np.array_equal(_bits(v), _bits(wide[:, 0]))
+    for f in (a, a.T):
+        wide = dense_matvec(f, x)
+        for k in [*range(1, 18), 64, 127]:
+            assert np.array_equal(_bits(dense_matvec(f, x[:, :k])), _bits(wide[:, :k])), k
+        # a vector takes the padded path of a one-column block
+        v = dense_matvec(f, x[:, 0])
+        assert v.shape == (n,) and np.array_equal(_bits(v), _bits(wide[:, 0]))
 
 
 @pytest.mark.parametrize("n", [63, 64, 257])
@@ -468,7 +471,7 @@ def test_dense_product_is_within_rounding_of_the_csr_product(n):
     dense = m.to_dense()
     # a forward error bound of either sum: 1e-13 of sum_j |a_ij x_j|
     scale = np.abs(dense) @ np.abs(x)
-    assert np.all(np.abs(m.matvec(x) - m.to_scipy() @ x) <= 1e-13 * scale)
+    assert np.all(np.abs(dense_matvec(dense, x) - m.matvec(x)) <= 1e-13 * scale)
 
 
 def test_fill_rule_is_half_of_n_squared():
@@ -483,52 +486,9 @@ def test_fill_rule_is_half_of_n_squared():
         m = SparseSymMatrix(n, np.concatenate([np.arange(n), r[k]]),
                             np.concatenate([np.arange(n), c[k]]),
                             rng.random(n + offdiag) + 0.5)
-        assert (2 * m.full_nnz >= n * n) is filled
-        assert (m._filled_array() is not None) is filled
-        if not filled:
-            assert np.array_equal(_bits(m.matvec(x)), _bits(m.to_scipy() @ x))
-
-
-def _two_blocks(n, seed):
-    """Two dense diagonal blocks: half of n^2 entries, a square with zeros."""
-    rng = np.random.default_rng(seed)
-    a = np.zeros((n, n))
-    for lo in (0, n // 2):
-        b = rng.random((n // 2, n // 2))
-        a[lo:lo + n // 2, lo:lo + n // 2] = np.triu(b) + np.triu(b, 1).T
-    return SparseSymMatrix.from_dense(a)
-
-
-def test_dense_square_is_symmetric_with_the_sparse_pattern():
-    # two dense diagonal blocks: exactly half of n^2 entries, so filled, and
-    # the square keeps the zero off-diagonal blocks; at n = 100 a plain gemm
-    # of a symmetric matrix is not bitwise symmetric
-    m = _two_blocks(100, seed=6)
-    assert m._filled_array() is not None
-    out = square(m).to_scipy()
-    ref = m.to_scipy() @ m.to_scipy()
-    ref.sort_indices()
-    assert np.array_equal(out.indptr, ref.indptr)
-    assert np.array_equal(out.indices, ref.indices)
-    assert np.allclose(out.data, ref.data, rtol=1e-13, atol=0.0)
-    t = out.T.tocsr()
-    t.sort_indices()
-    assert np.array_equal(_bits(out.data), _bits(t.data))
-
-
-@pytest.mark.parametrize("n, full", [(63, True), (64, True), (64, False)])
-def test_full_dense_square_builds_the_csr_of_its_array(n, full):
-    # a dense square gets its full-row CSR without a scan, its zeros dropped:
-    # the same arrays as scipy's conversion of the mirrored array
-    m = _filled(n, seed=n + 3) if full else _two_blocks(n, seed=n + 3)
-    assert m.filled
-    sq = m.to_dense() @ m.to_dense()
-    ref = sp.csr_matrix(np.triu(sq) + np.triu(sq, 1).T)
-    out = square(m).to_scipy()
-    assert out.nnz == (n * n if full else n * n // 2)
-    for a, b in ((out.indptr, ref.indptr), (out.indices, ref.indices)):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert np.array_equal(_bits(out.data), _bits(ref.data))
+        assert (2 * m.full_nnz >= n * n) is filled is m.filled
+        # a filled matrix multiplies as CSR all the same
+        assert np.array_equal(_bits(m.matvec(x)), _bits(m.to_scipy() @ x))
 
 
 # ------------------------------------------------ canonical full storage
