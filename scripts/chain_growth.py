@@ -74,7 +74,7 @@ def describe(name, m, eps, mode, seed):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--eps", type=float, default=0.5)
-    ap.add_argument("--mode", choices=["auto", "exact", "sampled"], default="auto")
+    ap.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 

@@ -25,6 +25,7 @@ from .errors import (
     NotSddmError,
     SerializationError,
     SpectrumEstimateFailedError,
+    SquareTooLargeError,
     TooLargeForDenseCheckError,
     WrongExponentError,
 )

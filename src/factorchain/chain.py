@@ -51,6 +51,7 @@ from .errors import (
     NoConvergenceError,
     NotPositiveDefiniteError,
     SpectrumEstimateFailedError,
+    SquareTooLargeError,
     WrongExponentError,
     check_eps,
 )
@@ -143,7 +144,9 @@ def _squarings(split: Splitting, eps: float, sp_params: SparsifyParams | None):
     it needs no Lanczos run.  Step i squares with sp_params at eps / (8
     d_max), d_max = chain_length_bound, seeded by level i's substream;
     passing d_max by more than one level, or 3 levels whose radius does not
-    fall, raises ChainDiverged.
+    fall, raises ChainDiverged.  A step whose exact square could pass
+    sparsify.SQUARE_BYTE_CAP raises SquareTooLarge before it is formed:
+    the chain has no deeper level.
     """
     if sp_params is None:
         sp_params = SparsifyParams(eps=1.0)
@@ -364,11 +367,17 @@ class RefinedOperator:
             return apply_operator_poly(self.poly, self.matrix, (0.0, beta), v)
         return apply_operator_poly(self.poly, self._inner, (0.0, self.scale), v)
 
+    # base.apply and _poly_apply return fresh blocks, so each is scaled in
+    # place rather than copied
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return math.sqrt(self.scale) * self.base.apply(self._poly_apply(v))
+        w = self.base.apply(self._poly_apply(v))
+        w *= math.sqrt(self.scale)
+        return w
 
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
-        return math.sqrt(self.scale) * self._poly_apply(self.base.apply_transpose(v))
+        w = self._poly_apply(self.base.apply_transpose(v))
+        w *= math.sqrt(self.scale)
+        return w
 
     def as_dense(self) -> np.ndarray:
         return self.apply(np.eye(self.matrix.n))
@@ -528,7 +537,9 @@ def refine_by_cost(m: SparseSymMatrix, split: Splitting, eps: float,
     filled terminal level as its n^2 factor, so each counts into the lower
     bound L = sum nnz(X_i) (+ n^2) as soon as it arrives: when L reaches
     the best cost, no further level is squared and no terminal factor is
-    formed.  If no candidate is finite, the last failure is raised.
+    formed.  A squaring refused as SquareTooLarge means there is no deeper
+    candidate: the best finite one is returned, or the refusal raised if
+    there is none.  If no candidate is finite, the last failure is raised.
     """
     rho_stop = _rho_stop(CRUDE_EPS)
     levels = _squarings(split, CRUDE_EPS, sp_params)
@@ -549,7 +560,12 @@ def refine_by_cost(m: SparseSymMatrix, split: Splitting, eps: float,
             if last:
                 top = _terminal(x, rho, -1.0)
             else:
-                squarings.append(next(levels))
+                try:
+                    squarings.append(next(levels))
+                except SquareTooLargeError:
+                    if best is None:
+                        raise
+                    return best
         try:
             op = refine_inverse_factor(m, _crude_factor(split, squarings, t, top), eps)
             cost = flops_per_sample(op)

@@ -10,7 +10,8 @@ operator and the library produce the same bytes for the same seed and
 potential.
 
 Exit codes: 0 success, 1 numerical failure (a check that ran and did
-not certify, divergence, loss of positive definiteness), 2 invalid
+not certify, divergence, loss of positive definiteness, a level whose
+exact square would pass sparsify.SQUARE_BYTE_CAP), 2 invalid
 input (bad files, bad parameters, matrices outside the supported
 class).
 """
@@ -39,6 +40,7 @@ from .errors import (
     NotSddmError,
     SerializationError,
     SpectrumEstimateFailedError,
+    SquareTooLargeError,
     TooLargeForDenseCheckError,
     WrongExponentError,
     check_eps,
@@ -49,7 +51,6 @@ from .oracle import DENSE_CHECK_LIMIT, dense_power, loewner_check
 from .sampler import _block_columns, _color, _mean_of, _potential, write_batch_bin, write_batch_csv
 from .serialize import load_operator, save_operator
 from .sparse import gremban_lift, gremban_project, normalize, validate_sddm
-from .sparsify import SparsifyParams
 
 _INPUT_ERRORS = (
     NonSymmetricError,
@@ -68,6 +69,7 @@ _NUMERIC_ERRORS = (
     ChainDivergedError,
     NotPositiveDefiniteError,
     SpectrumEstimateFailedError,
+    SquareTooLargeError,
     NoConvergenceError,
 )
 
@@ -148,8 +150,7 @@ def cmd_gen(args) -> int:
 
 def cmd_factor(args) -> int:
     t0 = time.perf_counter()
-    p, eps, seed = args.p, args.eps, args.seed
-    exact, gremban = args.exact, args.gremban
+    p, eps, seed, gremban = args.p, args.eps, args.seed, args.gremban
     if not -1.0 <= p <= 1.0:
         raise InvalidParamsError("p must lie in [-1, 1]")
     if args.no_refine and p != -1.0:
@@ -171,14 +172,13 @@ def cmd_factor(args) -> int:
             "matrix is not SDDM; pass --gremban if it is SDD with both signs")
 
     split = normalize(target, validate_sddm(target))
-    sp = SparsifyParams(eps=1.0, seed=seed, mode="exact" if exact else "auto")
     t_build = time.perf_counter()
     if p == -1.0 and not args.no_refine:
         # levels and refinement candidates interleave: all of it is refine_s
         t_chain = t_build
-        op = refine_by_cost(target, split, eps, sp)
+        op = refine_by_cost(target, split, eps)
     else:
-        op = chain_operator(split, build_chain(split, p, eps, sp))
+        op = chain_operator(split, build_chain(split, p, eps))
         t_chain = time.perf_counter()
     t_done = time.perf_counter()
 
@@ -198,7 +198,7 @@ def cmd_factor(args) -> int:
     _write_report(args.report, {
         "command": "factor",
         "config": {"matrix": args.matrix, "p": p, "eps": eps, "seed": seed,
-                   "exact": exact, "gremban": gremban,
+                   "gremban": gremban,
                    "no_refine": args.no_refine, "out": args.out},
         "lifted": lifted,
         "n": target.n,
@@ -324,9 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("matrix", help="input matrix in Matrix Market format")
     f.add_argument("--p", type=float, default=-1.0, help="exponent in [-1, 1]")
     f.add_argument("--eps", type=float, default=0.5, help="target tolerance")
-    f.add_argument("--seed", type=int, default=0, help="random seed")
-    f.add_argument("--exact", action="store_true",
-                   help="square levels exactly instead of sparsifying")
+    f.add_argument("--seed", type=int, default=0,
+                   help="recorded in the report; factor draws no random numbers")
     f.add_argument("--gremban", action="store_true",
                    help="lift an SDD matrix with positive off-diagonals")
     f.add_argument("--no-refine", dest="no_refine", action="store_true",

@@ -57,6 +57,10 @@ class SpectrumEstimateFailedError(FactorChainError):
     """Lanczos bounds for a refinement spectrum are inconsistent."""
 
 
+class SquareTooLargeError(FactorChainError):
+    """An exact squaring could hold more bytes than sparsify.SQUARE_BYTE_CAP."""
+
+
 class WrongExponentError(FactorChainError):
     """An operation requires a factor built for a different exponent."""
 

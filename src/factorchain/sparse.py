@@ -297,6 +297,17 @@ def square(x: SparseSymMatrix) -> SparseSymMatrix:
     return SparseSymMatrix._from_scipy(x._csr @ x._csr)
 
 
+def square_entry_bound(x: SparseSymMatrix) -> int:
+    """An upper bound on nnz(X @ X), from X's pattern alone.
+
+    Row i of X X has at most sum_{k in row i} deg(k) entries, so the square
+    has at most min(n^2, that sum over all i): one gather over the CSR.
+    """
+    csr = x._csr
+    walks = int(np.diff(csr.indptr)[csr.indices].sum(dtype=np.int64))
+    return min(x.n * x.n, walks)
+
+
 def blend(x: SparseSymMatrix, y: SparseSymMatrix, wx: float = 0.5, wy: float = 0.5) -> SparseSymMatrix:
     """Return wx*X + wy*Y."""
     if x.n != y.n:

@@ -1,8 +1,14 @@
-"""Randomized sparsification of the squared-step matrix.
+"""One squaring step of the chain: X~ with I - X~ close to I - X/2 - X^2/2.
 
-Given nonnegative X with I - X positive definite, produce a sparse
-nonnegative X~ with I - X~ close to I - X/2 - X^2/2 in the multiplicative
-(Loewner) sense.  Two stages:
+Given nonnegative X with I - X positive definite, mode "exact" (the
+default, at every size) returns X/2 + X^2/2 itself.  Before it forms the
+product it bounds the product's entries (sparse.square_entry_bound), and
+refuses a square that could pass SQUARE_BYTE_CAP with SquareTooLargeError
+before anything of its size is allocated.
+
+Mode "sampled", a library-only choice, produces a sparse nonnegative X~
+with I - X~ close to I - X/2 - X^2/2 in the multiplicative (Loewner)
+sense.  Two stages:
 
   1. an unbiased estimate of X^2 from two-step walks through each midpoint
      vertex, and
@@ -30,10 +36,18 @@ from .errors import (
     InvalidParamsError,
     NoConvergenceError,
     NotPositiveDefiniteError,
+    SquareTooLargeError,
     check_eps,
 )
 from .rng import stream, TAG_MERGE, TAG_WALK
-from .sparse import SparseSymMatrix, blend, edge_factor, identity_minus_scaled, square
+from .sparse import (
+    SparseSymMatrix,
+    blend,
+    edge_factor,
+    identity_minus_scaled,
+    square,
+    square_entry_bound,
+)
 
 # dense certification is only attempted below this size
 MEASURE_LIMIT = 256
@@ -42,8 +56,12 @@ MEASURE_LIMIT = 256
 # empirical, balancing certification noise against output sparsity
 MERGE_CONSTANT = 0.5
 
-# mode "auto" squares exactly up to this size and samples above it
-EXACT_THRESHOLD = 4096
+# The most bytes an exact squaring may hold at once.  The product X X, its
+# scaled copy and their blend are live together: 3 copies of each entry,
+# of at most 16 bytes (an 8-byte value and a column index of up to 8).
+# 2**30 admits every square at n <= 4096 (4096**2 entries, 805 MB), and
+# refuses one whose entries could pass 22.4 M.
+SQUARE_BYTE_CAP = 2**30
 
 # merge-stage draws, each with twice the budget of the last, before the
 # merge falls back to the exact average
@@ -55,23 +73,25 @@ class SparsifyParams:
     """Knobs of one sparsified squaring step.
 
     eps is the multiplicative target for the whole step, half of it for
-    the walk stage and half for the merge stage.  mode "auto" picks the
-    exact path for n <= EXACT_THRESHOLD.  samples_per_edge overrides the
-    walk-stage draw count per incident entry.  measure certifies a
-    sampled step densely (n <= MEASURE_LIMIT) into its report.
+    the walk stage and half for the merge stage; an exact step meets it
+    with no error.  mode is "exact" (the default) or "sampled"; seed,
+    samples_per_edge and measure act in sampled mode only.
+    samples_per_edge overrides the walk-stage draw count per incident
+    entry.  measure certifies a sampled step densely (n <= MEASURE_LIMIT)
+    into its report.
     """
 
     eps: float
     seed: int = 0
     samples_per_edge: int | None = None
-    mode: str = "auto"
+    mode: str = "exact"
     measure: bool = False
 
     def __post_init__(self):
         check_eps(self.eps)
         if self.samples_per_edge is not None and self.samples_per_edge < 1:
             raise InvalidParamsError("samples_per_edge must be >= 1")
-        if self.mode not in ("exact", "sampled", "auto"):
+        if self.mode not in ("exact", "sampled"):
             raise InvalidParamsError(f"unknown mode {self.mode!r}")
 
 
@@ -91,14 +111,6 @@ class SparsifyReport:
     eps_measured: float | None
     merge_attempts: int
     merge_fallback: bool
-
-
-def use_exact(params: SparsifyParams, n: int) -> bool:
-    if params.mode == "exact":
-        return True
-    if params.mode == "sampled":
-        return False
-    return n <= EXACT_THRESHOLD
 
 
 def walk_sample_count(params: SparsifyParams, n: int) -> int:
@@ -125,7 +137,7 @@ def square_walk_sparsify(x: SparseSymMatrix, params: SparsifyParams) -> SparseSy
     n = x.n
     if x.nnz == 0:
         return x
-    if use_exact(params, n):
+    if params.mode == "exact":
         return square(x)
     k = walk_sample_count(params, n)
     csr = x.to_scipy()
@@ -197,7 +209,7 @@ def average_and_sparsify(x: SparseSymMatrix, xp: SparseSymMatrix,
         raise DimensionMismatchError("average_and_sparsify: dimension mismatch")
     t_avg = blend(x, xp, 0.5, 0.5)
     n = t_avg.n
-    if use_exact(params, n):
+    if params.mode == "exact":
         return t_avg, 0, False
     sigma = 1.0 - t_avg.row_sums()
     if n and sigma.min() <= 0.0:
@@ -246,11 +258,20 @@ def sparsify_square_step(x: SparseSymMatrix,
     """One chain step: X~ with I - X~ approximating I - X/2 - X^2/2.
 
     Stage errors add, so each stage targets its share of eps.  Exact mode
-    returns X/2 + X^2/2 itself (measured error identically zero).
+    returns X/2 + X^2/2 itself (measured error identically zero), and
+    first raises SquareTooLarge if the product's entries, bounded by
+    square_entry_bound, could pass SQUARE_BYTE_CAP.
     """
+    exact = params.mode == "exact"
+    if exact:
+        entries = square_entry_bound(x)
+        if 3 * 16 * entries > SQUARE_BYTE_CAP:  # the copies SQUARE_BYTE_CAP counts
+            raise SquareTooLargeError(
+                f"squaring a level of n = {x.n} could make {entries} entries, whose "
+                f"3 copies of 16 bytes pass SQUARE_BYTE_CAP = {SQUARE_BYTE_CAP} bytes")
     xp = square_walk_sparsify(x, params)
     xt, attempts, fallback = average_and_sparsify(x, xp, params)
-    if use_exact(params, x.n):
+    if exact:
         measured: float | None = 0.0
     elif params.measure and x.n <= MEASURE_LIMIT:
         measured = measure_step(x, xt)

@@ -17,6 +17,7 @@ from factorchain import (
     SparsifyParams,
     Splitting,
     SpectrumEstimateFailedError,
+    SquareTooLargeError,
     WrongExponentError,
     build_chain,
     chain_length_bound,
@@ -42,6 +43,7 @@ from factorchain import (
     validate_sddm,
 )
 import factorchain.chain as chain_module
+import factorchain.sparsify as sparsify_module
 from factorchain.chain import crude_level_poly, flops_per_sample, refine_by_cost
 from factorchain.maclaurin import (
     apply_operator_poly,
@@ -139,7 +141,7 @@ def test_growth_and_termination_on_path():
 def test_levels_certify_against_exact_square():
     eps = 0.5
     split = split_of(grid2d(6))
-    sp = SparsifyParams(eps=1.0, mode="auto")
+    sp = SparsifyParams(eps=1.0)
     chain = build_chain(split, -1.0, eps, sp)
     eps_level = chain.eps_schedule[0]
     levels = [*chain.levels, terminal_level(chain, sp)]
@@ -739,6 +741,61 @@ def test_prepare_stops_at_a_filled_level_without_forming_its_factor(monkeypatch)
         monkeypatch, path_graph(128, slack=1e-2),
         {"square": 6, "radius": 6, "refine": 1, "terminal": 0}, 6)
     assert levels[-1].filled
+
+
+def test_prepare_squares_exactly_above_the_old_size_switch(monkeypatch):
+    # n = 4,225, past the n = 4,096 at which squaring used to switch to the
+    # sampled walk: two exact squares, drawing nothing, price the chain out
+    reports = []
+
+    def counted(*args, **kwargs):
+        out = sparsify_square_step(*args, **kwargs)
+        reports.append(out[1])
+        return out
+
+    monkeypatch.setattr(chain_module, "sparsify_square_step", counted)
+    op = prepared_operator(grid2d(65))
+    assert op.chain.d == 0
+    assert [r.merge_attempts for r in reports] == [0, 0]
+
+
+def refuse_every_square(monkeypatch):
+    """Cap an exact square at 0 bytes, and fail if a product is formed."""
+    def formed(x):
+        raise AssertionError("an exact square was formed past the cap")
+
+    monkeypatch.setattr(sparsify_module, "SQUARE_BYTE_CAP", 0)
+    monkeypatch.setattr(sparsify_module, "square", formed)
+
+
+def test_build_chain_refuses_a_square_past_the_cap_before_forming_it(monkeypatch):
+    split = split_of(random_regular(128, 3, seed=0))
+    refuse_every_square(monkeypatch)
+    with pytest.raises(SquareTooLargeError, match="n = 128"):
+        build_chain(split, -0.5, 0.3)
+
+
+def test_a_refused_square_leaves_refine_by_cost_no_deeper_candidate(monkeypatch):
+    # grid2d(16) stores depth 0 and squares past it to price t = 1: refused
+    # there, it stores the same bytes; with depth 0 infeasible too, the
+    # refusal is the error
+    m = grid2d(16)
+    split = split_of(m)
+    kept = refine_by_cost(m, split, 0.1 / REFINE_SHARE)
+    assert kept.chain.d == 0
+    refuse_every_square(monkeypatch)
+    squares = []
+    monkeypatch.setattr(chain_module, "sparsify_square_step",
+                        lambda *args: squares.append(args) or sparsify_square_step(*args))
+    op = refine_by_cost(m, split, 0.1 / REFINE_SHARE)
+    assert len(squares) == 1
+    assert operator_bytes(op) == operator_bytes(kept)
+    radii = iter([1.0 + 1e-3])
+    real = chain_module.nonneg_spectral_radius
+    monkeypatch.setattr(chain_module, "nonneg_spectral_radius",
+                        lambda x: next(radii, None) or real(x))
+    with pytest.raises(SquareTooLargeError):
+        refine_by_cost(m, split, 0.1 / REFINE_SHARE)
 
 
 def test_prepare_picks_depth_zero_on_ill_conditioned_grid():

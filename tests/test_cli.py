@@ -30,6 +30,7 @@ from factorchain import (
     write_matrix,
 )
 from factorchain.chain import flops_per_sample
+import factorchain.sparsify as sparsify_module
 from factorchain.cli import main
 from factorchain.oracle import DENSE_CHECK_LIMIT
 from factorchain.sampler import REFINE_SHARE
@@ -207,6 +208,23 @@ def test_factor_reports_the_dense_terminal(tmp_path):
     assert chain["dense_terminal_level"] == chain["d"] == op.chain.d == 2
     assert op.chain.terminal.shape == (64, 64)
     assert not any(2 * nnz >= 64 * 64 for nnz in chain["level_nnz"])
+
+
+def test_factor_squares_exactly_above_the_old_size_switch(tmp_path):
+    # n = 4,225 once switched to the sampled walk, which ran out of memory
+    mfile, out, rep = tmp_path / "m.mtx", tmp_path / "op.fcop", tmp_path / "r.json"
+    assert main(["gen", "--kind", "grid2d", "--size", "65", "--out", str(mfile)]) == 0
+    assert main(["factor", str(mfile), "--out", str(out), "--report", str(rep)]) == 0
+    report = json.loads(rep.read_text())
+    assert report["n"] == 65 * 65 and report["chain"]["d"] == 0
+    assert "exact" not in report["config"]
+
+
+def test_factor_refuses_a_square_past_the_cap(tmp_path, grid_file, monkeypatch, capsys):
+    monkeypatch.setattr(sparsify_module, "SQUARE_BYTE_CAP", 0)
+    rc, out, _ = factored(tmp_path, grid_file, "--p", "-0.5")
+    assert rc == 1 and not out.exists()
+    assert capsys.readouterr().err.startswith("error: squaring a level")
 
 
 def test_factor_and_check_a_refined_chain_that_ends_in_a_dense_factor(tmp_path):
@@ -622,7 +640,8 @@ def test_sample_skips_the_resistance_solver(tmp_path, grid_file):
 
 
 def test_threads_flag_is_gone(tmp_path, grid_file):
-    with pytest.raises(SystemExit) as exc:
-        main(["factor", str(grid_file), "--threads", "2",
-              "--out", str(tmp_path / "op.fcop")])
-    assert exc.value.code == 2
+    # --exact only selected the default once every level squared exactly
+    for flag in (["--threads", "2"], ["--exact"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["factor", str(grid_file), *flag, "--out", str(tmp_path / "op.fcop")])
+        assert exc.value.code == 2

@@ -28,7 +28,6 @@ from factorchain.sparsify import (
     _effective_resistances,
     measure_step,
     merge_sample_count,
-    use_exact,
     walk_sample_count,
 )
 
@@ -58,8 +57,10 @@ def test_params_reject_zero_oversampling():
 
 
 def test_params_reject_unknown_mode():
-    with pytest.raises(InvalidParamsError):
-        SparsifyParams(eps=0.5, mode="sometimes")
+    # "auto", a size switch between the two modes, is gone
+    for mode in ("sometimes", "auto"):
+        with pytest.raises(InvalidParamsError):
+            SparsifyParams(eps=0.5, mode=mode)
 
 
 def test_walk_sample_count_default_formula():
@@ -81,8 +82,14 @@ def test_walk_sample_count_override():
 
 
 def test_mode_selection():
-    assert use_exact(SparsifyParams(eps=0.5, mode="exact"), 10)
-    assert not use_exact(SparsifyParams(eps=0.5, mode="sampled"), 10)
+    # the default squares exactly; sampled is chosen by name only
+    x = split_of(grid2d(8)).X
+    default, report = sparsify_square_step(x, SparsifyParams(eps=0.5))
+    assert SparsifyParams(eps=0.5).mode == "exact"
+    assert default.same_entries(blend(x, square(x)))
+    assert (report.eps_measured, report.merge_attempts) == (0.0, 0)
+    sampled, _ = sparsify_square_step(x, SparsifyParams(eps=0.5, mode="sampled"))
+    assert not sampled.same_entries(default)
 
 
 # --------------------------------------------------------------- walk step
