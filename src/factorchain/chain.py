@@ -249,7 +249,8 @@ class ChainOperator:
     M^p when out_scale = c^{-p/2} for the normalization scale c.  apply
     multiplies by F and apply_transpose by the view F.T, each in one padded
     gemm (sparse.dense_matvec), whose columns do not depend on the block's
-    width; the levels go through Clenshaw.
+    width; the levels go through Clenshaw.  Each returns a block of its
+    own, scaling the one F or the last level made in place.
     """
 
     kind = "chain"
@@ -276,14 +277,27 @@ class ChainOperator:
             )
         return v
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
+    def _scaled(self, w: np.ndarray, owned: bool) -> np.ndarray:
+        """out_scale * w, scaled in place unless w is still the caller's
+        array: at depth 0 with no terminal factor, when not owned."""
+        ch = self.chain
+        if not (owned or ch.d > 0 or ch.terminal is not None):
+            return self.out_scale * w
+        w *= self.out_scale
+        return w
+
+    def _apply(self, v: np.ndarray, owned: bool) -> np.ndarray:
+        """C v; owned says that v is a block the caller gives up."""
         w = self._check(v)
         ch = self.chain
         if ch.terminal is not None:
             w = dense_matvec(ch.terminal, w)
         for i in range(ch.d - 1, -1, -1):
             w = apply_operator_poly(ch.polys[i], ch.levels[i], (1.0, 0.5), w)
-        return self.out_scale * w
+        return self._scaled(w, owned)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self._apply(v, owned=False)
 
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
         w = self._check(v)
@@ -292,7 +306,7 @@ class ChainOperator:
             w = apply_operator_poly(ch.polys[i], ch.levels[i], (1.0, 0.5), w)
         if ch.terminal is not None:
             w = dense_matvec(ch.terminal.T, w)
-        return self.out_scale * w
+        return self._scaled(w, owned=False)
 
     def as_dense(self) -> np.ndarray:
         return self.apply(np.eye(self.chain.n))
@@ -367,10 +381,15 @@ class RefinedOperator:
             return apply_operator_poly(self.poly, self.matrix, (0.0, beta), v)
         return apply_operator_poly(self.poly, self._inner, (0.0, self.scale), v)
 
-    # base.apply and _poly_apply return fresh blocks, so each is scaled in
-    # place rather than copied
+    # _poly_apply and a chain base return fresh blocks, so each is scaled in
+    # place rather than copied: a chain base scales _poly_apply's block by
+    # out_scale, then sqrt(s) follows, the same two roundings in that order
     def apply(self, v: np.ndarray) -> np.ndarray:
-        w = self.base.apply(self._poly_apply(v))
+        w = self._poly_apply(v)
+        if isinstance(self.base, ChainOperator):
+            w = self.base._apply(w, owned=True)
+        else:
+            w = self.base.apply(w)
         w *= math.sqrt(self.scale)
         return w
 

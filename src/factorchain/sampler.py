@@ -53,9 +53,12 @@ REFINE_SHARE = 8.0
 # |z| above which covariance_check counts an entry as a miss
 Z_THRESHOLD = 3.0
 
-# bytes of noise one colouring block holds, sized to stay in cache; a
-# sample too large for one block is coloured alone, up to _SAMPLE_BYTES
-_BLOCK_BYTES = 2**19
+# bytes of noise one colouring block holds: with Clenshaw's three blocks,
+# about 1 MB, small enough to stay in cache and for the allocator to reuse
+# its pages from batch to batch rather than return them and fault them in
+# again; a sample too large for one block is coloured alone, up to
+# _SAMPLE_BYTES
+_BLOCK_BYTES = 2**18
 _SAMPLE_BYTES = 2**27
 # bytes of samples one batch may hold
 _OUTPUT_BYTES = 2**30
@@ -155,7 +158,11 @@ def _color(op, mean: np.ndarray, count: int, seed: int, eps: float,
 
     Sample j draws its op.input_dim normals from stream(seed, TAG_SAMPLE)
     moved to counter j (rng.seek_each), so a batch is a prefix of any
-    longer batch with the same seed, whatever the block width.
+    longer batch with the same seed, whatever the block width.  The mean
+    is added in place into the block op.apply returns, so this relies on
+    the package's operators returning a block that the sampler owns.  A
+    block's noise and colours are released before the next is drawn, so
+    the noise and the operator's working blocks are all that is live.
     """
     dim = op.input_dim
     block = _block_columns(dim, count, mean.size)
@@ -163,14 +170,20 @@ def _color(op, mean: np.ndarray, count: int, seed: int, eps: float,
     gen = stream(seed, TAG_SAMPLE)
     for start in range(0, count, block):
         stop = min(start + block, count)
-        # standard_normal fills contiguous rows; the operator takes columns
+        # standard_normal fills contiguous rows; the operator takes columns,
+        # copied once, since Clenshaw reads its input at every degree and a
+        # strided read costs more than the copy; the rows go before it runs
         z = np.empty((stop - start, dim))
-        for row, sought in zip(z, seek_each(gen, range(start, stop))):
-            sought.standard_normal(dim, out=row)
-        y = op.apply(np.ascontiguousarray(z.T))
+        for j, sought in enumerate(seek_each(gen, range(start, stop))):
+            sought.standard_normal(dim, out=z[j])
+        z = np.ascontiguousarray(z.T)
+        y = op.apply(z)
+        del z
         if lifted:
             y = gremban_project(y)
-        out[start:stop, :] = (y + mean[:, None]).T
+        y += mean[:, None]
+        out[start:stop] = y.T
+        del y
     return SampleBatch(samples=out, seed=seed, gaussians_consumed=count * dim,
                        mean_used=mean.copy(), eps=eps)
 

@@ -548,7 +548,9 @@ def gremban_project(v: np.ndarray) -> np.ndarray:
     if v.shape[0] % 2 != 0:
         raise DimensionMismatchError("lifted vector must have even length")
     half = v.shape[0] // 2
-    return (v[:half] - v[half:]) / math.sqrt(2.0)
+    out = np.subtract(v[:half], v[half:])
+    out /= math.sqrt(2.0)
+    return out
 
 
 def gremban_embed(u: np.ndarray) -> np.ndarray:

@@ -402,6 +402,46 @@ def test_csr_clenshaw_columns_do_not_depend_on_block_width(name):
     assert_columns_do_not_depend_on_block_width(op)
 
 
+def refined_at_t_1():
+    m = grid2d(8)
+    op = refine_inverse_factor(m, crude_op(m, 1), 0.1)
+    assert op.chain.d > 0
+    return op
+
+
+def edge_operator():
+    m = random_sddm(8, seed=3)
+    return EdgeOperator(refine_inverse_factor(m, exact_chain_op(m, -1.0, 1.0)[1], 0.05),
+                        edge_factor(m))
+
+
+OPERATOR_KINDS = {
+    "chain_depth_0": lambda: crude_op(grid2d(8), 0),
+    **CSR_CLENSHAW,
+    **TERMINAL,
+    "refined_at_t_1": refined_at_t_1,
+    "edge": edge_operator,
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_KINDS))
+def test_strided_input_gives_the_bytes_of_its_contiguous_copy(name):
+    # the operators scale the blocks they make in place: a column's bits do
+    # not depend on the input's layout, and the caller's array is untouched
+    op = OPERATOR_KINDS[name]()
+    rng = np.random.default_rng(11)
+    for f, dim in ((op.apply, op.input_dim), (op.apply_transpose, op.output_dim)):
+        rows = rng.standard_normal((13, dim))
+        strided = rows.T
+        contiguous = np.ascontiguousarray(strided)
+        assert not strided.flags.c_contiguous
+        before = rows.tobytes()
+        got = f(strided)
+        assert got.tobytes() == f(contiguous).tobytes()
+        assert rows.tobytes() == before == contiguous.T.tobytes()
+        assert not np.shares_memory(got, rows)
+
+
 @pytest.mark.parametrize("name", sorted(TERMINAL))
 def test_terminal_factor_is_the_exact_power(name):
     # F F^T = (I - X_k)^p within F's rounding allowance, the terminal entry

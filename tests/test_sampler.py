@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +10,19 @@ from factorchain import (
     NonFiniteError,
     NotSddError,
     SparseSymMatrix,
+    build_chain,
+    chain_operator,
     covariance_check,
     dense_power,
     grid2d,
     make_field,
+    normalize,
     prepare,
+    random_regular,
     sample,
     sample_edge_based,
     sdd_mixed,
+    validate_sddm,
     write_batch_bin,
     write_batch_csv,
 )
@@ -155,13 +161,45 @@ def test_blocks_of_samples_colour_like_one_block(monkeypatch, samples_per_block)
 
 
 def test_batches_across_block_edges_are_prefixes_of_each_other():
-    # grid2d(32) colours 64 samples per block: 65 and 130 start new blocks
+    # grid2d(32) colours 32 samples per block: 33, 65 and 130 start new blocks
     m = grid2d(32)
     prep = prepare(make_field(m), 0.5)
-    assert sampler._block_columns(m.n, 130, m.n) == 64
+    assert sampler._block_columns(m.n, 130, m.n) == 32
     longest = sample(prep, 130, seed=9).samples
-    for count in (1, 64, 65):
+    for count in (1, 32, 33, 64, 65):
         assert sample(prep, count, seed=9).samples.tobytes() == longest[:count].tobytes()
+
+
+def batch_working_set(prep, count, seed):
+    """Peak traced bytes of one batch past its output, in colouring blocks."""
+    sample(prep, 1, seed)  # first-use caches (a level's 2U) are not the batch's
+    tracemalloc.start()
+    try:
+        batch = sample(prep, count, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dim = prep.operator.input_dim
+    block = 8 * dim * min(count, sampler._block_columns(dim, count, prep.mean.size))
+    return (peak - batch.samples.nbytes) / block
+
+
+def test_a_batch_holds_the_noise_and_the_recurrence_blocks():
+    # the noise goes to the operator as a view, the operators scale their
+    # own blocks in place and the mean is added in place, so a block's
+    # working set is the noise and Clenshaw's three blocks (plus, for a
+    # chain, the block its terminal factor makes)
+    m = grid2d(32)
+    h = np.random.default_rng([1, 1]).standard_normal(m.n)
+    assert batch_working_set(prepare(make_field(m, h), 0.1), 64, seed=1) <= 4.5
+
+    r = random_regular(512, 3)
+    split = normalize(r, validate_sddm(r))
+    op = chain_operator(split, build_chain(split, -0.5, 0.3))
+    assert op.chain.terminal is not None and op.chain.d > 0
+    prep = sampler.PreparedSampler(field=make_field(r), operator=op,
+                                   mean=np.zeros(r.n), eps=0.3)
+    assert batch_working_set(prep, 128, seed=1) <= 5.5
 
 
 class Identity:
