@@ -23,6 +23,7 @@ from .errors import (
     NotPositiveDefiniteError,
     NotSddError,
     NotSddmError,
+    NumericalError,
     SerializationError,
     SpectrumEstimateFailedError,
     SquareTooLargeError,

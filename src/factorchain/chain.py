@@ -112,16 +112,22 @@ class FactorChain:
     eps_schedule: tuple[float, ...]
     polys: tuple[ChebyshevPoly, ...]
     p: float
-    d: int
     kappa_used: float
-    eps_total: float
     lambdas: tuple[float, ...]
     reports: tuple[SparsifyReport, ...]
     terminal: np.ndarray | None = field(default=None, repr=False, compare=False)
 
+    @property
+    def d(self) -> int:
+        return len(self.levels)
+
+    @property
+    def eps_total(self) -> float:
+        return sum(self.eps_schedule)
+
     def __post_init__(self):
-        if len(self.levels) != self.d or len(self.polys) != self.d:
-            raise InvalidParamsError("levels and polys must hold d entries each")
+        if len(self.polys) != self.d:
+            raise InvalidParamsError("polys must hold one entry per level")
         if len(self.eps_schedule) != self.d + 1 or len(self.lambdas) != self.d + 1:
             raise InvalidParamsError("eps_schedule and lambdas must hold d + 1 values each")
         f = self.terminal
@@ -204,6 +210,21 @@ def _terminal(x: SparseSymMatrix, rho: float | None, p: float):
     return f, gap, 8.0 * (abs(p) + 2.0) * x.n * 2.0 ** -53 * float(w[-1] / w[0])
 
 
+def _assemble(split: Splitting, p: float, squarings, polys, top) -> FactorChain:
+    """The chain over the first len(polys) levels of squarings, each with its
+    polynomial and the step that made it, ending in top = (F, gap, error) as
+    _terminal gives it.  The schedule is the polynomials' eps then the error."""
+    xs, radii, reports = zip(*squarings)
+    d = len(polys)
+    f, gap, eps_end = top
+    return FactorChain(
+        n=split.X.n, levels=xs[:d], eps_schedule=tuple(q.eps for q in polys) + (eps_end,),
+        polys=tuple(polys), p=p, kappa_used=split.kappa_bound,
+        lambdas=tuple(1.0 - r for r in radii[:d]) + (gap,), reports=reports[1:d + 1],
+        terminal=f,
+    )
+
+
 def build_chain(split: Splitting, p: float, eps: float,
                 sp_params: SparsifyParams | None = None) -> FactorChain:
     """Every level of _squarings, with a polynomial meeting its step's target.
@@ -212,29 +233,21 @@ def build_chain(split: Splitting, p: float, eps: float,
     rho_i, so level i's polynomial is power(-p/2, rho_i/2, eps_level), the
     certified Chebyshev surrogate of y^{-p/2} there; the radii fall level by
     level, so the degrees do too.  The last level is the terminal (_terminal).
+    At p = 0, C = I: the chain stops at X_0, with its gap and no error.
     """
     if not (-1.0 <= p <= 1.0):
         raise InvalidParamsError(f"exponent {p} outside [-1, 1]")
     check_eps(eps)
     squarings = _squarings(split, eps, sp_params)
     if p == 0.0:
-        _, rho, _ = next(squarings)
-        return FactorChain(
-            n=split.X.n, levels=(), eps_schedule=(0.0,), polys=(), p=0.0, d=0,
-            kappa_used=split.kappa_bound, eps_total=0.0,
-            lambdas=(1.0 - rho,), reports=(),
-        )
-    xs, radii, reports = zip(*squarings)
-    f, gap, eps_end = _terminal(xs[-1], radii[-1], p)
-    targets = tuple(r.eps_requested for r in reports[1:])
-    polys = tuple(power(-p / 2.0, r / 2.0, e) for r, e in zip(radii, targets))
-    schedule = targets + (eps_end,)
-    return FactorChain(
-        n=split.X.n, levels=xs[:-1], eps_schedule=schedule, polys=polys,
-        p=p, d=len(targets), kappa_used=split.kappa_bound, eps_total=sum(schedule),
-        lambdas=tuple(1.0 - r for r in radii[:-1]) + (gap,), reports=reports[1:],
-        terminal=f,
-    )
+        first = next(squarings)
+        return _assemble(split, 0.0, [first], (), (None, 1.0 - first[1], 0.0))
+    squarings = list(squarings)
+    _, radii, reports = zip(*squarings)
+    top = _terminal(squarings[-1][0], radii[-1], p)
+    polys = [power(-p / 2.0, r / 2.0, step.eps_requested)
+             for r, step in zip(radii, reports[1:])]
+    return _assemble(split, p, squarings, polys, top)
 
 
 # -- operators -----------------------------------------------------------------
@@ -277,27 +290,23 @@ class ChainOperator:
             )
         return v
 
-    def _scaled(self, w: np.ndarray, owned: bool) -> np.ndarray:
+    def _scaled(self, w: np.ndarray) -> np.ndarray:
         """out_scale * w, scaled in place unless w is still the caller's
-        array: at depth 0 with no terminal factor, when not owned."""
+        array: at depth 0 with no terminal factor."""
         ch = self.chain
-        if not (owned or ch.d > 0 or ch.terminal is not None):
+        if ch.d == 0 and ch.terminal is None:
             return self.out_scale * w
         w *= self.out_scale
         return w
 
-    def _apply(self, v: np.ndarray, owned: bool) -> np.ndarray:
-        """C v; owned says that v is a block the caller gives up."""
+    def apply(self, v: np.ndarray) -> np.ndarray:
         w = self._check(v)
         ch = self.chain
         if ch.terminal is not None:
             w = dense_matvec(ch.terminal, w)
         for i in range(ch.d - 1, -1, -1):
             w = apply_operator_poly(ch.polys[i], ch.levels[i], (1.0, 0.5), w)
-        return self._scaled(w, owned)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(v, owned=False)
+        return self._scaled(w)
 
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
         w = self._check(v)
@@ -306,7 +315,7 @@ class ChainOperator:
             w = apply_operator_poly(ch.polys[i], ch.levels[i], (1.0, 0.5), w)
         if ch.terminal is not None:
             w = dense_matvec(ch.terminal.T, w)
-        return self._scaled(w, owned=False)
+        return self._scaled(w)
 
     def as_dense(self) -> np.ndarray:
         return self.apply(np.eye(self.chain.n))
@@ -337,21 +346,25 @@ class RefinedOperator:
     Z (Z^T M Z)^{-1} Z^T equals M^{-1} exactly for invertible Z, so the
     only error left is the polynomial surrogate of the inner inverse square
     root, a Chebyshev series whose certified degree t pins the requested
-    tolerance.
+    tolerance.  s is info.scale.
     """
 
     kind = "chain_refined"
-    __slots__ = ("base", "matrix", "poly", "scale", "info")
+    __slots__ = ("base", "matrix", "poly", "info", "_z_scale")
 
     def __init__(self, base: ChainOperator, matrix: SparseSymMatrix,
-                 poly: ChebyshevPoly, scale: float, info: RefinementInfo):
+                 poly: ChebyshevPoly, info: RefinementInfo):
         if base.input_dim != matrix.n:
             raise DimensionMismatchError("refinement matrix does not match operator")
         self.base = base
         self.matrix = matrix
         self.poly = poly
-        self.scale = float(scale)
         self.info = info
+        # a chain at depth 0 with no terminal factor is Z = out_scale I;
+        # _z_scale holds that scalar, None for any other base
+        ch = base.chain
+        plain = isinstance(base, ChainOperator) and ch.d == 0 and ch.terminal is None
+        self._z_scale = base.out_scale if plain else None
 
     @property
     def chain(self) -> FactorChain:
@@ -373,29 +386,27 @@ class RefinedOperator:
         return self.base.apply_transpose(self.matrix.matvec(self.base.apply(u)))
 
     def _poly_apply(self, v: np.ndarray) -> np.ndarray:
-        """p(s Z^T M Z) v; at depth 0 with no terminal factor Z is out_scale I,
-        so Z^T M Z = out_scale^2 M."""
-        ch = self.base.chain
-        if isinstance(self.base, ChainOperator) and ch.d == 0 and ch.terminal is None:
-            beta = self.scale * self.base.out_scale ** 2
-            return apply_operator_poly(self.poly, self.matrix, (0.0, beta), v)
-        return apply_operator_poly(self.poly, self._inner, (0.0, self.scale), v)
+        """p(s Z^T M Z) v; for Z = z I, Z^T M Z = z^2 M."""
+        s, z = self.info.scale, self._z_scale
+        if z is not None:
+            return apply_operator_poly(self.poly, self.matrix, (0.0, s * z ** 2), v)
+        return apply_operator_poly(self.poly, self._inner, (0.0, s), v)
 
-    # _poly_apply and a chain base return fresh blocks, so each is scaled in
-    # place rather than copied: a chain base scales _poly_apply's block by
-    # out_scale, then sqrt(s) follows, the same two roundings in that order
+    # _poly_apply returns a fresh block, and so does Z unless it is z I: that
+    # z scales the block in place, then sqrt(s) follows, two roundings in
+    # that order, as a chain base's own in-place out_scale does
     def apply(self, v: np.ndarray) -> np.ndarray:
         w = self._poly_apply(v)
-        if isinstance(self.base, ChainOperator):
-            w = self.base._apply(w, owned=True)
+        if self._z_scale is not None:
+            w *= self._z_scale
         else:
             w = self.base.apply(w)
-        w *= math.sqrt(self.scale)
+        w *= math.sqrt(self.info.scale)
         return w
 
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
         w = self._poly_apply(self.base.apply_transpose(v))
-        w *= math.sqrt(self.scale)
+        w *= math.sqrt(self.info.scale)
         return w
 
     def as_dense(self) -> np.ndarray:
@@ -484,7 +495,7 @@ def refine_inverse_factor(m: SparseSymMatrix, crude, eps: float):
     info = RefinementInfo(degree=poly.t, scale=s, delta=delta_used, eps=eps,
                           spectrum_lo=lo, spectrum_hi=hi,
                           certificate=poly.certificate, bound=poly.bound)
-    return RefinedOperator(crude, m, poly, s, info)
+    return RefinedOperator(crude, m, poly, info)
 
 
 def flops_per_sample(op: ChainOperator | RefinedOperator) -> int:
@@ -525,24 +536,16 @@ def _crude_factor(split: Splitting, squarings, t: int, top=None) -> ChainOperato
     A padded radius of X_0 at or above 1 leaves depth 0 no gap to record,
     and raises SpectrumEstimateFailed.
     """
-    xs, radii, reports = zip(*squarings)
     if t:
-        d = len(xs) - 1
-        f, gap, eps_end = top
-        poly = crude_level_poly(t)
-        schedule = (poly.eps,) * d + (eps_end,)
-        lambdas = tuple(1.0 - r for r in radii[:-1]) + (gap,)
+        polys = (crude_level_poly(t),) * (len(squarings) - 1)
     else:
-        d, f, poly, lambdas = 0, None, None, (1.0 - radii[0],)
-        if not lambdas[0] > 0.0:
+        rho = squarings[0][1]
+        gap = 1.0 - rho
+        if not gap > 0.0:
             raise SpectrumEstimateFailedError(
-                f"X_0's padded radius {radii[0]:.6g} leaves depth 0 no gap")
-        schedule = (max(0.0, -math.log(lambdas[0])),)
-    return chain_operator(split, FactorChain(
-        n=split.X.n, levels=xs[:d], eps_schedule=schedule, polys=(poly,) * d,
-        p=-1.0, d=d, kappa_used=split.kappa_bound, eps_total=sum(schedule),
-        lambdas=lambdas, reports=reports[1:d + 1], terminal=f,
-    ))
+                f"X_0's padded radius {rho:.6g} leaves depth 0 no gap")
+        polys, top = (), (None, gap, max(0.0, -math.log(gap)))
+    return chain_operator(split, _assemble(split, -1.0, squarings, polys, top))
 
 
 def refine_by_cost(m: SparseSymMatrix, split: Splitting, eps: float,

@@ -10,10 +10,11 @@ operator and the library produce the same bytes for the same seed and
 potential.
 
 Exit codes: 0 success, 1 numerical failure (a check that ran and did
-not certify, divergence, loss of positive definiteness, a level whose
-exact square would pass sparsify.SQUARE_BYTE_CAP), 2 invalid
-input (bad files, bad parameters, matrices outside the supported
-class).
+not certify, or any errors.NumericalError: divergence, loss of positive
+definiteness, a level whose exact square would pass
+sparsify.SQUARE_BYTE_CAP), 2 invalid input (every other
+FactorChainError, OSError or ValueError: bad files, bad parameters,
+matrices outside the supported class).
 """
 
 from __future__ import annotations
@@ -29,18 +30,13 @@ import numpy as np
 
 from .chain import build_chain, chain_operator, flops_per_sample, refine_by_cost
 from .errors import (
-    ChainDivergedError,
     DimensionMismatchError,
+    FactorChainError,
     InvalidParamsError,
-    NoConvergenceError,
-    NonFiniteError,
-    NonSymmetricError,
-    NotPositiveDefiniteError,
     NotSddError,
     NotSddmError,
+    NumericalError,
     SerializationError,
-    SpectrumEstimateFailedError,
-    SquareTooLargeError,
     TooLargeForDenseCheckError,
     WrongExponentError,
     check_eps,
@@ -52,33 +48,16 @@ from .sampler import _block_columns, _color, _mean_of, _potential, write_batch_b
 from .serialize import load_operator, save_operator
 from .sparse import gremban_lift, gremban_project, normalize, validate_sddm
 
-_INPUT_ERRORS = (
-    NonSymmetricError,
-    NonFiniteError,
-    NotSddError,
-    NotSddmError,
-    DimensionMismatchError,
-    WrongExponentError,
-    InvalidParamsError,
-    SerializationError,
-    TooLargeForDenseCheckError,
-    OSError,
-    ValueError,
-)
-_NUMERIC_ERRORS = (
-    ChainDivergedError,
-    NotPositiveDefiniteError,
-    SpectrumEstimateFailedError,
-    SquareTooLargeError,
-    NoConvergenceError,
-)
 
-def _write_report(path, payload) -> None:
-    if not path:
+def _write_report(args, payload) -> None:
+    """Write payload to --report, if given, under the command and its config:
+    every parsed flag but --report."""
+    if not args.report:
         return
-    body = {"schema_version": 1}
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "report")}
+    body = {"schema_version": 1, "command": args.command, "config": config}
     body.update(payload)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(args.report, "w", encoding="utf-8") as fh:
         json.dump(body, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -116,8 +95,6 @@ def _chain_summary(chain) -> dict:
         "poly_degrees": [int(poly.t) for poly in chain.polys],
         # the level X_d kept as the dense factor the chain ends in, or None
         "dense_terminal_level": chain.d if chain.terminal is not None else None,
-        "merge_attempts": [r.merge_attempts for r in chain.reports],
-        "merge_fallbacks": [r.merge_fallback for r in chain.reports],
     }
 
 
@@ -135,11 +112,7 @@ def cmd_gen(args) -> int:
     write_matrix(args.out, m, comments=(f"factorchain gen kind={args.kind} "
                                         f"size={args.size} seed={seed}",))
     print(f"wrote {args.out}: n={m.n} nnz={m.full_nnz}")
-    _write_report(args.report, {
-        "command": "gen",
-        "config": {"kind": args.kind, "size": args.size,
-                   "slack": args.slack, "degree": args.degree,
-                   "seed": seed, "out": args.out},
+    _write_report(args, {
         "n": m.n,
         "nnz": m.full_nnz,
         "seed": seed,
@@ -150,7 +123,7 @@ def cmd_gen(args) -> int:
 
 def cmd_factor(args) -> int:
     t0 = time.perf_counter()
-    p, eps, seed, gremban = args.p, args.eps, args.seed, args.gremban
+    p, eps = args.p, args.eps
     if not -1.0 <= p <= 1.0:
         raise InvalidParamsError("p must lie in [-1, 1]")
     if args.no_refine and p != -1.0:
@@ -162,7 +135,7 @@ def cmd_factor(args) -> int:
     lifted = False
     if cert.is_sddm:
         target = m
-    elif gremban:
+    elif args.gremban:
         if p != -1.0:
             raise InvalidParamsError("--gremban is only supported with p = -1")
         target = gremban_lift(m).S
@@ -195,18 +168,14 @@ def cmd_factor(args) -> int:
     else:
         bound = f"eps_total={op.chain.eps_total:.6g}"
     print(f"wrote {args.out}: n={target.n} d={op.chain.d} {bound}")
-    _write_report(args.report, {
-        "command": "factor",
-        "config": {"matrix": args.matrix, "p": p, "eps": eps, "seed": seed,
-                   "gremban": gremban,
-                   "no_refine": args.no_refine, "out": args.out},
+    _write_report(args, {
         "lifted": lifted,
         "n": target.n,
         "n_original": m.n,
         "kappa_used": op.chain.kappa_used,
         "chain": summary,
         "refinement": asdict(refinement) if refinement else None,
-        "seed": seed,
+        "seed": args.seed,
         "timings": {
             "read_s": t_build - t0,
             "chain_s": t_chain - t_build,
@@ -224,7 +193,6 @@ def _read_potential(path, n) -> np.ndarray:
 
 def cmd_sample(args) -> int:
     t0 = time.perf_counter()
-    seed, fmt = args.seed, args.format
     if args.count < 0:
         raise InvalidParamsError("count must be nonnegative")
 
@@ -237,22 +205,19 @@ def cmd_sample(args) -> int:
 
     h = _read_potential(args.h, n_out) if args.h is not None else np.zeros(n_out)
     eps_cert = op.refinement.eps if op.refinement is not None else op.chain.eps_total
-    batch = _color(op, _mean_of(op, h, lifted), args.count, seed,
+    batch = _color(op, _mean_of(op, h, lifted), args.count, args.seed,
                    float(eps_cert), lifted)
-    if fmt == "csv":
+    if args.format == "csv":
         write_batch_csv(batch, args.out)
     else:
         write_batch_bin(batch, args.out)
     print(f"wrote {args.out}: count={args.count} n={n_out} "
           f"gaussians={batch.gaussians_consumed}")
-    _write_report(args.report, {
-        "command": "sample",
-        "config": {"chain": args.chain, "count": args.count, "seed": seed,
-                   "format": fmt, "h": args.h, "out": args.out},
+    _write_report(args, {
         "n": n_out,
         "lifted": lifted,
         "gaussians_consumed": batch.gaussians_consumed,
-        "seed": seed,
+        "seed": args.seed,
         "timings": {"total_s": time.perf_counter() - t0},
     })
     return 0
@@ -284,9 +249,7 @@ def cmd_check(args) -> int:
     verdict = "passed" if res.passed else "FAILED"
     print(f"check {verdict}: eps_measured={res.eps_measured:.6g} eps={eps} "
           f"p={p} n={m.n}")
-    _write_report(args.report, {
-        "command": "check",
-        "config": {"matrix": args.matrix, "chain": args.chain, "eps": eps},
+    _write_report(args, {
         "n": m.n,
         "p": p,
         "lifted": lifted,
@@ -367,12 +330,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except _NUMERIC_ERRORS as exc:
+    except (FactorChainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, NumericalError) else 2
 
 
 if __name__ == "__main__":

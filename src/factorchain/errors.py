@@ -2,7 +2,9 @@
 
 Every error raised by the library derives from FactorChainError so callers
 (and the CLI) can distinguish input/validation problems from genuine bugs.
-check_eps is the one test of a tolerance argument.
+A NumericalError is a computation that ran and failed on a valid input;
+every other FactorChainError refuses the input itself.  check_eps is the
+one test of a tolerance argument.
 """
 
 from __future__ import annotations
@@ -12,6 +14,10 @@ import math
 
 class FactorChainError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class NumericalError(FactorChainError):
+    """A computation on a valid input failed: the CLI exits 1, not 2."""
 
 
 class NonSymmetricError(FactorChainError):
@@ -34,30 +40,23 @@ class DimensionMismatchError(FactorChainError):
     """Operand shapes are incompatible."""
 
 
-class NotPositiveDefiniteError(FactorChainError):
+class NotPositiveDefiniteError(NumericalError):
     """A positive definite matrix was required."""
 
 
-class NoConvergenceError(FactorChainError):
-    """An iterative estimate failed to reach tolerance.
-
-    The best estimate found so far is carried in ``best``.
-    """
-
-    def __init__(self, message: str, best: float | None = None):
-        super().__init__(message)
-        self.best = best
+class NoConvergenceError(NumericalError):
+    """An iterative estimate failed to reach tolerance."""
 
 
-class ChainDivergedError(FactorChainError):
+class ChainDivergedError(NumericalError):
     """Chain construction made no progress; the sparsifier budget is too loose."""
 
 
-class SpectrumEstimateFailedError(FactorChainError):
+class SpectrumEstimateFailedError(NumericalError):
     """Lanczos bounds for a refinement spectrum are inconsistent."""
 
 
-class SquareTooLargeError(FactorChainError):
+class SquareTooLargeError(NumericalError):
     """An exact squaring could hold more bytes than sparsify.SQUARE_BYTE_CAP."""
 
 

@@ -1,15 +1,15 @@
-"""Binary container for factor operators, schema 10.
+"""Binary container for factor operators, schema 11.
 
 Layout: the magic ``FCOP1`` and a newline, then blocks, each a uint64
 little-endian byte count followed by that many bytes:
 
-- the header, JSON with sorted keys: schema, kind, n, the chain's p, d,
-  kappa_used, eps_total, eps_schedule and lambdas, out_scale, one
-  {s, t, delta, eps, certificate, bound} record per level polynomial
-  (maclaurin.ChebyshevPoly's fields but its coefficients), terminal (true
-  when the chain ends in a dense factor), the RefinementInfo fields (or
-  null; they include the refinement's certificate name and bound) and the
-  caller's meta dict;
+- the header, JSON with sorted keys: schema, n, the chain's p,
+  kappa_used, eps_schedule and lambdas, out_scale, one {s, delta, eps,
+  certificate, bound} record per level polynomial (maclaurin.ChebyshevPoly's
+  fields but its degree and coefficients), terminal (true when the chain
+  ends in a dense factor), the RefinementInfo fields (or null; they
+  include the refinement's certificate name and bound) and the caller's
+  meta dict;
 - each level X_0..X_{d-1} as three raw arrays holding its upper
   triangle as SparseSymMatrix.upper_triangle gives it: rows ``<i4``,
   cols ``<i4``, vals ``<f8``; every matrix has dimension n;
@@ -20,20 +20,16 @@ little-endian byte count followed by that many bytes:
 - for a refined operator, its matrix as three arrays and its
   polynomial's Chebyshev coefficients, ``<f8``.
 
-Every level polynomial is stored in Chebyshev form: a direct chain's
-levels carry power's certificate "truncation", a crude p = -1 chain's the
-binomial series re-expanded, certificate "series".  Schema 10 ends a
-chain at its first filled level with the exact factor F = (I - X_k)^{p/2}
-(chain.build_chain), which it stores; loading takes F as stored.  Schema
-9 had the layout of schemas 6 to 8 without F; it marked that Clenshaw's
-products with a sparse matrix add into the recurrence's buffers through a
-matrix 2U with its shift merged (maclaurin).  Schema 8 marked that a
-chain's filled top levels were applied as one dense product derived at
-load.  Schema 7 marked that filled levels multiplied through BLAS, where
-schema 6 multiplied them as CSR.  Schema 5 stored the levels as
-binomial-series coefficients, schema 4 the refinement at the Bernstein
-bound's degree and schema 3 the refinement as a binomial series.  Older
-schemas have no reader and are rejected.
+The header holds nothing the loader can derive: the depth d is the
+number of polynomial records, each level's degree t is its coefficient
+count less one, eps_total is the schedule's sum and the operator's kind
+follows from whether a refinement is stored.  A header that carries any
+of them is malformed.  Every level polynomial is stored in Chebyshev
+form: a direct chain's levels carry power's certificate "truncation", a
+crude p = -1 chain's the binomial series re-expanded, certificate
+"series".  A chain ends at its first filled level with the exact factor
+F = (I - X_k)^{p/2} (chain.build_chain), which loading takes as stored.
+Older schemas have no reader and are rejected.
 
 Floats round-trip exactly and loading accepts only the canonical
 triangle, so saving a loaded operator reproduces the input byte for byte.
@@ -64,7 +60,7 @@ from .maclaurin import CERTIFICATES, ChebyshevPoly
 from .sparse import SparseSymMatrix
 
 MAGIC = b"FCOP1\n"
-SCHEMA = 10
+SCHEMA = 11
 
 # indices are stored as <i4
 INDEX_LIMIT = 2**31
@@ -88,8 +84,9 @@ def _object(spec: dict):
 
 _INT, _NUMBER = _type(int), _type(int, float)
 _CERTIFICATE = CERTIFICATES.__contains__
-# a level polynomial's record: every ChebyshevPoly field but its coefficients
-_POLY_RECORD = {"s": _NUMBER, "t": _INT, "delta": _NUMBER, "eps": _NUMBER,
+# a level polynomial's record: every ChebyshevPoly field but its degree and
+# coefficients, which its coefficient block gives
+_POLY_RECORD = {"s": _NUMBER, "delta": _NUMBER, "eps": _NUMBER,
                 "certificate": _CERTIFICATE, "bound": _NUMBER}
 _POLY = _object(_POLY_RECORD)
 _FIELD_CHECKS = {"degree": _INT, "certificate": _CERTIFICATE}
@@ -97,8 +94,8 @@ _REFINEMENT = _object({f.name: _FIELD_CHECKS.get(f.name, _NUMBER)
                        for f in fields(RefinementInfo)})
 # the header as operator_bytes writes it
 _HEADER = _object({
-    "schema": _INT, "kind": _type(str), "n": _INT, "p": _NUMBER, "d": _INT,
-    "out_scale": _NUMBER, "kappa_used": _NUMBER, "eps_total": _NUMBER,
+    "schema": _INT, "n": _INT, "p": _NUMBER,
+    "out_scale": _NUMBER, "kappa_used": _NUMBER,
     "eps_schedule": _list_of(_NUMBER), "lambdas": _list_of(_NUMBER),
     "polys": _list_of(_POLY), "terminal": _type(bool),
     "refinement": lambda v: v is None or _REFINEMENT(v), "meta": _type(dict),
@@ -122,13 +119,10 @@ def operator_bytes(op, meta: dict | None = None) -> bytes:
         raise SerializationError(f"n = {ch.n} does not fit <i4 indices")
     header = {
         "schema": SCHEMA,
-        "kind": op.kind,
         "n": ch.n,
         "p": ch.p,
-        "d": ch.d,
         "out_scale": base.out_scale,
         "kappa_used": ch.kappa_used,
-        "eps_total": ch.eps_total,
         "eps_schedule": list(ch.eps_schedule),
         "lambdas": list(ch.lambdas),
         "polys": [{k: getattr(q, k) for k in _POLY_RECORD} for q in ch.polys],
@@ -175,7 +169,7 @@ def _read_header(head: bytes) -> dict:
         raise SerializationError("malformed container header: not a JSON object")
     if header.get("schema") != SCHEMA:
         raise SerializationError(f"unsupported schema {header.get('schema')!r}")
-    if not (_HEADER(header) and 0 <= header["n"] < INDEX_LIMIT and header["d"] >= 0):
+    if not (_HEADER(header) and 0 <= header["n"] < INDEX_LIMIT):
         raise SerializationError(f"malformed container header for schema {SCHEMA}")
     return header
 
@@ -198,7 +192,8 @@ def _matrix(n: int, blocks) -> SparseSymMatrix:
 
 
 def _poly(ph: dict, blocks) -> ChebyshevPoly:
-    return ChebyshevPoly(coeffs=_array(next(blocks), "<f8"), **ph)
+    coeffs = _array(next(blocks), "<f8")
+    return ChebyshevPoly(t=coeffs.size - 1, coeffs=coeffs, **ph)
 
 
 def _terminal_factor(n: int, raw: bytes) -> np.ndarray:
@@ -211,8 +206,9 @@ def _terminal_factor(n: int, raw: bytes) -> np.ndarray:
 def operator_from_bytes(buf: bytes):
     blocks = _split(buf)
     header = _read_header(blocks[0])
-    n, d, rh, terminal = header["n"], header["d"], header["refinement"], header["terminal"]
-    expect = 1 + 3 * d + terminal + len(header["polys"]) + (0 if rh is None else 4)
+    n, rh, terminal = header["n"], header["refinement"], header["terminal"]
+    d = len(header["polys"])
+    expect = 1 + 4 * d + terminal + (0 if rh is None else 4)
     if len(blocks) != expect:
         raise SerializationError(
             f"container holds {len(blocks)} blocks, its header implies {expect}")
@@ -228,9 +224,7 @@ def operator_from_bytes(buf: bytes):
             eps_schedule=tuple(header["eps_schedule"]),
             polys=tuple(_poly(ph, it) for ph in header["polys"]),
             p=header["p"],
-            d=d,
             kappa_used=header["kappa_used"],
-            eps_total=header["eps_total"],
             lambdas=tuple(header["lambdas"]),
             reports=(),
             terminal=f,
@@ -242,7 +236,7 @@ def operator_from_bytes(buf: bytes):
             poly = ChebyshevPoly(s=-0.5, t=info.degree, coeffs=_array(next(it), "<f8"),
                                  delta=info.delta, eps=info.eps / 2.0,
                                  certificate=info.certificate, bound=info.bound)
-            op = RefinedOperator(op, matrix, poly, info.scale, info)
+            op = RefinedOperator(op, matrix, poly, info)
     except SerializationError:
         raise
     except FactorChainError as exc:

@@ -48,10 +48,9 @@ def random_sddm_dense(n, rng, density=0.5, slack=0.5):
 def empty_level_container(n, d):
     """An inverse-factor chain container claiming n rows, with d empty levels."""
     header = {
-        "schema": SCHEMA, "kind": "chain", "n": n, "p": -1.0, "d": d,
-        "out_scale": 1.0, "kappa_used": 2.0, "eps_total": 0.5,
+        "schema": SCHEMA, "n": n, "p": -1.0, "out_scale": 1.0, "kappa_used": 2.0,
         "eps_schedule": [0.1] * d + [0.5 - 0.1 * d], "lambdas": [0.5] * (d + 1),
-        "polys": [{"s": 0.5, "t": 0, "delta": 0.5, "eps": 0.1,
+        "polys": [{"s": 0.5, "delta": 0.5, "eps": 0.1,
                    "certificate": "series", "bound": 0.1}] * d,
         "terminal": False, "refinement": None, "meta": {},
     }

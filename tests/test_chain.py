@@ -680,13 +680,12 @@ def at_level_degree(crude, t):
     ch = crude.chain
     if t == 0:
         gap = max(0.0, -math.log(ch.lambdas[0]))
-        chain = replace(ch, levels=(), polys=(), d=0, eps_schedule=(gap,),
-                        eps_total=gap, lambdas=ch.lambdas[:1], reports=(), terminal=None)
+        chain = replace(ch, levels=(), polys=(), eps_schedule=(gap,),
+                        lambdas=ch.lambdas[:1], reports=(), terminal=None)
     else:
         poly = crude_level_poly(t)
         schedule = (poly.eps,) * ch.d + ch.eps_schedule[-1:]
-        chain = replace(ch, polys=(poly,) * ch.d, eps_schedule=schedule,
-                        eps_total=sum(schedule))
+        chain = replace(ch, polys=(poly,) * ch.d, eps_schedule=schedule)
     return ChainOperator(chain, crude.out_scale)
 
 

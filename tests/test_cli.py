@@ -30,6 +30,8 @@ from factorchain import (
     write_matrix,
 )
 from factorchain.chain import flops_per_sample
+import factorchain.cli as cli_module
+import factorchain.errors as errors_module
 import factorchain.sparsify as sparsify_module
 from factorchain.cli import main
 from factorchain.oracle import DENSE_CHECK_LIMIT
@@ -77,6 +79,29 @@ def test_gen_invalid_params_exit_2(tmp_path):
     rc = main(["gen", "--kind", "random_regular", "--size", "5",
                "--degree", "3", "--out", str(tmp_path / "x.mtx")])
     assert rc == 2
+
+
+ERROR_TYPES = [t for t in vars(errors_module).values()
+               if isinstance(t, type) and issubclass(t, errors_module.FactorChainError)]
+
+
+@pytest.mark.parametrize("error", ERROR_TYPES, ids=lambda t: t.__name__)
+def test_every_package_error_exits_by_its_class(tmp_path, monkeypatch, capsys, error):
+    # the exit code follows the class alone: 1 for a NumericalError, else 2
+    def fail(*args, **kwargs):
+        raise error(f"raised {error.__name__}")
+
+    monkeypatch.setattr(cli_module, "path_graph", fail)
+    rc = main(["gen", "--kind", "path", "--size", "4", "--out", str(tmp_path / "x.mtx")])
+    assert rc == (1 if issubclass(error, errors_module.NumericalError) else 2)
+    assert capsys.readouterr().err == f"error: raised {error.__name__}\n"
+
+
+def test_the_numerical_errors_are_the_five_that_exit_1():
+    numerical = {t.__name__ for t in ERROR_TYPES if issubclass(t, errors_module.NumericalError)}
+    assert numerical == {"NumericalError", "ChainDivergedError", "NotPositiveDefiniteError",
+                         "SpectrumEstimateFailedError", "SquareTooLargeError",
+                         "NoConvergenceError"}
 
 
 # ------------------------------------------------------------------ factor
@@ -239,20 +264,6 @@ def test_factor_and_check_a_refined_chain_that_ends_in_a_dense_factor(tmp_path):
     assert main(["check", str(mfile), str(out), "--eps", "0.1"]) == 0
 
 
-def test_factor_report_lists_merge_attempts(tmp_path, grid_file):
-    rc, out, rep = factored(tmp_path, grid_file, "--no-refine")
-    assert rc == 0
-    m, _ = read_matrix(grid_file)
-    split = normalize(m, validate_sddm(m))
-    built = build_chain(split, -1.0, 0.3, SparsifyParams(eps=1.0))
-    chain = json.loads(rep.read_text())["chain"]
-    # one entry per level; a 16-node input squares exactly, drawing nothing
-    assert chain["merge_attempts"] == [r.merge_attempts for r in built.reports]
-    assert chain["merge_attempts"] == [0] * chain["d"]
-    assert chain["merge_fallbacks"] == [False] * chain["d"]
-    assert chain["d"] >= 1
-
-
 def test_factor_prints_the_operator_error(tmp_path, grid_file, capsys):
     # a refined operator is certified to the refinement's eps; only a plain
     # chain reports its sandwich sum
@@ -402,34 +413,11 @@ def sample_with_schema(tmp_path, grid_file, schema):
     return main(["sample", str(old), "--count", "1", "--out", str(tmp_path / "s.csv")])
 
 
-def test_sample_schema_4_container_exit_2(tmp_path, grid_file, capsys):
-    # schema 4 stored the degree the Bernstein bound alone certified
-    assert sample_with_schema(tmp_path, grid_file, 4) == 2
-    assert "unsupported schema 4" in capsys.readouterr().err
-
-
-def test_sample_schema_5_container_exit_2(tmp_path, grid_file, capsys):
-    # schema 5 stored the level polynomials as binomial-series coefficients
-    assert sample_with_schema(tmp_path, grid_file, 5) == 2
-    assert "unsupported schema 5" in capsys.readouterr().err
-
-
-def test_sample_schema_7_container_exit_2(tmp_path, grid_file, capsys):
-    # schema 7 applied a filled suffix level by level, not as one product
-    assert sample_with_schema(tmp_path, grid_file, 7) == 2
-    assert "unsupported schema 7" in capsys.readouterr().err
-
-
-def test_sample_schema_8_container_exit_2(tmp_path, grid_file, capsys):
-    # schema 8 scaled each of Clenshaw's sparse products apart from the sum
-    assert sample_with_schema(tmp_path, grid_file, 8) == 2
-    assert "unsupported schema 8" in capsys.readouterr().err
-
-
-def test_sample_schema_9_container_exit_2(tmp_path, grid_file, capsys):
-    # schema 9 kept squaring a chain's filled levels and stored no dense factor
-    assert sample_with_schema(tmp_path, grid_file, 9) == 2
-    assert "unsupported schema 9" in capsys.readouterr().err
+@pytest.mark.parametrize("schema", range(4, 11))
+def test_sample_older_schema_container_exit_2(tmp_path, grid_file, capsys, schema):
+    # no older schema has a reader; 10 stored what schema 11 derives
+    assert sample_with_schema(tmp_path, grid_file, schema) == 2
+    assert f"unsupported schema {schema}\n" in capsys.readouterr().err
 
 
 def test_sample_container_smaller_than_its_n_exit_2(tmp_path, capsys):
@@ -615,7 +603,7 @@ def test_factor_writes_the_library_operator(tmp_path, gremban):
     # inputs store a polynomial in the matrix alone, with no level
     chain = json.loads(rep.read_text())["chain"]
     assert chain["d"] == op.chain.d == 0
-    assert chain["poly_degrees"] == chain["merge_attempts"] == []
+    assert chain["poly_degrees"] == []
     assert chain["lambdas"] == list(op.chain.lambdas)
     assert chain["chosen_degree"] == 0
     assert chain["flops_per_sample"] == flops_per_sample(op)

@@ -69,20 +69,27 @@ def direct_prepared():
 # both of its hashes changed.  The two refined cases store the same depth-0
 # operators: their containers moved by the schema digit and the header's
 # "terminal": false, and their samples kept every bit.
+#
+# Format note, container schema 11: the header no longer stores kind, d,
+# eps_total or a level polynomial's degree t, which the loader derives from
+# the refinement, the polynomial records, the schedule and the coefficient
+# blocks.  Every operator hash here and the one-thread fractional pin moved
+# by those header bytes alone; every block after the header and every
+# sample kept every bit.
 GOLDEN = {
     "grid2d_8": (
         grid_prepared,
-        "8974b707596bac8d03e26eb748e5f8347c880198294dd416dd0950893f9c5456",
+        "f1b0305ea9ae7fb8e4dc4c6adba8591f947c11922c517448e322fda23d586e55",
         "278e7a8d3eb111eff8ee7251fa9c88411aaa76d8dca1962725acefdbcf20af45",
     ),
     "lifted_sdd_mixed_24": (
         lifted_prepared,
-        "c1d64eb1f647c0d4a308f78baa9a7d81e5255831bec4423f08af74168fd96765",
+        "8e70430183426e7e863549ce0258d787e2ff15ec16734c4e7e47fc226116b556",
         "61b49f76cc1490e8a36e16b5066ca0a46ac7664a5028094cab4c0aac1c3e6801",
     ),
     "direct_p_half_random_regular_64": (
         direct_prepared,
-        "1830eaad9e732ee77019f302266746ba3e7a2d2225ad3f14079ff9db54f6dd55",
+        "2d0b2cf09b2a929038646e12b6c44fe1848d886c9306cdbaf72591b315da9bf7",
         "c6c548f52c051d8f0bc0ed7defba609c8af19189d2747e72b341f974c7ee81aa",
     ),
 }
@@ -137,7 +144,7 @@ def pinned_run(threads, *args):
 
 def test_dense_terminal_bytes_are_pinned_at_one_thread():
     assert pinned_run(1) == [
-        "917af933696d937ad1715a174ae9fa72c825ac6c7bea9f7a5ec70e455b632393",
+        "e7cb555b0adca76c87960df03194eee3e8a6f03f1259a3640f4f0e1f0e3355c0",
         "af78295e98559b0b3defe33d37ef71094edb16e3f99202c63503d4eb6f90552c",
     ]
 

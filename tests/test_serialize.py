@@ -126,7 +126,7 @@ def test_layout_is_header_then_raw_arrays():
     _, _, refined = make_ops()
     blocks = blocks_of(operator_bytes(refined))
     header = json.loads(blocks[0])
-    assert header["schema"] == SCHEMA == 10
+    assert header["schema"] == SCHEMA == 11
     chain = refined.chain
     levels = [blocks[1 + 3 * i:4 + 3 * i] for i in range(chain.d)]
     levels.append(blocks[-4:-1])  # the refinement matrix
@@ -146,7 +146,7 @@ def test_layout_is_header_then_raw_arrays():
     # each level polynomial's block holds its Chebyshev coefficients
     for q, raw in zip(chain.polys, blocks[2 + 3 * chain.d:-4]):
         assert np.frombuffer(raw, "<f8").tobytes() == q.coeffs.tobytes()
-    assert header["polys"] == [{"s": q.s, "t": q.t, "delta": q.delta, "eps": q.eps,
+    assert header["polys"] == [{"s": q.s, "delta": q.delta, "eps": q.eps,
                                 "certificate": q.certificate, "bound": q.bound}
                                for q in chain.polys]
 
@@ -171,14 +171,11 @@ def without(record, key):
 
 
 @pytest.mark.parametrize("edit", [
-    lambda h: without(h, "d"),
     lambda h: [h],
-    lambda h: {**h, "d": "3"},
-    lambda h: {**h, "d": True},
     lambda h: {**h, "n": -1},
     lambda h: {**h, "extra": 0},
     lambda h: {**h, "lambdas": ["x"]},
-    lambda h: {**h, "lambdas": [0.5] * (h["d"] + 7)},
+    lambda h: {**h, "lambdas": [0.5] * (len(h["polys"]) + 7)},
     lambda h: {**h, "polys": [{"p": 0.5}] * len(h["polys"])},
     lambda h: {**h, "polys": [{**q, "certificate": "taylor"} for q in h["polys"]]},
     lambda h: {**h, "polys": [{**q, "delta": 0.0} for q in h["polys"]]},
@@ -189,7 +186,7 @@ def without(record, key):
     lambda h: {**h, "terminal": 1},
     lambda h: {**h, "terminal": False},
     lambda h: without(h, "terminal"),
-], ids=["missing_d", "list", "d_string", "d_bool", "negative_n", "extra_field",
+], ids=["list", "negative_n", "extra_field",
         "lambda_string", "lambda_count", "poly_record", "poly_certificate",
         "poly_delta_zero", "degree_float", "missing_scale",
         "unknown_certificate", "missing_certificate", "terminal_int",
@@ -199,6 +196,34 @@ def test_malformed_header_rejected(edit):
     blocks = blocks_of(operator_bytes(refined))
     blocks[0] = json.dumps(edit(json.loads(blocks[0]))).encode("utf-8")
     with pytest.raises(SerializationError):
+        operator_from_bytes(container(blocks))
+
+
+@pytest.mark.parametrize("key", ["d", "eps_total", "kind", "t"])
+def test_header_carrying_a_derived_value_rejected(key):
+    # schema 11 stores nothing the loader derives, not even a true copy
+    _, _, refined = make_ops()
+    ch = refined.chain
+    blocks = blocks_of(operator_bytes(refined))
+    header = json.loads(blocks[0])
+    if key == "t":
+        header["polys"] = [{**r, "t": q.t} for r, q in zip(header["polys"], ch.polys)]
+    else:
+        header[key] = {"d": ch.d, "eps_total": ch.eps_total, "kind": refined.kind}[key]
+    assert ch.d >= 1
+    blocks[0] = json.dumps(header).encode("utf-8")
+    with pytest.raises(SerializationError, match="malformed"):
+        operator_from_bytes(container(blocks))
+
+
+def test_empty_level_coefficient_block_rejected():
+    # a level's degree is its coefficient count less one, so an empty block
+    # would be degree -1
+    _, _, refined = make_ops()
+    d = refined.chain.d
+    blocks = blocks_of(operator_bytes(refined))
+    blocks[2 + 3 * d] = b""
+    with pytest.raises(SerializationError, match="t \\+ 1 coefficients"):
         operator_from_bytes(container(blocks))
 
 
@@ -214,83 +239,14 @@ def test_negative_degree_rejected():
         operator_from_bytes(container(blocks))
 
 
-def test_schema_1_container_rejected():
-    _, crude, _ = make_ops()
-    blocks = blocks_of(operator_bytes(crude))
-    blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": 1}).encode("utf-8")
-    with pytest.raises(SerializationError, match="unsupported schema 1"):
-        operator_from_bytes(container(blocks))
-
-
-def test_schema_2_container_rejected():
-    # schema 2 also stored the terminal level X_d; it has no reader
-    _, crude, _ = make_ops()
-    blocks = blocks_of(operator_bytes(crude))
-    blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": 2}).encode("utf-8")
-    with pytest.raises(SerializationError, match="unsupported schema 2"):
-        operator_from_bytes(container(blocks))
-
-
-def test_schema_3_container_rejected():
-    # schema 3 stored the refinement as binomial-series coefficients
+@pytest.mark.parametrize("schema", range(1, 11))
+def test_older_schema_container_rejected(schema):
+    # schemas 1 to 10 have no reader; schema 10 stored kind, d, eps_total
+    # and each level's degree t, which schema 11 derives
     _, _, refined = make_ops()
     blocks = blocks_of(operator_bytes(refined))
-    blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": 3}).encode("utf-8")
-    with pytest.raises(SerializationError, match="unsupported schema 3"):
-        operator_from_bytes(container(blocks))
-
-
-def test_schema_4_container_rejected():
-    # schema 4 stored the interpolant at the Bernstein bound's degree
-    _, _, refined = make_ops()
-    blocks = blocks_of(operator_bytes(refined))
-    blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": 4}).encode("utf-8")
-    with pytest.raises(SerializationError, match="unsupported schema 4"):
-        operator_from_bytes(container(blocks))
-
-
-def test_schema_5_container_rejected():
-    # schema 5 stored the level polynomials as binomial-series coefficients
-    _, _, refined = make_ops()
-    blocks = blocks_of(operator_bytes(refined))
-    blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": 5}).encode("utf-8")
-    with pytest.raises(SerializationError, match="unsupported schema 5"):
-        operator_from_bytes(container(blocks))
-
-
-def test_schema_6_container_rejected():
-    # schema 6 had this layout, but its filled levels multiplied as CSR
-    _, _, refined = make_ops()
-    blocks = blocks_of(operator_bytes(refined))
-    blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": 6}).encode("utf-8")
-    with pytest.raises(SerializationError, match="unsupported schema 6"):
-        operator_from_bytes(container(blocks))
-
-
-def test_schema_7_container_rejected():
-    # schema 7 had this layout, but applied a filled suffix level by level
-    _, _, refined = make_ops()
-    blocks = blocks_of(operator_bytes(refined))
-    blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": 7}).encode("utf-8")
-    with pytest.raises(SerializationError, match="unsupported schema 7"):
-        operator_from_bytes(container(blocks))
-
-
-def test_schema_8_container_rejected():
-    # schema 8 had this layout, but Clenshaw scaled each sparse product apart
-    _, _, refined = make_ops()
-    blocks = blocks_of(operator_bytes(refined))
-    blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": 8}).encode("utf-8")
-    with pytest.raises(SerializationError, match="unsupported schema 8"):
-        operator_from_bytes(container(blocks))
-
-
-def test_schema_9_container_rejected():
-    # schema 9 had no terminal factor: a chain kept squaring its filled levels
-    _, _, refined = make_ops()
-    blocks = blocks_of(operator_bytes(refined))
-    blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": 9}).encode("utf-8")
-    with pytest.raises(SerializationError, match="unsupported schema 9"):
+    blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": schema}).encode("utf-8")
+    with pytest.raises(SerializationError, match=f"unsupported schema {schema}$"):
         operator_from_bytes(container(blocks))
 
 
@@ -358,7 +314,6 @@ def test_missing_or_extra_block_rejected():
 
 def test_dimension_beyond_int32_indices_refused_on_save():
     chain = FactorChain(n=2**31, levels=(), eps_schedule=(0.0,), polys=(), p=0.0,
-                        d=0, kappa_used=2.0, eps_total=0.0, lambdas=(1.0,),
-                        reports=())
+                        kappa_used=2.0, lambdas=(1.0,), reports=())
     with pytest.raises(SerializationError):
         operator_bytes(ChainOperator(chain))
