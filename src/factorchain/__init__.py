@@ -78,6 +78,7 @@ from .serialize import (
 from .sparse import (
     EdgeFactor,
     GrembanLift,
+    SddmBounds,
     SddmCertificate,
     SparseSymMatrix,
     Splitting,
@@ -88,6 +89,7 @@ from .sparse import (
     kappa_estimate,
     normalize,
     sdd_slack,
+    spectrum_bounds,
     validate_sddm,
 )
 from .sparsify import (

@@ -17,9 +17,11 @@ arXiv:1605.02353, also factor the last dense block exactly); a small
 radius lets I - X_k be dropped for I.  Every level polynomial is a
 Chebyshev series (maclaurin.ChebyshevPoly) applied by Clenshaw's
 recurrence; build_chain fits level i as maclaurin.power(-p/2, rho_i/2,
-eps_level), certified on the level's measured spectrum.  The p = -1 case additionally supports refinement
-to much tighter tolerances and a combinatorial edge factor for
-edge-indexed randomness.
+eps_level), certified on the level's spectrum.  Every radius rho_i is a
+proven Collatz-Wielandt bound, one matvec with the positive vector of the
+splitting's lower bound (sparse.nonneg_spectral_radius).  The p = -1 case
+additionally supports refinement to much tighter tolerances and a
+combinatorial edge factor for edge-indexed randomness.
 
 Refinement needs only an invertible crude factor Z, since
 Z (Z^T M Z)^{-1} Z^T = M^{-1} for any such Z; the level polynomials then
@@ -100,11 +102,12 @@ class FactorChain:
 
     The chain ends at X_d.  A filled X_d is kept as terminal, the dense
     array F = (I - X_d)^{p/2}; otherwise X_d is built only for its radius
-    and then dropped (terminal is None).  lambdas records the smallest
-    eigenvalue 1 - rho(X_i) of all d + 1 levels, eps_schedule lists the d
-    per-level targets (build_chain's budget, or the sandwich bound of a
-    degree refine_by_cost chose) followed by the terminal's error, F's
-    rounding allowance or the dropped level's gap, and eps_total is its sum.
+    and then dropped (terminal is None).  lambdas records 1 - rho_i for all
+    d + 1 levels, a proven lower bound on the smallest eigenvalue of
+    I - X_i; eps_schedule lists the d per-level targets (build_chain's
+    budget, or the sandwich bound of a degree refine_by_cost chose)
+    followed by the terminal's error, F's rounding allowance or the dropped
+    level's gap, and eps_total is its sum.
     """
 
     n: int
@@ -144,19 +147,19 @@ def _squarings(split: Splitting, eps: float, sp_params: SparsifyParams | None):
     """Yield (X_i, rho_i, report_i), X_0 first, until X_i is terminal.
 
     X_i is terminal once it is filled or rho_i <= min(5 eps / 6, 0.4).
-    rho_i is X_i's residual-padded radius and report_i the step that made X_i
-    (None for X_0).  A filled X_i past X_0 is yielded with rho_i None: its
-    gap is read from the eigenvalues of its terminal factor (_terminal), so
-    it needs no Lanczos run.  Step i squares with sp_params at eps / (8
-    d_max), d_max = chain_length_bound, seeded by level i's substream;
-    passing d_max by more than one level, or 3 levels whose radius does not
-    fall, raises ChainDiverged.  A step whose exact square could pass
+    rho_i is X_i's proven radius, one matvec with the positive vector of
+    the splitting's lower bound (sparse.nonneg_spectral_radius), and
+    report_i the step that made X_i (None for X_0).  Step i squares with
+    sp_params at eps / (8 d_max), d_max = chain_length_bound, seeded by
+    level i's substream; passing d_max by more than one level, or 3 levels
+    whose radius does not fall, raises ChainDiverged.  A step whose exact square could pass
     sparsify.SQUARE_BYTE_CAP raises SquareTooLarge before it is formed:
     the chain has no deeper level.
     """
     if sp_params is None:
         sp_params = SparsifyParams(eps=1.0)
-    x, rho = split.X, nonneg_spectral_radius(split.X)
+    v = split.bounds.v
+    x, rho = split.X, nonneg_spectral_radius(split.X, v)
     yield x, rho, None
     d_max = chain_length_bound(split.kappa_bound, eps)
     rho_stop = _rho_stop(eps)
@@ -170,10 +173,7 @@ def _squarings(split: Splitting, eps: float, sp_params: SparsifyParams | None):
             )
         x_next, report = sparsify_square_step(x, replace(
             sp_params, eps=eps_level, seed=substream_seed(sp_params.seed, TAG_LEVEL, i)))
-        if x_next.filled:
-            yield x_next, None, report
-            return
-        rho_next = nonneg_spectral_radius(x_next)
+        rho_next = nonneg_spectral_radius(x_next, v)
         stall = stall + 1 if 1.0 - rho_next <= 1.0 - rho else 0
         if stall >= 3:
             raise ChainDivergedError(
@@ -183,14 +183,15 @@ def _squarings(split: Splitting, eps: float, sp_params: SparsifyParams | None):
         yield x, rho, report
 
 
-def _terminal(x: SparseSymMatrix, rho: float | None, p: float):
-    """(F, gap, error) for the last level X of a chain at exponent p.
+def _terminal(x: SparseSymMatrix, rho: float, p: float):
+    """(F, gap, error) for the last level X of a chain at exponent p, whose
+    proven radius rho gives the gap 1 - rho.
 
-    A level that is not filled is dropped: F is None, gap = 1 - rho and the
-    error is -log(1 - rho).  A filled X is kept exactly: one eigh of I - X =
+    A level that is not filled is dropped: F is None and the error is
+    -log(1 - rho).  A filled X is kept exactly: one eigh of I - X =
     V diag(w) V^T gives F = (V w^{p/2}) V^T, so F F^T = (I - X)^p but for
-    rounding, and gap = w_min unless X_0's radius gives it.  A non-positive
-    w_min raises NotPositiveDefinite.  The error is a rounding allowance.
+    rounding.  A non-positive w_min raises NotPositiveDefinite.  The error
+    is a rounding allowance.
     eigh is backward stable, within a modest c n u ||I - X|| of I - X for
     unit roundoff u, which moves (I - X)^p by a factor within exp(+-|p| c n
     u kappa), kappa = w_max / w_min (|p| <= 1); forming F moves F F^T by
@@ -206,8 +207,7 @@ def _terminal(x: SparseSymMatrix, rho: float | None, p: float):
             "is not contracting")
     f = (v * w ** (p / 2.0)) @ v.T
     f.setflags(write=False)
-    gap = float(w[0]) if rho is None else 1.0 - rho
-    return f, gap, 8.0 * (abs(p) + 2.0) * x.n * 2.0 ** -53 * float(w[-1] / w[0])
+    return f, 1.0 - rho, 8.0 * (abs(p) + 2.0) * x.n * 2.0 ** -53 * float(w[-1] / w[0])
 
 
 def _assemble(split: Splitting, p: float, squarings, polys, top) -> FactorChain:
@@ -229,7 +229,7 @@ def build_chain(split: Splitting, p: float, eps: float,
                 sp_params: SparsifyParams | None = None) -> FactorChain:
     """Every level of _squarings, with a polynomial meeting its step's target.
 
-    The spectrum of I + X_i/2 lies within 1 +- rho_i/2 for the padded radius
+    The spectrum of I + X_i/2 lies within 1 +- rho_i/2 for the proven radius
     rho_i, so level i's polynomial is power(-p/2, rho_i/2, eps_level), the
     certified Chebyshev surrogate of y^{-p/2} there; the radii fall level by
     level, so the degrees do too.  The last level is the terminal (_terminal).
@@ -469,13 +469,17 @@ def chain_operator(split: Splitting, chain: FactorChain) -> ChainOperator:
     return ChainOperator(chain, out_scale=split.c ** (-chain.p / 2.0))
 
 
-def refine_inverse_factor(m: SparseSymMatrix, crude, eps: float):
+def refine_inverse_factor(m: SparseSymMatrix, crude, eps: float,
+                          spectrum: tuple[float, float] | None = None):
     """Tighten a crude inverse factor to C C^T within exp(+-eps) of M^{-1}.
 
     The inner matrix A = Z^T M Z is scaled by s = 2/(lo + hi) so its
-    spectrum sits in [1 - delta, 1 + delta]; lo and hi bound A's spectrum
-    from one Lanczos run.  Each of the two polynomial factors in C C^T
-    carries half the budget, at the degree maclaurin.inverse_sqrt certifies.
+    spectrum sits in [1 - delta, 1 + delta].  spectrum = (lo, hi) bounds
+    A's spectrum where the caller has proven bounds (refine_by_cost at
+    depth 0, where A = cM); otherwise they come from one Lanczos run
+    (sparse.power_iteration), and hold with high probability.  Each of the
+    two polynomial factors in C C^T carries half the budget, at the degree
+    maclaurin.inverse_sqrt certifies.
     """
     check_eps(eps)
     if getattr(crude, "chain", None) is None or crude.chain.p != -1.0:
@@ -483,9 +487,11 @@ def refine_inverse_factor(m: SparseSymMatrix, crude, eps: float):
     if crude.input_dim != m.n:
         raise DimensionMismatchError("operator and matrix dimensions differ")
 
-    bounds = power_iteration(lambda u: crude.apply_transpose(m.matvec(crude.apply(u))),
-                             m.n, "both")
-    lo, hi = bounds.lo, bounds.hi
+    if spectrum is None:
+        bounds = power_iteration(
+            lambda u: crude.apply_transpose(m.matvec(crude.apply(u))), m.n)
+        spectrum = bounds.lo, bounds.hi
+    lo, hi = spectrum
     if not (0.0 < lo <= hi) or not (math.isfinite(lo) and math.isfinite(hi)):
         raise SpectrumEstimateFailedError(
             f"inconsistent spectrum bounds lo={lo:.3e}, hi={hi:.3e}")
@@ -533,7 +539,7 @@ def _crude_factor(split: Splitting, squarings, t: int, top=None) -> ChainOperato
     """Z over the squarings at level degree t, ending in top, the last
     level's _terminal at p = -1; at t = 0, Z = c^{1/2} I with X_0's gap.
 
-    A padded radius of X_0 at or above 1 leaves depth 0 no gap to record,
+    A radius bound of X_0 at or above 1 leaves depth 0 no gap to record,
     and raises SpectrumEstimateFailed.
     """
     if t:
@@ -543,7 +549,7 @@ def _crude_factor(split: Splitting, squarings, t: int, top=None) -> ChainOperato
         gap = 1.0 - rho
         if not gap > 0.0:
             raise SpectrumEstimateFailedError(
-                f"X_0's padded radius {rho:.6g} leaves depth 0 no gap")
+                f"X_0's radius bound {rho:.6g} leaves depth 0 no gap")
         polys, top = (), (None, gap, max(0.0, -math.log(gap)))
     return chain_operator(split, _assemble(split, -1.0, squarings, polys, top))
 
@@ -552,7 +558,8 @@ def refine_by_cost(m: SparseSymMatrix, split: Splitting, eps: float,
                    sp_params: SparsifyParams | None = None) -> RefinedOperator:
     """Refine a crude inverse factor of M = (1/c)(I - X) at the cheapest level degree.
 
-    Depth 0 (Z = c^{1/2} I) is refined first, then the crude chain, squared
+    Depth 0 (Z = c^{1/2} I) is refined first, on the proven interval c [lo,
+    hi] of Z^T M Z = cM from split.bounds, then the crude chain, squared
     at CRUDE_EPS with sp_params, at t = 1, 2, ... until t is not cheaper.  A
     candidate costs its flops_per_sample, or infinity if its refinement fails.
     Every t >= 1 candidate holds each level that is not terminal, and a
@@ -564,6 +571,7 @@ def refine_by_cost(m: SparseSymMatrix, split: Splitting, eps: float,
     there is none.  If no candidate is finite, the last failure is raised.
     """
     rho_stop = _rho_stop(CRUDE_EPS)
+    depth_zero = (split.c * split.bounds.lo, split.c * split.bounds.hi)
     levels = _squarings(split, CRUDE_EPS, sp_params)
     squarings = [next(levels)]
     best, best_cost, failure = None, math.inf, None
@@ -589,7 +597,8 @@ def refine_by_cost(m: SparseSymMatrix, split: Splitting, eps: float,
                         raise
                     return best
         try:
-            op = refine_inverse_factor(m, _crude_factor(split, squarings, t, top), eps)
+            op = refine_inverse_factor(m, _crude_factor(split, squarings, t, top), eps,
+                                       None if t else depth_zero)
             cost = flops_per_sample(op)
         except (SpectrumEstimateFailedError, NoConvergenceError) as exc:
             op, cost, failure = None, math.inf, exc

@@ -115,7 +115,6 @@ def cmd_gen(args) -> int:
     _write_report(args, {
         "n": m.n,
         "nnz": m.full_nnz,
-        "seed": seed,
         "timings": {"total_s": time.perf_counter() - t0},
     })
     return 0
@@ -175,7 +174,6 @@ def cmd_factor(args) -> int:
         "kappa_used": op.chain.kappa_used,
         "chain": summary,
         "refinement": asdict(refinement) if refinement else None,
-        "seed": args.seed,
         "timings": {
             "read_s": t_build - t0,
             "chain_s": t_chain - t_build,
@@ -217,7 +215,6 @@ def cmd_sample(args) -> int:
         "n": n_out,
         "lifted": lifted,
         "gaussians_consumed": batch.gaussians_consumed,
-        "seed": args.seed,
         "timings": {"total_s": time.perf_counter() - t0},
     })
     return 0

@@ -53,7 +53,7 @@ class ChainDivergedError(NumericalError):
 
 
 class SpectrumEstimateFailedError(NumericalError):
-    """Lanczos bounds for a refinement spectrum are inconsistent."""
+    """Bounds for a refinement spectrum are inconsistent or leave it no gap."""
 
 
 class SquareTooLargeError(NumericalError):

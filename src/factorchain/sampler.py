@@ -54,11 +54,12 @@ REFINE_SHARE = 8.0
 Z_THRESHOLD = 3.0
 
 # bytes of noise one colouring block holds: with Clenshaw's three blocks,
-# about 1 MB, small enough to stay in cache and for the allocator to reuse
-# its pages from batch to batch rather than return them and fault them in
-# again; a sample too large for one block is coloured alone, up to
-# _SAMPLE_BYTES
+# about 1 MB, small enough to stay in cache; a sample too large for one
+# block is coloured alone, up to _SAMPLE_BYTES
 _BLOCK_BYTES = 2**18
+# blocks in a batch's working set: the noise rows, their column copy and
+# Clenshaw's three blocks
+_WORKING_BLOCKS = 5
 _SAMPLE_BYTES = 2**27
 # bytes of samples one batch may hold
 _OUTPUT_BYTES = 2**30
@@ -124,11 +125,16 @@ def _mean_of(op, potential: np.ndarray, lifted: bool) -> np.ndarray:
 
 
 def prepare(field: GaussianField, eps: float) -> PreparedSampler:
-    """Build the refined inverse factor and the mean for a field."""
+    """Build the refined inverse factor and the mean for a field.
+
+    The sampler's eps is the one the operator is certified to, eps /
+    REFINE_SHARE, as factorchain sample records for a stored operator.
+    """
     check_eps(eps)
     _, refined = _refined_operator(field, eps)
     mean = _mean_of(refined, field.potential, field.lifted is not None)
-    return PreparedSampler(field=field, operator=refined, mean=mean, eps=eps)
+    return PreparedSampler(field=field, operator=refined, mean=mean,
+                           eps=refined.refinement.eps)
 
 
 @dataclass(frozen=True)
@@ -166,6 +172,12 @@ def _color(op, mean: np.ndarray, count: int, seed: int, eps: float,
     """
     dim = op.input_dim
     block = _block_columns(dim, count, mean.size)
+    # glibc gives a freed heap top back to the system once it passes a trim
+    # threshold, twice the largest mmapped array freed so far.  An array the
+    # size of the working set, allocated and dropped here, sets it above
+    # what a batch frees, so the next batch reuses these pages rather than
+    # faulting fresh ones in (grid_field: 508 -> 0 minor faults a batch)
+    np.empty(_WORKING_BLOCKS * min(block, count) * dim)
     out = np.empty((count, mean.size))
     gen = stream(seed, TAG_SAMPLE)
     for start in range(0, count, block):

@@ -1,4 +1,4 @@
-"""Binary container for factor operators, schema 11.
+"""Binary container for factor operators, schema 12.
 
 Layout: the magic ``FCOP1`` and a newline, then blocks, each a uint64
 little-endian byte count followed by that many bytes:
@@ -60,7 +60,7 @@ from .maclaurin import CERTIFICATES, ChebyshevPoly
 from .sparse import SparseSymMatrix
 
 MAGIC = b"FCOP1\n"
-SCHEMA = 11
+SCHEMA = 12
 
 # indices are stored as <i4
 INDEX_LIMIT = 2**31

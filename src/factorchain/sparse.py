@@ -44,10 +44,12 @@ of a symmetric CSR with sorted indices accumulates entries (i, j) and
 (j, i) from the same products in the same order, and sums and scalings
 act entrywise.
 
-Also here: SDDM validation, the edge factor, Lanczos spectral bounds, the
+Also here: SDDM validation, the edge factor, the spectral bounds, the
 normalization M = (1/c)(I - X) with X entrywise nonnegative, and the Gremban
 lifting that turns an SDD matrix with positive off-diagonals into an SDDM
-matrix of twice the size.
+matrix of twice the size.  The bounds on an SDDM matrix and on a
+nonnegative one's radius are proven by row sums (spectrum_bounds); Lanczos
+(power_iteration) bounds other operators with high probability.
 """
 
 from __future__ import annotations
@@ -386,28 +388,123 @@ def edge_factor(m: SparseSymMatrix) -> EdgeFactor:
     return EdgeFactor(b=b, n=m.n, m_prime=n_e + n_s, n_edges=n_e, n_slack=n_s)
 
 
+@dataclass(frozen=True, eq=False)
+class SddmBounds:
+    """Proven lo <= lambda_min(M) and lambda_max(M) <= hi of an SDDM M.
+
+    v is the positive vector lo came from: min_i (M v)_i / v_i, less its
+    rounding, is at least lo.  The chain bounds each level's radius with it
+    (nonneg_spectral_radius).
+    """
+
+    lo: float
+    hi: float
+    v: np.ndarray
+
+    @property
+    def kappa(self) -> float:
+        """2 hi / lo.  The 2 is a margin, not a correction: the scale c =
+        (1 - 1/kappa) / max_diag of normalize grows with kappa and lowers
+        rho(X); without it a 32 x 32 grid's chain has 5 levels, not 4."""
+        return 2.0 * self.hi / self.lo
+
+
 @dataclass(frozen=True)
 class Splitting:
-    """Normalization M = (1/c) * (I - X) with X entrywise nonnegative."""
+    """Normalization M = (1/c) * (I - X) with X entrywise nonnegative, and
+    the proven bounds on M's spectrum that set c."""
 
     c: float
     X: SparseSymMatrix
     kappa_bound: float
+    bounds: SddmBounds
 
 
-# a Lanczos run stops once each end it waits for has a residual norm of at
-# most LANCZOS_RTOL of its Ritz value, or after LANCZOS_MAX_STEPS steps (n,
-# if fewer)
+# spectrum_bounds' fixed iteration counts: CG iterations on M v = 1 for the
+# lower bound, power steps on |M| for the upper one
+BOUND_CG_STEPS = 50
+BOUND_POWER_STEPS = 10
+
+
+def _rounding(csr) -> float:
+    """Relative rounding allowance of the row sums of csr times a vector.
+
+    A row of k products sums within gamma_k = k u / (1 - k u) of the sum of
+    their magnitudes, for unit roundoff u = 2^-53; 2 (k + 2) u covers that,
+    the allowance's own rounding and a quotient by the vector's entry.
+    """
+    k = int(np.diff(csr.indptr).max()) if csr.nnz else 0
+    return 2.0 * (k + 2) * 2.0 ** -53
+
+
+def _cg_ones(m: SparseSymMatrix, stop: float) -> np.ndarray:
+    """v from at most BOUND_CG_STEPS CG iterations on M v = 1, started from
+    zero; it stops once the residual norm is at most stop ||v||."""
+    v, r = np.zeros(m.n), np.ones(m.n)
+    p, rr = r.copy(), float(m.n)
+    for _ in range(BOUND_CG_STEPS):
+        mp = m.matvec(p)
+        alpha = rr / float(p @ mp)
+        v += alpha * p
+        r -= alpha * mp
+        rr, rr_last = float(r @ r), rr
+        if math.sqrt(rr) <= stop * float(np.linalg.norm(v)):
+            break
+        p = r + (rr / rr_last) * p
+    return v
+
+
+def spectrum_bounds(m: SparseSymMatrix, cert: SddmCertificate) -> SddmBounds:
+    """Proven bounds on both ends of an SDDM matrix's spectrum.
+
+    Collatz-Wielandt (Horn & Johnson, Matrix Analysis, 2nd ed., 8.1) gives,
+    for any entrywise positive v and w,
+
+        lambda_min(M) >= min_i (M v)_i / v_i,   lambda_max(M) <= max_i (|M| w)_i / w_i,
+
+    the first since M = sI - B with B >= 0 has lambda_min = s - rho(B), the
+    second since lambda_max(M) <= rho(|M|).  v = w = 1 is Gershgorin.
+
+    lo is the larger of min_slack and the first ratio at v from at most
+    BOUND_CG_STEPS CG iterations on M v = 1, started from zero, less the
+    rounding of M v taken against |M| v; v is used only if entrywise
+    positive.  CG stops once its residual is within the rounding of M v,
+    so on uniform slack s it stops after one step at v = 1/s, where both
+    candidates are s = lambda_min.  hi is the least second ratio over w =
+    1 and BOUND_POWER_STEPS power steps on |M|.  An early CG iterate can
+    give a negative ratio, and min_slack then stands.
+    """
+    if not cert.is_sddm:
+        raise NotSddmError("spectrum_bounds requires an SDDM matrix")
+    a = abs(m._csr)
+    g = _rounding(a)
+    aw = a @ np.ones(m.n)
+    gershgorin = hi = float(aw.max()) * (1.0 + g)
+    for _ in range(BOUND_POWER_STEPS):
+        w = aw / aw.max()
+        aw = a @ w
+        hi = min(hi, float(np.max(aw / w)) * (1.0 + g))
+    v = _cg_ones(m, g * gershgorin)
+    lo, v_lo = cert.min_slack, np.ones(m.n)
+    if np.all(v > 0.0):
+        ratio = float(np.min((m.matvec(v) - g * (a @ v)) / v))
+        if ratio > lo:
+            lo, v_lo = ratio, v
+    v_lo.setflags(write=False)
+    return SddmBounds(lo=lo, hi=hi, v=v_lo)
+
+
+# a Lanczos run stops once both ends have a residual norm of at most
+# LANCZOS_RTOL of their Ritz values, or after LANCZOS_MAX_STEPS steps (n, if
+# fewer)
 LANCZOS_RTOL = 1e-3
 LANCZOS_MAX_STEPS = 120
-
-# the ends of the spectrum a run may wait for, as indices into (lo, hi)
-_ENDS = {"lo": [0], "hi": [1], "both": [0, 1]}
 
 
 @dataclass(frozen=True)
 class SpectrumBounds:
-    """lo <= lambda_min, lambda_max <= hi; residual is the larger waited-for pad."""
+    """lo <= lambda_min, lambda_max <= hi (with high probability); residual
+    is the larger pad."""
 
     lo: float
     hi: float
@@ -416,8 +513,8 @@ class SpectrumBounds:
     converged: bool
 
 
-def power_iteration(matvec, n: int, ends: str) -> SpectrumBounds:
-    """Bounds on both ends of a symmetric operator's spectrum.
+def power_iteration(matvec, n: int) -> SpectrumBounds:
+    """Probabilistic bounds on both ends of a symmetric operator's spectrum.
 
     One Lanczos run with full reorthogonalisation from the fixed TAG_PROBE
     probe, so repeated runs agree bit for bit.  Each Ritz value theta lies
@@ -428,17 +525,14 @@ def power_iteration(matvec, n: int, ends: str) -> SpectrumBounds:
     Anal. Appl. 13(4), 1992) bound the chance that theta_max after k steps
     falls short of lambda_max by a relative eps by 1.648 sqrt(n)
     exp(-sqrt(eps) (2k - 1)); the bottom end is the top of lambda_max I - A.
-
-    ends ("lo", "hi" or "both") names the ends the stop test waits for,
-    the ones the caller reads.  The other end is padded by its own
-    residual all the same, so both bounds hold, but it may be loose.
+    Its one caller is the refinement of a crude factor with levels, whose
+    Z^T M Z has no row-sum bound (chain.refine_inverse_factor).
 
     The name predates the method: the benchmark's tracer wraps it by this
     name and counts calls to matvec, its first argument, as steps.
     """
     if n == 0:
         return SpectrumBounds(0.0, 0.0, 0, 0.0, True)
-    wait = _ENDS[ends]
     cap = min(LANCZOS_MAX_STEPS, n)
     basis = np.empty((cap, n))
     alpha, beta = [], []
@@ -453,56 +547,53 @@ def power_iteration(matvec, n: int, ends: str) -> SpectrumBounds:
         b = float(np.linalg.norm(w))
         theta, s = scipy.linalg.eigh_tridiagonal(np.array(alpha), np.array(beta))
         extremes, r = theta[[0, -1]], b * np.abs(s[-1, [0, -1]])
-        converged = bool(np.all(r[wait] <= LANCZOS_RTOL * np.abs(extremes[wait])))
+        converged = bool(np.all(r <= LANCZOS_RTOL * np.abs(extremes)))
         if converged or k + 1 == cap:
             break
         beta.append(b)
         q = w / b
     return SpectrumBounds(lo=float(extremes[0] - r[0]), hi=float(extremes[1] + r[1]),
-                          steps=k + 1, residual=float(r[wait].max()), converged=converged)
+                          steps=k + 1, residual=float(r.max()), converged=converged)
 
 
-def nonneg_spectral_radius(x: SparseSymMatrix) -> float:
-    """Upper bound on the spectral radius of a nonnegative symmetric matrix.
+def nonneg_spectral_radius(x: SparseSymMatrix, v: np.ndarray) -> float:
+    """Proven upper bound max_i (X v)_i / v_i on the spectral radius of a
+    nonnegative symmetric X, for an entrywise positive v: one matvec.
 
-    By Perron-Frobenius it is lambda_max(X) = 1 - lambda_min(I - X), and
-    bounding the bottom of I - X resolves the gap 1 - rho relatively.
+    Collatz-Wielandt, with the rounding of X v.  The chain passes every
+    level the v of its splitting's lower bound, so X_0 = I - cM gets 1 - c
+    lo; and an exact step X' = X/2 + X^2/2 has X' v <= ((R + R^2)/2) v
+    whenever X v <= R v, so each exact level's bound is at most the
+    recurrence (R + R^2)/2 of the last one's.  A sampled level is bounded
+    the same way.
     """
     if x.nnz == 0:
         return 0.0
-    return 1.0 - power_iteration(lambda v: v - x.matvec(v), x.n, "lo").lo
+    return float(np.max(x.matvec(v) / v)) * (1.0 + _rounding(x._csr))
 
 
 def kappa_estimate(m: SparseSymMatrix) -> float:
-    """Upper estimate 2 lambda_max / min_slack of an SDDM condition number.
-
-    A Lanczos run bounds lambda_max, waiting for the top end only, and the
-    smallest dominance slack bounds lambda_min (Gershgorin).  The 2 is a margin, not a correction: the
-    scale c = (1 - 1/kappa) / max_diag of normalize grows with kappa and
-    lowers rho(X); without it a 32 x 32 grid's chain has 5 levels, not 4.
-    """
-    cert = validate_sddm(m)
-    if not cert.is_sddm:
-        raise NotSddmError("kappa_estimate requires an SDDM matrix")
-    return float(2.0 * power_iteration(m.matvec, m.n, "hi").hi / cert.min_slack)
+    """Upper bound 2 hi / lo on an SDDM condition number, from the proven
+    bounds of spectrum_bounds; see SddmBounds.kappa for the 2."""
+    return spectrum_bounds(m, validate_sddm(m)).kappa
 
 
 def normalize(m: SparseSymMatrix, cert: SddmCertificate) -> Splitting:
     """Split an SDDM matrix as M = (1/c)(I - X) with X >= 0 entrywise.
 
-    c = (1 - 1/kappa) / max_i M_ii with kappa = max(2, kappa_estimate(M)).
-    With that scaling the spectrum of c*M sits inside
-    [1/(2 kappa), 2 - 1/(2 kappa)] and rho(X) <= 1 - 1/(2 kappa).
+    c = (1 - 1/kappa) / max_i M_ii with kappa = max(2, 2 hi / lo) from the
+    proven bounds of spectrum_bounds, which the splitting keeps.  With that
+    scaling the spectrum of c*M sits inside [1/(2 kappa), 2 - 1/(2 kappa)]
+    and rho(X) <= 1 - 1/(2 kappa).
     """
-    if not cert.is_sddm:
-        raise NotSddmError("normalize requires an SDDM matrix")
-    kap = max(2.0, kappa_estimate(m))
+    bounds = spectrum_bounds(m, cert)
+    kap = max(2.0, bounds.kappa)
     c = (1.0 - 1.0 / kap) / cert.max_diag
     x = identity_minus_scaled(c, m)
     if x.min_value() < 0.0:
         # cannot happen for a valid certificate; guards rounding surprises
         raise NotSddmError("normalization produced a negative entry")
-    return Splitting(c=c, X=x, kappa_bound=kap)
+    return Splitting(c=c, X=x, kappa_bound=kap, bounds=bounds)
 
 
 # -- Gremban lifting ----------------------------------------------------------

@@ -14,6 +14,7 @@ from factorchain import (
     InvalidParamsError,
     NoConvergenceError,
     SparseSymMatrix,
+    SddmBounds,
     SparsifyParams,
     Splitting,
     SpectrumEstimateFailedError,
@@ -43,6 +44,7 @@ from factorchain import (
     validate_sddm,
 )
 import factorchain.chain as chain_module
+import factorchain.sparse as sparse_module
 import factorchain.sparsify as sparsify_module
 from factorchain.chain import crude_level_poly, flops_per_sample, refine_by_cost
 from factorchain.maclaurin import (
@@ -88,7 +90,7 @@ def test_chain_length_bound_formula():
 
 def test_zero_x_gives_empty_chain():
     split = Splitting(c=1.0, X=SparseSymMatrix.from_dense(np.zeros((3, 3))),
-                      kappa_bound=2.0)
+                      kappa_bound=2.0, bounds=SddmBounds(1.0, 1.0, np.ones(3)))
     chain = build_chain(split, -1.0, 0.5)
     assert chain.d == 0
     assert chain.eps_total == 0.0
@@ -172,7 +174,8 @@ def test_budget_overrun_raises():
     # a splitting that lies about its condition number exhausts the level
     # budget long before the radius test can fire
     x = SparseSymMatrix.from_dense(0.95 * np.eye(8))
-    split = Splitting(c=0.5, X=x, kappa_bound=1.01)
+    split = Splitting(c=0.5, X=x, kappa_bound=1.01,
+                      bounds=SddmBounds(0.1, 0.1, np.ones(8)))
     with pytest.raises(ChainDivergedError):
         build_chain(split, -1.0, 0.5, SparsifyParams(eps=1.0, mode="exact"))
 
@@ -189,12 +192,13 @@ def test_schedule_sums_to_eps_total():
         terminal = terminal_level(chain, SparsifyParams(eps=1.0, mode="exact"))
         assert terminal.nnz == chain.reports[-1].nnz_out
         assert terminal.filled is filled is (chain.terminal is not None)
+        # filled or not, the last gap is 1 - the level's proven radius
+        assert chain.lambdas[-1] == 1.0 - nonneg_spectral_radius(terminal, split.bounds.v)
         if not filled:
-            assert chain.lambdas[-1] == 1.0 - nonneg_spectral_radius(terminal)
             continue
-        # F = (I - X_d)^{-1/2}, the gap read from its eigenvalues
+        # F = (I - X_d)^{-1/2}, whose smallest eigenvalue the gap bounds
         a = np.eye(m.n) - terminal.to_dense()
-        assert chain.lambdas[-1] == pytest.approx(np.linalg.eigvalsh(a)[0], rel=1e-12)
+        assert chain.lambdas[-1] <= np.linalg.eigvalsh(a)[0]
         f = chain.terminal
         assert loewner_check(f @ f.T, np.linalg.inv(a), chain.eps_schedule[-1]).passed
         assert chain.eps_schedule[-1] < 1e-12
@@ -215,12 +219,12 @@ def test_level_polynomials_fit_the_measured_radius(name, p):
     split, op = exact_chain_op(m, p, eps)
     chain = op.chain
     # the budget is the unchanged one: eps / (8 d_max) per level, then the
-    # terminal's error, with lambdas the measured 1 - rho(X_i)
+    # terminal's error, with lambdas the proven 1 - rho(X_i)
     eps_level = eps / (8.0 * max(chain_length_bound(split.kappa_bound, eps), 1))
     assert chain.eps_schedule[:-1] == (eps_level,) * chain.d
     assert chain.eps_total == sum(chain.eps_schedule)
     for i, (x, poly) in enumerate(zip(chain.levels, chain.polys)):
-        rho = nonneg_spectral_radius(x)
+        rho = nonneg_spectral_radius(x, split.bounds.v)
         assert chain.lambdas[i] == 1.0 - rho
         # I + X_i/2 has its spectrum within 1 +- rho(X_i)/2
         assert poly.delta == rho / 2.0
@@ -691,12 +695,15 @@ def at_level_degree(crude, t):
 
 def exhaustive_rule(m, split, eps, sp=None):
     """The reference refine_by_cost must match: build the whole crude chain,
-    then try t = 0, 1, ... until a degree is not cheaper than the best."""
+    then try t = 0, 1, ... until a degree is not cheaper than the best.
+    Depth 0 is refined on the proven interval c [lo, hi] of Z^T M Z = cM."""
     crude = chain_operator(split, build_chain(split, -1.0, 1.0, sp))
+    depth_zero = (split.c * split.bounds.lo, split.c * split.bounds.hi)
     best, best_cost, failure = None, math.inf, None
     for t in itertools.count():
         try:
-            op = refine_inverse_factor(m, at_level_degree(crude, t), eps)
+            op = refine_inverse_factor(m, at_level_degree(crude, t), eps,
+                                       None if t else depth_zero)
             cost = flops_per_sample(op)
         except (SpectrumEstimateFailedError, NoConvergenceError) as exc:
             op, cost, failure = None, math.inf, exc
@@ -775,10 +782,11 @@ def test_prepare_stops_squaring_once_no_deeper_factor_can_win(monkeypatch):
 
 def test_prepare_stops_at_a_filled_level_without_forming_its_factor(monkeypatch):
     # X_6 fills: X_0 .. X_5 and X_6's factor, n^2, cost as much as depth 0,
-    # so no factor is formed, and X_6 needs no radius
+    # so no factor is formed; X_6's radius, one matvec, is taken as every
+    # level's is
     levels = assert_squaring_stops(
         monkeypatch, path_graph(128, slack=1e-2),
-        {"square": 6, "radius": 6, "refine": 1, "terminal": 0}, 6)
+        {"square": 6, "radius": 7, "refine": 1, "terminal": 0}, 6)
     assert levels[-1].filled
 
 
@@ -832,7 +840,7 @@ def test_a_refused_square_leaves_refine_by_cost_no_deeper_candidate(monkeypatch)
     radii = iter([1.0 + 1e-3])
     real = chain_module.nonneg_spectral_radius
     monkeypatch.setattr(chain_module, "nonneg_spectral_radius",
-                        lambda x: next(radii, None) or real(x))
+                        lambda x, v: next(radii, None) or real(x, v))
     with pytest.raises(SquareTooLargeError):
         refine_by_cost(m, split, 0.1 / REFINE_SHARE)
 
@@ -855,6 +863,70 @@ def test_prepare_picks_depth_zero_on_ill_conditioned_grid():
     assert op.chain.lambdas == built.lambdas[:1]
 
 
+def test_depth_zero_interval_contains_the_spectrum_on_an_expander():
+    # Lanczos stored spectrum_hi = 1.9339 here, under the top 1.9359 of cM,
+    # and a dense error of 0.054 against the recorded 0.0125; the proven
+    # interval c [lo, hi] holds the spectrum, and the error is within eps
+    m = random_regular(1024, 3, seed=0, slack=1e-2)
+    op = prepared_operator(m)
+    assert op.chain.d == 0
+    split = split_of(m)
+    lam = split.c * np.linalg.eigvalsh(m.to_dense())
+    info = op.info
+    assert (info.spectrum_lo, info.spectrum_hi) == (split.c * split.bounds.lo,
+                                                    split.c * split.bounds.hi)
+    # up to eigvalsh's own rounding, n u lambda_max: at the bottom lo is
+    # min_slack, the bottom eigenvalue itself
+    tol = m.n * 2.0 ** -52 * lam[-1]
+    assert info.spectrum_lo <= lam[0] + tol and lam[-1] <= info.spectrum_hi
+    c = op.as_dense()
+    err = np.max(np.abs(np.log(np.linalg.eigvalsh(c.T @ m.to_dense() @ c))))
+    assert err <= info.eps
+
+
+def test_prepare_certifies_a_grid_of_kappa_eight_million():
+    # grid2d(32, slack=1e-6): depth 0 passes MAX_DEGREE, and the chain at
+    # t = 1 ends in a dense factor; the dense error max |log lambda(C^T M
+    # C)| (numpy's eigvalsh: the Jacobi oracle stops at n = 512) is within
+    # the recorded eps
+    m = grid2d(32, slack=1e-6)
+    op = prepared_operator(m)
+    assert op.chain.terminal is not None and level_degree(op) == 1
+    c = op.as_dense()
+    assert np.max(np.abs(np.log(np.linalg.eigvalsh(c.T @ m.to_dense() @ c)))) <= op.info.eps
+
+
+def test_prepare_stores_depth_zero_where_every_square_is_refused():
+    # grid2d(128, slack=1e-4): the squaring refuses X_3 by its byte cap,
+    # and depth 0, whose proven interval gives it a gap, is stored
+    m = grid2d(128, slack=1e-4)
+    op = prepared_operator(m)
+    assert op.chain.d == 0 and op.info.spectrum_lo > 0.0
+    assert op.info.degree == 1320
+
+
+def test_prepare_on_the_grid_field_input_runs_no_lanczos(monkeypatch):
+    # depth 0 is refined on its proven interval, and no t >= 1 candidate is
+    # refined: both bindings of power_iteration stay uncalled
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sparse_module, "power_iteration",
+                        counted(sparse_module.power_iteration))
+    monkeypatch.setattr(chain_module, "power_iteration",
+                        counted(chain_module.power_iteration))
+    m = grid2d(32)
+    h = np.random.default_rng([0, 1]).standard_normal(m.n)
+    op = prepare(make_field(m, h), 0.1).operator
+    assert calls == []
+    assert op.chain.d == 0 and op.info.degree == 7
+
+
 def test_prepare_ends_an_ill_conditioned_grid_in_a_dense_factor():
     # kappa about 7.9e6: depth 0 would pass MAX_DEGREE, and the crude chain
     # ends at its first filled level, X_4, in F = (I - X_4)^{-1/2}
@@ -870,14 +942,14 @@ def test_prepare_ends_an_ill_conditioned_grid_in_a_dense_factor():
 
 
 def test_depth_zero_without_a_gap_is_scored_infinite(monkeypatch):
-    # a padded radius of X_0 at or above 1 leaves depth 0 no gap: it raises
+    # a radius bound of X_0 at or above 1 leaves depth 0 no gap: it raises
     # a typed error, which refine_by_cost scores as an infinite cost
     m = grid2d(8)
     split = split_of(m)
     radii = iter([1.0 + 1e-3])
     real = chain_module.nonneg_spectral_radius
     monkeypatch.setattr(chain_module, "nonneg_spectral_radius",
-                        lambda x: next(radii, None) or real(x))
+                        lambda x, v: next(radii, None) or real(x, v))
     squarings = [next(chain_module._squarings(split, chain_module.CRUDE_EPS, None))]
     assert squarings[0][1] == 1.0 + 1e-3
     with pytest.raises(SpectrumEstimateFailedError, match="no gap"):

@@ -27,6 +27,7 @@ from factorchain import (
     sdd_mixed,
     solve,
     validate_sddm,
+    write_batch_bin,
     write_matrix,
 )
 from factorchain.chain import flops_per_sample
@@ -69,10 +70,13 @@ def test_gen_writes_readable_matrix(grid_file):
 def test_gen_kinds(tmp_path):
     for kind, size in (("path", "6"), ("random_regular", "8"),
                        ("sdd_mixed", "6")):
-        out = tmp_path / f"{kind}.mtx"
+        out, rep = tmp_path / f"{kind}.mtx", tmp_path / f"{kind}.json"
         assert main(["gen", "--kind", kind, "--size", size,
-                     "--out", str(out)]) == 0
+                     "--out", str(out), "--report", str(rep)]) == 0
         assert out.exists()
+        # the seed is reported once, as the parsed flag in config
+        report = json.loads(rep.read_text())
+        assert "seed" not in report and report["config"]["seed"] == 0
 
 
 def test_gen_invalid_params_exit_2(tmp_path):
@@ -351,6 +355,25 @@ def test_sample_bin_format_with_sidecar(tmp_path, grid_file):
     assert np.all(np.isfinite(data))
     report = json.loads(rep.read_text())
     assert report["gaussians_consumed"] == 3 * 16
+    assert "seed" not in report and report["config"]["seed"] == 7
+
+
+def test_library_and_cli_record_the_same_eps_for_the_same_samples(tmp_path):
+    # prepare refines eps / REFINE_SHARE tighter, so prepare(.., 0.2) and
+    # factor --eps 0.025 store one operator; both sidecars record the eps
+    # that operator is certified to
+    mfile, op, sfile = tmp_path / "m.mtx", tmp_path / "op.fcop", tmp_path / "cli.bin"
+    assert main(["gen", "--kind", "grid2d", "--size", "8", "--out", str(mfile)]) == 0
+    assert main(["factor", str(mfile), "--eps", str(0.2 / REFINE_SHARE),
+                 "--out", str(op)]) == 0
+    assert main(["sample", str(op), "--count", "3", "--seed", "5", "--format", "bin",
+                 "--out", str(sfile)]) == 0
+    lib = tmp_path / "lib.bin"
+    write_batch_bin(sample(prepare(make_field(grid2d(8)), 0.2), 3, seed=5), lib)
+    assert lib.read_bytes() == sfile.read_bytes()
+    side = json.loads((tmp_path / "cli.bin.json").read_text())
+    assert json.loads((tmp_path / "lib.bin.json").read_text()) == side
+    assert side["eps"] == 0.2 / REFINE_SHARE
 
 
 def test_sample_one_is_the_first_row_of_a_longer_batch(tmp_path, grid_file):
@@ -413,9 +436,10 @@ def sample_with_schema(tmp_path, grid_file, schema):
     return main(["sample", str(old), "--count", "1", "--out", str(tmp_path / "s.csv")])
 
 
-@pytest.mark.parametrize("schema", range(4, 11))
+@pytest.mark.parametrize("schema", range(4, 12))
 def test_sample_older_schema_container_exit_2(tmp_path, grid_file, capsys, schema):
-    # no older schema has a reader; 10 stored what schema 11 derives
+    # no older schema has a reader; 10 stored what schema 11 derives, and
+    # 11 holds operators normalized by another kappa
     assert sample_with_schema(tmp_path, grid_file, schema) == 2
     assert f"unsupported schema {schema}\n" in capsys.readouterr().err
 
@@ -545,8 +569,10 @@ def test_environment_is_ignored(tmp_path, grid_file, monkeypatch):
     out, rep = tmp_path / "op.fcop", tmp_path / "r.json"
     assert main(["factor", str(grid_file), "--out", str(out),
                  "--report", str(rep)]) == 0
-    config = json.loads(rep.read_text())["config"]
+    report = json.loads(rep.read_text())
+    config = report["config"]
     assert (config["eps"], config["seed"]) == (0.5, 0)
+    assert "seed" not in report
     assert out.read_bytes() == plain.read_bytes()
     sfile = tmp_path / "s.out"
     assert main(["sample", str(out), "--count", "2", "--out", str(sfile)]) == 0

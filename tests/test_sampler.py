@@ -1,4 +1,8 @@
 import json
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -200,6 +204,35 @@ def test_a_batch_holds_the_noise_and_the_recurrence_blocks():
     prep = sampler.PreparedSampler(field=make_field(r), operator=op,
                                    mean=np.zeros(r.n), eps=0.3)
     assert batch_working_set(prep, 128, seed=1) <= 5.5
+
+
+# grid_field's sampling in a fresh process: the minor page faults of 50
+# 64-sample batches after a warm-up, per batch
+_FAULTS = """
+import resource
+import numpy as np
+import factorchain as fc
+m = fc.grid2d(32)
+prep = fc.prepare(fc.make_field(m, np.random.default_rng([1, 1]).standard_normal(m.n)), 0.1)
+for _ in range(3):
+    fc.sample(prep, 64, 1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    fc.sample(prep, 1, 1)
+    fc.sample(prep, 64, 1)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's trim threshold")
+def test_repeated_batches_reuse_their_pages():
+    # a fresh process, so no earlier test has raised the allocator's
+    # thresholds; without the working-set array that _color drops, glibc
+    # returned a batch's blocks and faulted in about 508 fresh pages a batch
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", _FAULTS], env=env, check=True,
+                          capture_output=True, text=True)
+    assert float(proc.stdout) < 10.0
 
 
 class Identity:

@@ -126,7 +126,7 @@ def test_layout_is_header_then_raw_arrays():
     _, _, refined = make_ops()
     blocks = blocks_of(operator_bytes(refined))
     header = json.loads(blocks[0])
-    assert header["schema"] == SCHEMA == 11
+    assert header["schema"] == SCHEMA == 12
     chain = refined.chain
     levels = [blocks[1 + 3 * i:4 + 3 * i] for i in range(chain.d)]
     levels.append(blocks[-4:-1])  # the refinement matrix
@@ -201,7 +201,7 @@ def test_malformed_header_rejected(edit):
 
 @pytest.mark.parametrize("key", ["d", "eps_total", "kind", "t"])
 def test_header_carrying_a_derived_value_rejected(key):
-    # schema 11 stores nothing the loader derives, not even a true copy
+    # the header stores nothing the loader derives, not even a true copy
     _, _, refined = make_ops()
     ch = refined.chain
     blocks = blocks_of(operator_bytes(refined))
@@ -239,10 +239,11 @@ def test_negative_degree_rejected():
         operator_from_bytes(container(blocks))
 
 
-@pytest.mark.parametrize("schema", range(1, 11))
+@pytest.mark.parametrize("schema", range(1, 12))
 def test_older_schema_container_rejected(schema):
-    # schemas 1 to 10 have no reader; schema 10 stored kind, d, eps_total
-    # and each level's degree t, which schema 11 derives
+    # schemas 1 to 11 have no reader; schema 10 stored kind, d, eps_total
+    # and each level's degree t, which schema 11 derives, and schema 11
+    # operators were normalized by Lanczos' kappa, not the proven one
     _, _, refined = make_ops()
     blocks = blocks_of(operator_bytes(refined))
     blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": schema}).encode("utf-8")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from factorchain import (
     NonFiniteError,
     NonSymmetricError,
     NotSddError,
+    NotPositiveDefiniteError,
     NotSddmError,
     SparseSymMatrix,
     SparsifyParams,
@@ -22,6 +25,7 @@ from factorchain import (
     kappa_estimate,
     normalize,
     path_graph,
+    random_regular,
     random_sddm,
     sdd_mixed,
     sdd_slack,
@@ -38,9 +42,12 @@ from factorchain.sparse import (
     identity_minus_scaled,
     nonneg_spectral_radius,
     power_iteration,
+    spectrum_bounds,
     square,
 )
 
+import factorchain.chain as chain_module
+import factorchain.sparse as sparse_module
 from conftest import random_sddm_dense
 
 
@@ -239,34 +246,33 @@ def test_kappa_estimate_within_factor_four_of_truth():
 
 
 def test_power_iteration_brackets_diagonal_spectrum():
-    assert power_iteration(lambda v: v, 0, "both") == SpectrumBounds(0.0, 0.0, 0, 0.0, True)
+    assert power_iteration(lambda v: v, 0) == SpectrumBounds(0.0, 0.0, 0, 0.0, True)
     # three distinct values: the Krylov space is invariant after three steps
     d = np.repeat([3.0, 1.0, 0.5], 4)
-    b = power_iteration(lambda v: d * v, d.size, "both")
+    b = power_iteration(lambda v: d * v, d.size)
     assert b.converged and b.steps == 3 and b.residual <= 1e-12
     assert 0.5 - 1e-12 <= b.lo <= 0.5 and 3.0 <= b.hi <= 3.0 + 1e-12
     # a spread spectrum stops on the residual test, bracketing both ends
     e = np.linspace(1.0, 2.0, 300)
-    b = power_iteration(lambda v: e * v, e.size, "both")
+    b = power_iteration(lambda v: e * v, e.size)
     assert b.converged and b.steps < LANCZOS_MAX_STEPS
     assert 1.0 - 1e-3 <= b.lo <= 1.0 and 2.0 <= b.hi <= 2.0 + 1e-3
     # eigenvalues crowding zero never meet the relative test: the run stops
     # at the cap, and the padded bounds still hold
     g = np.geomspace(1e-6, 1.0, 400)
-    b = power_iteration(lambda v: g * v, g.size, "both")
+    b = power_iteration(lambda v: g * v, g.size)
     assert not b.converged and b.steps == LANCZOS_MAX_STEPS
     assert b.lo <= 1e-6 and b.hi >= 1.0
-    # waiting for the top end alone stops early; both bounds stay padded
-    top = power_iteration(lambda v: g * v, g.size, "hi")
-    assert top.converged and top.steps < LANCZOS_MAX_STEPS
-    assert top.lo <= 1e-6 and 1.0 <= top.hi <= 1.0 + 1e-3
 
 
 def test_nonneg_spectral_radius_matches_dense(grid9):
+    # uniform slack makes 1 the Perron vector of X = I - cM, and the
+    # splitting's v is constant: the bound is the radius, less rounding
     split = normalize(grid9, validate_sddm(grid9))
-    rho = nonneg_spectral_radius(split.X)
+    assert np.ptp(split.bounds.v) == 0.0
+    rho = nonneg_spectral_radius(split.X, split.bounds.v)
     exact = np.max(np.abs(np.linalg.eigvalsh(split.X.to_dense())))
-    assert rho == pytest.approx(exact, rel=1e-6)
+    assert rho == pytest.approx(exact, rel=1e-12)
 
 
 def exact_chain_levels(m):
@@ -293,12 +299,119 @@ def test_radius_bound_holds_on_every_chain_level(m):
 def test_kappa_estimate_bounds_dense_condition_number(m):
     lam = np.linalg.eigvalsh(m.to_dense())
     assert kappa_estimate(m) >= lam[-1] / lam[0]
-    # kappa reads only the top end, so its run stops before M's bottom end
-    # converges: 16 / 35 / 12 / 28 / 46 steps against 24 / 56 / 27 / 45 / 100
-    top = power_iteration(m.matvec, m.n, "hi")
-    assert top.steps < power_iteration(m.matvec, m.n, "both").steps
-    assert lam[-1] <= top.hi <= lam[-1] * (1.0 + 2e-3)
-    assert kappa_estimate(m) == 2.0 * top.hi / validate_sddm(m).min_slack
+    # kappa is 2 hi / lo from the proven bounds, which bracket the dense
+    # spectrum up to eigvalsh's own rounding; hi is within 5 % of the top
+    b = spectrum_bounds(m, validate_sddm(m))
+    tol = 1e-12 * lam[-1]
+    assert b.lo <= lam[0] + tol and lam[-1] <= b.hi <= lam[-1] * 1.05
+    assert kappa_estimate(m) == 2.0 * b.hi / b.lo
+
+
+def with_slack(m, slack):
+    """m's off-diagonal entries, with each row's dominance slack replaced by
+    slack (an array): an SDDM matrix whose Perron vector is not constant."""
+    r, c, v = m.upper_triangle()
+    off, idx = r != c, np.arange(m.n)
+    return SparseSymMatrix(m.n, np.concatenate([r[off], idx]), np.concatenate([c[off], idx]),
+                           np.concatenate([v[off], m.offdiag_abs_row_sums() + slack]))
+
+
+def log_uniform(rng, lo, hi, size):
+    return np.exp(rng.uniform(np.log(lo), np.log(hi), size))
+
+
+# each family maps a seed to an SDDM matrix of n <= 512
+BOUND_FAMILIES = {
+    "grid2d": lambda seed: grid2d(4 + seed % 13, slack=10.0 ** -(seed % 5)),
+    "random_regular": lambda seed: random_regular(32 * (1 + seed % 16), 3, seed=seed,
+                                                  slack=10.0 ** -(seed % 5)),
+    "random_sddm": lambda seed: random_sddm(10 + seed % 300, seed=seed),
+    "lifted_sdd_mixed": lambda seed: gremban_lift(sdd_mixed(8 + seed % 120, seed=seed)).S,
+    "log_uniform_slack": lambda seed: with_slack(
+        grid2d(4 + seed % 13) if seed % 2 else random_regular(32 * (1 + seed % 16), 3, seed=seed),
+        log_uniform(np.random.default_rng(seed), 1e-6, 0.1, 512)[:(4 + seed % 13) ** 2
+                                                                  if seed % 2 else
+                                                                  32 * (1 + seed % 16)]),
+}
+
+
+def dense_top(x):
+    """The largest |eigenvalue| of a dense symmetric array, and the rounding
+    of eigvalsh, n u ||x||, that the comparisons below allow it."""
+    lam = np.linalg.eigvalsh(x)
+    top = float(max(abs(lam[0]), abs(lam[-1])))
+    return lam, top, x.shape[0] * 2.0 ** -52 * top
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.sampled_from(sorted(BOUND_FAMILIES)), st.integers(0, 10_000))
+def test_proven_bounds_hold_on_every_family(family, seed):
+    m = BOUND_FAMILIES[family](seed)
+    assert m.n <= 512
+    cert = validate_sddm(m)
+    b = spectrum_bounds(m, cert)
+    lam, _, tol = dense_top(m.to_dense())
+    assert 0.0 < cert.min_slack <= b.lo <= lam[0] + tol
+    assert b.hi >= lam[-1] - tol
+    assert np.all(b.v > 0.0)
+    # every level's proven radius, exact or sampled, is at least its dense
+    # radius: X_0, each square and the terminal level, filled or not
+    split = normalize(m, cert)
+    exact = SparsifyParams(eps=1.0)
+    sampled = SparsifyParams(eps=1.0, mode="sampled", seed=seed, samples_per_edge=4)
+    for x, rho in first_levels(split, exact, 4) + first_levels(split, sampled, 2):
+        _, top, tol = dense_top(x.to_dense())
+        assert rho >= top - tol
+
+
+def first_levels(split, params, count):
+    """(X_i, rho_i) for up to count levels of the chain's squaring loop, X_0
+    first.  A sampled step whose walk estimate overshoots a row is refused
+    (NotPositiveDefinite): the levels before it are all the chain has."""
+    out = []
+    try:
+        for x, rho, _ in itertools.islice(chain_module._squarings(split, 1.0, params), count):
+            out.append((x, rho))
+    except NotPositiveDefiniteError:
+        pass
+    return out
+
+
+def test_a_cg_vector_that_is_not_positive_falls_back_to_min_slack(monkeypatch):
+    # a path with edge weights log-uniform in [1e-2, 1e2] and slack in [1e-6,
+    # 0.1]: after BOUND_CG_STEPS iterations one entry of v is negative
+    rng = np.random.default_rng(5)
+    n = 512
+    slack = log_uniform(rng, 1e-6, 0.1, n)
+    w = log_uniform(rng, 1e-2, 1e2, n - 1)
+    rows, cols = np.arange(n - 1), np.arange(1, n)
+    path = SparseSymMatrix(n, rows, cols, -w)
+    m = with_slack(path, slack)
+    seen = []
+
+    def recorded(*args):
+        seen.append(sparse_module._cg_ones.__wrapped__(*args))
+        return seen[-1]
+
+    recorded.__wrapped__ = sparse_module._cg_ones
+    monkeypatch.setattr(sparse_module, "_cg_ones", recorded)
+    cert = validate_sddm(m)
+    b = spectrum_bounds(m, cert)
+    assert np.min(seen[-1]) <= 0.0
+    assert b.lo == cert.min_slack > 0.0 and np.array_equal(b.v, np.ones(n))
+    lam, _, tol = dense_top(m.to_dense())
+    assert b.lo <= lam[0] + tol and b.hi >= lam[-1] - tol
+    # a positive v from too few iterations gives a negative ratio on a grid
+    # with log-uniform slack; min_slack stands there too
+    monkeypatch.setattr(sparse_module, "BOUND_CG_STEPS", 5)
+    g = with_slack(grid2d(16), log_uniform(np.random.default_rng(2), 1e-6, 0.1, 256))
+    cert = validate_sddm(g)
+    b = spectrum_bounds(g, cert)
+    a = abs(g.to_scipy())
+    ratio = np.min((g.matvec(seen[-1]) - sparse_module._rounding(a) * (a @ seen[-1]))
+                   / seen[-1])
+    assert np.all(seen[-1] > 0.0) and ratio < 0.0
+    assert b.lo == cert.min_slack > 0.0
 
 
 # ------------------------------------------------------------ gremban lift
