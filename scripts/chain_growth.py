@@ -4,12 +4,14 @@ For each test graph this prints the lambda (= 1 - rho(X_i)) sequence, the
 growth ratio between consecutive levels, each level's stored entries and
 fill (full nnz / n^2; the chain ends at the first level filled to at least
 0.5, which it keeps as one dense factor), each level polynomial's degree
-and the delta (= rho(X_i)/2) it is fit to, and compares the realized chain
-length against the a priori bound.  Useful for eyeballing whether the
-sparsified squares keep the geometric decay that the exact squares have.
-Each level's proven radius rho (sparse.nonneg_spectral_radius) is printed
-next to its dense radius, the largest |eigenvalue| from numpy's eigvalsh,
-for n <= 512, so the table shows how loose the bound is.
+and the relative half-width delta of the interval [floor, rho] of X_i it
+is fit to, and compares the realized chain length against the a priori
+bound.  Useful for eyeballing whether the sparsified squares keep the
+geometric decay that the exact squares have.  Each level's proven floor
+and radius rho (chain.build_chain, sparse.nonneg_spectral_radius) are
+printed next to its dense smallest eigenvalue and dense radius, the
+largest |eigenvalue|, from numpy's eigvalsh for n <= 512, so the table
+shows how loose the bounds are.
 
 After each chain it prints what refine_by_cost stores for the same input
 at the same eps (as `factor --eps` does): the depth, the level degree and
@@ -21,6 +23,7 @@ import argparse
 import numpy as np
 
 import factorchain.chain as chain_module
+from factorchain.chain import level_centre
 from factorchain import (
     SparsifyParams,
     build_chain,
@@ -43,22 +46,27 @@ def describe(name, m, eps, mode, seed):
     print(f"\n{name}: n={m.n} kappa_hat={split.kappa_bound:.3f} "
           f"d={chain.d} bound={bound} eps_total={chain.eps_total:.4f} X_d {end}")
     print(f"  {'level':>5} {'lambda':>10} {'ratio':>8} {'nnz':>8} {'fill':>6} "
-          f"{'poly_t':>6} {'delta':>8} {'rho':>10} {'dense rho':>10}")
+          f"{'poly_t':>6} {'delta':>8} {'floor':>10} {'dense min':>10} "
+          f"{'rho':>10} {'dense rho':>10}")
     # every level X_0 .. X_d, the terminal one too, as build_chain squared it
-    levels = [x for x, _, _ in chain_module._squarings(split, eps, sp)]
+    levels = [x for x, _, _ in
+              chain_module._squarings(split, eps, sp, chain_module._rho_stop(eps))]
     prev = None
     for i, (lam, x) in enumerate(zip(chain.lambdas, levels)):
         ratio = "" if prev is None else f"{lam / prev:8.4f}"
-        nnz = chain.levels[i].full_nnz if i < len(chain.levels) else "-"
-        fill = f"{nnz / m.n ** 2:6.3f}" if i < len(chain.levels) else "-"
-        deg = chain.polys[i].t if i < len(chain.polys) else "-"
-        delta = f"{chain.polys[i].delta:8.5f}" if i < len(chain.polys) else "-"
-        dense = "-"
+        nnz = fill = deg = delta = floor = "-"
+        if i < chain.d:
+            q = chain.polys[i]
+            nnz, deg, delta = chain.levels[i].full_nnz, q.t, f"{q.delta:8.5f}"
+            fill = f"{nnz / m.n ** 2:6.3f}"
+            # the bottom of the fitted interval of y = 1 + X_i/2, in X_i
+            floor = f"{2.0 * (level_centre(q, lam) * (1.0 - q.delta) - 1.0):10.6f}"
+        dense_min = dense = "-"
         if m.n <= 512:
             w = np.linalg.eigvalsh(x.to_dense())
-            dense = f"{max(abs(w[0]), abs(w[-1])):10.6f}"
+            dense_min, dense = f"{w[0]:10.6f}", f"{max(abs(w[0]), abs(w[-1])):10.6f}"
         print(f"  {i:>5} {lam:>10.5f} {ratio:>8} {nnz:>8} {fill:>6} {deg:>6} {delta:>8} "
-              f"{1.0 - lam:10.6f} {dense:>10}")
+              f"{floor:>10} {dense_min:>10} {1.0 - lam:10.6f} {dense:>10}")
         prev = lam
     ok = all(b >= (9.0 / 8.0) * a or a > 0.5
              for a, b in zip(chain.lambdas, chain.lambdas[1:]))

@@ -16,10 +16,14 @@ is kept as one exact dense factor F = (I - X_k)^{p/2} (Kyng & Sachdeva,
 arXiv:1605.02353, also factor the last dense block exactly); a small
 radius lets I - X_k be dropped for I.  Every level polynomial is a
 Chebyshev series (maclaurin.ChebyshevPoly) applied by Clenshaw's
-recurrence; build_chain fits level i as maclaurin.power(-p/2, rho_i/2,
-eps_level), certified on the level's spectrum.  Every radius rho_i is a
-proven Collatz-Wielandt bound, one matvec with the positive vector of the
-splitting's lower bound (sparse.nonneg_spectral_radius).  The p = -1 case
+recurrence.  Every radius rho_i is a proven Collatz-Wielandt bound, one
+matvec with the positive vector of the splitting's lower bound
+(sparse.nonneg_spectral_radius), and every level of an exact chain has a
+proven floor too, -1/8 or above after X_0 (_floors).  build_chain splits
+the requested eps over the levels it builds, as Cheng, Cheng, Liu, Peng &
+Teng (arXiv:1502.03496) do: each level polynomial gets an equal share of
+what the terminal's and the steps' errors leave, fitted by
+maclaurin.power on the level's interval [floor_i, rho_i].  The p = -1 case
 additionally supports refinement to much tighter tolerances and a
 combinatorial edge factor for edge-indexed randomness.
 
@@ -74,15 +78,15 @@ from .sparse import (
     edge_factor,
     nonneg_spectral_radius,
     power_iteration,
+    rounding_allowance,
 )
 from .sparsify import SparsifyParams, SparsifyReport, sparsify_square_step
 
-# early-termination cap on the terminal radius; chains built with loose eps
-# stop refining here so that later polynomial stages see a narrow spectrum
-RHO_STOP_CAP = 0.4
+# the radius at or below which a level of the crude p = -1 chain is terminal
+CRUDE_RHO_STOP = 0.4
 
 # eps of the crude p = -1 chain, whose level polynomials refine_by_cost picks:
-# it sets only the radius stop 0.4 and the level targets 1 / (8 d_max)
+# it sets only its level budget d_max and step targets 1 / (8 d_max)
 CRUDE_EPS = 1.0
 
 
@@ -104,10 +108,11 @@ class FactorChain:
     array F = (I - X_d)^{p/2}; otherwise X_d is built only for its radius
     and then dropped (terminal is None).  lambdas records 1 - rho_i for all
     d + 1 levels, a proven lower bound on the smallest eigenvalue of
-    I - X_i; eps_schedule lists the d per-level targets (build_chain's
-    budget, or the sandwich bound of a degree refine_by_cost chose)
-    followed by the terminal's error, F's rounding allowance or the dropped
-    level's gap, and eps_total is its sum.
+    I - X_i; eps_schedule lists the d per-level errors (build_chain's
+    share of the budget plus the step's error, or the sandwich bound of a
+    degree refine_by_cost chose) followed by the terminal's error, F's
+    rounding allowance or the dropped level's -log(1 - rho), and eps_total
+    is its sum.
     """
 
     n: int
@@ -139,22 +144,31 @@ class FactorChain:
 
 
 def _rho_stop(eps: float) -> float:
-    """The radius at or below which a level is terminal."""
-    return min(eps * 5.0 / 6.0, RHO_STOP_CAP)
+    """The radius at or below which a direct chain's level is terminal:
+    dropped, it costs -log(1 - rho) <= eps/4, half of the eps/2 that the
+    chain's schedule may spend (build_chain)."""
+    return -math.expm1(-eps / 4.0)
 
 
-def _squarings(split: Splitting, eps: float, sp_params: SparsifyParams | None):
+def _step_eps(split: Splitting, eps: float) -> float:
+    """eps / (8 d_max), d_max = chain_length_bound: each squaring step's
+    target, and the least share a direct chain's level polynomial gets."""
+    return eps / (8.0 * max(chain_length_bound(split.kappa_bound, eps), 1))
+
+
+def _squarings(split: Splitting, eps: float, sp_params: SparsifyParams | None,
+               rho_stop: float = CRUDE_RHO_STOP):
     """Yield (X_i, rho_i, report_i), X_0 first, until X_i is terminal.
 
-    X_i is terminal once it is filled or rho_i <= min(5 eps / 6, 0.4).
-    rho_i is X_i's proven radius, one matvec with the positive vector of
-    the splitting's lower bound (sparse.nonneg_spectral_radius), and
-    report_i the step that made X_i (None for X_0).  Step i squares with
-    sp_params at eps / (8 d_max), d_max = chain_length_bound, seeded by
-    level i's substream; passing d_max by more than one level, or 3 levels
-    whose radius does not fall, raises ChainDiverged.  A step whose exact square could pass
-    sparsify.SQUARE_BYTE_CAP raises SquareTooLarge before it is formed:
-    the chain has no deeper level.
+    X_i is terminal once it is filled or rho_i <= rho_stop, the crude
+    chain's stop unless given (build_chain gives _rho_stop).  rho_i is X_i's
+    proven radius, one matvec with the positive vector of the splitting's
+    lower bound (sparse.nonneg_spectral_radius), and report_i the step that
+    made X_i (None for X_0).  Step i squares with sp_params at _step_eps,
+    seeded by level i's substream; passing d_max by more than one level, or
+    3 levels whose radius does not fall, raises ChainDiverged.  A step whose
+    exact square could pass sparsify.SQUARE_BYTE_CAP raises SquareTooLarge
+    before it is formed: the chain has no deeper level.
     """
     if sp_params is None:
         sp_params = SparsifyParams(eps=1.0)
@@ -162,8 +176,7 @@ def _squarings(split: Splitting, eps: float, sp_params: SparsifyParams | None):
     x, rho = split.X, nonneg_spectral_radius(split.X, v)
     yield x, rho, None
     d_max = chain_length_bound(split.kappa_bound, eps)
-    rho_stop = _rho_stop(eps)
-    eps_level = eps / (8.0 * max(d_max, 1))
+    eps_level = _step_eps(split, eps)
     i = stall = 0
     while not (x.filled or rho <= rho_stop):
         if i >= d_max + 1:
@@ -210,69 +223,165 @@ def _terminal(x: SparseSymMatrix, rho: float, p: float):
     return f, 1.0 - rho, 8.0 * (abs(p) + 2.0) * x.n * 2.0 ** -53 * float(w[-1] / w[0])
 
 
-def _assemble(split: Splitting, p: float, squarings, polys, top) -> FactorChain:
+def _assemble(split: Splitting, p: float, squarings, polys, level_eps, top) -> FactorChain:
     """The chain over the first len(polys) levels of squarings, each with its
     polynomial and the step that made it, ending in top = (F, gap, error) as
-    _terminal gives it.  The schedule is the polynomials' eps then the error."""
+    _terminal gives it.  The schedule is level_eps, one entry per
+    polynomial, then the error."""
     xs, radii, reports = zip(*squarings)
     d = len(polys)
     f, gap, eps_end = top
     return FactorChain(
-        n=split.X.n, levels=xs[:d], eps_schedule=tuple(q.eps for q in polys) + (eps_end,),
+        n=split.X.n, levels=xs[:d], eps_schedule=tuple(level_eps) + (eps_end,),
         polys=tuple(polys), p=p, kappa_used=split.kappa_bound,
         lambdas=tuple(1.0 - r for r in radii[:d]) + (gap,), reports=reports[1:d + 1],
         terminal=f,
     )
 
 
+def _floors(split: Splitting, squarings, exact: bool) -> list[float]:
+    """Proven lower bounds on the spectra of the levels of squarings, X_0 first.
+
+    X_0 = I - cM has its spectrum in [1 - c hi, 1 - c lo] for the bounds
+    of split.bounds.  An exact step X' = X/2 + X^2/2 maps the spectrum by
+    f(x) = x/2 + x^2/2, least at x = -1/2 with f = -1/8, so on [floor,
+    rho] f is least at the point nearest -1/2; a sampled step leaves only
+    -rho.  Every level's spectrum also lies within +-rho_i.  The computed
+    X_0, and a computed exact square, differ from the exact matrix by at
+    most the level's rounding allowance g in norm (sparse.rounding_allowance:
+    a row of k products rounds within k u of its magnitudes, which sum to
+    at most 1); each floor is widened by 2 g, the second g for its own
+    arithmetic and the interval centre that an operator derives
+    (level_centre).
+    """
+    floors, rho_last = [], None
+    for x, rho, report in squarings:
+        if report is None:
+            lo = 1.0 - split.c * split.bounds.hi
+        elif exact:
+            z = min(max(-0.5, floors[-1]), rho_last)
+            lo = 0.5 * z + 0.5 * z * z
+        else:
+            lo = -rho
+        floors.append(max(-rho, lo) - 2.0 * rounding_allowance(x))
+        rho_last = rho
+    return floors
+
+
+def _level_top(lam: float) -> float:
+    """1 + rho/2 for the radius rho = 1 - lam a chain records as its gap lam,
+    widened by 8 units of roundoff for 1 - lam and for the centre an
+    operator derives (level_centre): the top of the interval of y = 1 + X/2
+    a level polynomial is fitted on."""
+    return (1.0 + 0.5 * (1.0 - lam)) * (1.0 + 2.0 ** -50)
+
+
+def _level_poly(s: float, floor: float, lam: float, eps: float) -> ChebyshevPoly:
+    """The surrogate of y^s on y in [1 + floor/2, 1 + rho/2], rho = 1 - lam,
+    within exp(+-eps): power(s, delta, eps) in y/m, the interval's centre m
+    and relative half-width delta = (hi - lo)/(hi + lo).  m^s p(y/m) is within
+    exp(+-eps) of y^s wherever p(y/m) is of (y/m)^s; the operator applies
+    the scalar m^s (ChainOperator)."""
+    hi, lo = _level_top(lam), 1.0 + 0.5 * floor
+    return power(s, (hi - lo) / (hi + lo), eps)
+
+
+def level_centre(poly: ChebyshevPoly, lam: float) -> float:
+    """The centre m of the interval of y = 1 + X/2 a level polynomial is
+    fitted on, for the level's recorded gap lam.
+
+    A direct chain's polynomial is fitted on [m (1 - delta), m (1 + delta)]
+    with top _level_top(lam), 1 + rho/2 for rho = 1 - lam but for rounding
+    (_level_poly), so m = _level_top(lam) / (1 + delta) and the container
+    stores nothing more.  The crude chain's binomial series (certificate
+    "series") is a series about y = 1.
+    """
+    if poly.certificate == "series":
+        return 1.0
+    return _level_top(lam) / (1.0 + poly.delta)
+
+
 def build_chain(split: Splitting, p: float, eps: float,
                 sp_params: SparsifyParams | None = None) -> FactorChain:
-    """Every level of _squarings, with a polynomial meeting its step's target.
+    """Every level of _squarings, each polynomial fitted on the level's
+    proven spectral interval at an equal share of the budget.
 
-    The spectrum of I + X_i/2 lies within 1 +- rho_i/2 for the proven radius
-    rho_i, so level i's polynomial is power(-p/2, rho_i/2, eps_level), the
-    certified Chebyshev surrogate of y^{-p/2} there; the radii fall level by
-    level, so the degrees do too.  The last level is the terminal (_terminal).
-    At p = 0, C = I: the chain stops at X_0, with its gap and no error.
+    2 eps_total certifies C C^T against M^p, so the schedule spends eps/2.
+    The terminal's error e_end (_terminal) and every step's error come
+    first: a step's measured error (zero for an exact step), or its
+    requested one where it was not measured.  The d level polynomials share
+    the rest equally, (eps/2 - e_end - sum e_step) / d, but never less than
+    the steps' own target eps / (8 d_max) (_step_eps); eps_schedule[i] is
+    level i's share plus its step's error.  An exact chain's levels are all
+    functions of X_0, so their log-errors add and 2 eps_total is then the
+    requested eps.  The squaring stops where a dropped level costs eps/4
+    (_rho_stop), which leaves the polynomials at least eps/4.
+
+    The spectrum of X_i lies in [floor_i, rho_i], the proven floor of
+    _floors and the proven radius, so level i's polynomial is the certified
+    surrogate of y^{-p/2} on y in [1 + floor_i/2, 1 + rho_i/2] (_level_poly).
+    An exact square has no eigenvalue below -1/8, so every level of an
+    exact chain after X_0 sits on an interval far narrower than 1 +- rho_i/2.  The last level is
+    the terminal (_terminal).  At p = 0, C = I: the chain stops at X_0, with
+    its gap and no error.
     """
     if not (-1.0 <= p <= 1.0):
         raise InvalidParamsError(f"exponent {p} outside [-1, 1]")
     check_eps(eps)
-    squarings = _squarings(split, eps, sp_params)
+    squarings = _squarings(split, eps, sp_params, _rho_stop(eps))
     if p == 0.0:
         first = next(squarings)
-        return _assemble(split, 0.0, [first], (), (None, 1.0 - first[1], 0.0))
+        return _assemble(split, 0.0, [first], (), (), (None, 1.0 - first[1], 0.0))
     squarings = list(squarings)
-    _, radii, reports = zip(*squarings)
-    top = _terminal(squarings[-1][0], radii[-1], p)
-    polys = [power(-p / 2.0, r / 2.0, step.eps_requested)
-             for r, step in zip(radii, reports[1:])]
-    return _assemble(split, p, squarings, polys, top)
+    xs, radii, reports = zip(*squarings)
+    top = _terminal(xs[-1], radii[-1], p)
+    step_errors = [r.eps_requested if r.eps_measured is None else r.eps_measured
+                   for r in reports[1:]]
+    d = len(step_errors)
+    share = max(_step_eps(split, eps), (0.5 * eps - top[2] - sum(step_errors)) / max(d, 1))
+    exact = sp_params is None or sp_params.mode == "exact"
+    floors = _floors(split, squarings, exact)
+    polys = [_level_poly(-p / 2.0, floors[i], 1.0 - radii[i], share) for i in range(d)]
+    return _assemble(split, p, squarings, polys, [share + e for e in step_errors], top)
 
 
 # -- operators -----------------------------------------------------------------
 
 
 class ChainOperator:
-    """C = out_scale * T_0 T_1 ... T_{d-1} F with T_i = poly_i(I + X_i/2).
+    """C = out_scale * T_0 T_1 ... T_{d-1} F with T_i = m_i^s poly_i((I + X_i/2)/m_i).
 
-    Each T_i is a symmetric polynomial in one level and F is the chain's
-    terminal factor (the identity when the chain has none), so the
-    transpose is F^T and the T_i in reversed order.  C C^T approximates
-    M^p when out_scale = c^{-p/2} for the normalization scale c.  apply
-    multiplies by F and apply_transpose by the view F.T, each in one padded
-    gemm (sparse.dense_matvec), whose columns do not depend on the block's
-    width; the levels go through Clenshaw.  Each returns a block of its
-    own, scaling the one F or the last level made in place.
+    m_i is the centre of the interval level i's polynomial is fitted on
+    (level_centre; 1 for the crude chain) and s its exponent.  Each T_i is
+    a symmetric polynomial in one level and F is the chain's terminal
+    factor (the identity when the chain has none), so the transpose is F^T
+    and the T_i in reversed order.  C C^T approximates M^p when out_scale =
+    c^{-p/2} for the normalization scale c.  apply multiplies by F and
+    apply_transpose by the view F.T, each in one padded gemm
+    (sparse.dense_matvec), whose columns do not depend on the block's
+    width; the levels of degree t >= 1 go through Clenshaw at the shift
+    (1/m_i, 1/(2 m_i)).  The scalars m_i^s, and the whole of a degree-0
+    level, m_i^s c_0, fold into out_scale: one scale, applied last, in
+    place to the block F or the last level made.  With no such block the
+    input is scaled into a new one.
     """
 
     kind = "chain"
     refinement = None
-    __slots__ = ("chain", "out_scale")
+    __slots__ = ("chain", "out_scale", "_levels", "_scale")
 
     def __init__(self, chain: FactorChain, out_scale: float = 1.0):
         self.chain = chain
         self.out_scale = float(out_scale)
+        scale, levels = self.out_scale, []
+        for q, x, lam in zip(chain.polys, chain.levels, chain.lambdas):
+            m = level_centre(q, lam)
+            scale *= m ** q.s
+            if q.t == 0:
+                scale *= float(q.coeffs[0])
+            else:
+                levels.append((q, x, (1.0 / m, 0.5 / m)))
+        self._levels, self._scale = tuple(levels), scale
 
     @property
     def input_dim(self) -> int:
@@ -290,32 +399,28 @@ class ChainOperator:
             )
         return v
 
-    def _scaled(self, w: np.ndarray) -> np.ndarray:
-        """out_scale * w, scaled in place unless w is still the caller's
-        array: at depth 0 with no terminal factor."""
-        ch = self.chain
-        if ch.d == 0 and ch.terminal is None:
-            return self.out_scale * w
-        w *= self.out_scale
+    def _scaled(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The scale times w, in place unless w is still the input v."""
+        if w is v:
+            return self._scale * w
+        w *= self._scale
         return w
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        w = self._check(v)
-        ch = self.chain
-        if ch.terminal is not None:
-            w = dense_matvec(ch.terminal, w)
-        for i in range(ch.d - 1, -1, -1):
-            w = apply_operator_poly(ch.polys[i], ch.levels[i], (1.0, 0.5), w)
-        return self._scaled(w)
+        w = v = self._check(v)
+        if self.chain.terminal is not None:
+            w = dense_matvec(self.chain.terminal, w)
+        for q, x, shift in reversed(self._levels):
+            w = apply_operator_poly(q, x, shift, w)
+        return self._scaled(w, v)
 
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
-        w = self._check(v)
-        ch = self.chain
-        for i in range(ch.d):
-            w = apply_operator_poly(ch.polys[i], ch.levels[i], (1.0, 0.5), w)
-        if ch.terminal is not None:
-            w = dense_matvec(ch.terminal.T, w)
-        return self._scaled(w)
+        w = v = self._check(v)
+        for q, x, shift in self._levels:
+            w = apply_operator_poly(q, x, shift, w)
+        if self.chain.terminal is not None:
+            w = dense_matvec(self.chain.terminal.T, w)
+        return self._scaled(w, v)
 
     def as_dense(self) -> np.ndarray:
         return self.apply(np.eye(self.chain.n))
@@ -551,7 +656,8 @@ def _crude_factor(split: Splitting, squarings, t: int, top=None) -> ChainOperato
             raise SpectrumEstimateFailedError(
                 f"X_0's radius bound {rho:.6g} leaves depth 0 no gap")
         polys, top = (), (None, gap, max(0.0, -math.log(gap)))
-    return chain_operator(split, _assemble(split, -1.0, squarings, polys, top))
+    return chain_operator(split, _assemble(split, -1.0, squarings, polys,
+                                           [q.eps for q in polys], top))
 
 
 def refine_by_cost(m: SparseSymMatrix, split: Splitting, eps: float,
@@ -570,9 +676,8 @@ def refine_by_cost(m: SparseSymMatrix, split: Splitting, eps: float,
     candidate: the best finite one is returned, or the refusal raised if
     there is none.  If no candidate is finite, the last failure is raised.
     """
-    rho_stop = _rho_stop(CRUDE_EPS)
     depth_zero = (split.c * split.bounds.lo, split.c * split.bounds.hi)
-    levels = _squarings(split, CRUDE_EPS, sp_params)
+    levels = _squarings(split, CRUDE_EPS, sp_params, CRUDE_RHO_STOP)
     squarings = [next(levels)]
     best, best_cost, failure = None, math.inf, None
     stored, top = 0, None
@@ -580,7 +685,7 @@ def refine_by_cost(m: SparseSymMatrix, split: Splitting, eps: float,
         # all squaring precedes t = 1; the last level is terminal
         while t == 1 and top is None:
             x, rho, _ = squarings[-1]
-            last = x.filled or rho <= rho_stop
+            last = x.filled or rho <= CRUDE_RHO_STOP
             if x.filled:
                 stored += x.n * x.n
             elif not last:

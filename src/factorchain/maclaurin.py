@@ -312,7 +312,8 @@ def _clenshaw(poly: ChebyshevPoly, op, alpha: float, beta: float,
     g2, h2 = 2.0 * (beta / poly.delta), 2.0 * ((alpha - 1.0) / poly.delta)
     a2 = None
     if isinstance(op, SparseSymMatrix):
-        a2 = op.scaled_shift(g2, h2)
+        # degree 1 has only the first degree, which multiplies by X itself
+        a2 = op.scaled_shift(g2, h2) if t > 1 else None
         op = op.matvec
     b1, b2, u = np.multiply(v, c[t], out=np.empty(v.shape)), None, np.empty(v.shape)
     for k in range(t - 1, -1, -1):

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -173,6 +172,9 @@ def loewner_check(a, b, eps: float) -> LoewnerResult:
     A relative slack of 1e-10 on eps absorbs eigensolver rounding when the
     pair sits exactly on the boundary.
     """
+    # imported here, so that importing the package skips scipy.linalg
+    from scipy.linalg import solve_triangular
+
     ad = _as_dense_array(a)
     bd = _as_dense_array(b)
     if ad.shape != bd.shape:
@@ -181,8 +183,8 @@ def loewner_check(a, b, eps: float) -> LoewnerResult:
         chol = np.linalg.cholesky(bd)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("loewner_check: B is not positive definite") from exc
-    y = scipy.linalg.solve_triangular(chol, ad, lower=True)
-    c = scipy.linalg.solve_triangular(chol, y.T, lower=True)
+    y = solve_triangular(chol, ad, lower=True)
+    c = solve_triangular(chol, y.T, lower=True)
     c = 0.5 * (c + c.T)
     w, _ = jacobi_eigh(c, vectors=False)
     if w.min() <= 0.0:

@@ -1,4 +1,4 @@
-"""Binary container for factor operators, schema 12.
+"""Binary container for factor operators, schema 13.
 
 Layout: the magic ``FCOP1`` and a newline, then blocks, each a uint64
 little-endian byte count followed by that many bytes:
@@ -16,7 +16,8 @@ little-endian byte count followed by that many bytes:
 - if terminal, the chain's terminal factor F as one ``<f8`` block of its
   n x n entries, row-major, exactly 8 n^2 bytes;
 - each level polynomial's Chebyshev coefficients c_0..c_t, ``<f8``, of
-  sum_k c_k T_k((y - 1)/delta);
+  sum_k c_k T_k((y/m - 1)/delta), m the centre of the interval it is
+  fitted on (chain.level_centre);
 - for a refined operator, its matrix as three arrays and its
   polynomial's Chebyshev coefficients, ``<f8``.
 
@@ -24,12 +25,17 @@ The header holds nothing the loader can derive: the depth d is the
 number of polynomial records, each level's degree t is its coefficient
 count less one, eps_total is the schedule's sum and the operator's kind
 follows from whether a refinement is stored.  A header that carries any
-of them is malformed.  Every level polynomial is stored in Chebyshev
-form: a direct chain's levels carry power's certificate "truncation", a
-crude p = -1 chain's the binomial series re-expanded, certificate
-"series".  A chain ends at its first filled level with the exact factor
-F = (I - X_k)^{p/2} (chain.build_chain), which loading takes as stored.
-Older schemas have no reader and are rejected.
+of them is malformed.  Nor does it store the centre m of the interval a
+level polynomial is fitted on (chain.level_centre).  A direct chain's
+level, power's certificate "truncation", is fitted on an interval of y =
+1 + X/2 whose top is 1 + rho/2, widened by 8 units of roundoff, for the
+radius rho = 1 - lambda its gap gives, so m is that top over 1 + delta.
+A crude p = -1 chain's level is the binomial series about y = 1
+re-expanded, certificate "series", so m = 1.  A chain ends at its first
+filled level with the exact factor F = (I - X_k)^{p/2}
+(chain.build_chain), which loading takes as stored.  Older schemas have
+no reader and are rejected; schema 12 fitted every direct level on 1 +-
+rho/2.
 
 Floats round-trip exactly and loading accepts only the canonical
 triangle, so saving a loaded operator reproduces the input byte for byte.
@@ -60,7 +66,7 @@ from .maclaurin import CERTIFICATES, ChebyshevPoly
 from .sparse import SparseSymMatrix
 
 MAGIC = b"FCOP1\n"
-SCHEMA = 12
+SCHEMA = 13
 
 # indices are stored as <i4
 INDEX_LIMIT = 2**31

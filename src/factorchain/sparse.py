@@ -28,8 +28,8 @@ a block it already holds.  scaled_shift(2g, 2h) is that matrix, the shift
 merged into the diagonal, derived on first use and cached for the last
 (scale, shift) asked for: a chain level and a depth-0 refinement each ask
 for one pair, so the cache holds one matrix with its own CSR arrays, as
-large as the matrix's own (64 KB on grid2d(32), 0.36 MB over the three
-sparse levels of random_regular(512, 3) at p = -1/2).  matvec_add
+large as the matrix's own (64 KB on grid2d(32)).  A polynomial of degree
+1 asks for none: its one degree is the first.  matvec_add
 multiplies into the caller's buffer, out += A @ x, through scipy's
 private kernels sparsetools.csr_matvecs, and csr_matvec for a vector or
 a single column: the kernels that csr @ x runs on a zeroed result it
@@ -58,7 +58,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
@@ -531,6 +530,10 @@ def power_iteration(matvec, n: int) -> SpectrumBounds:
     The name predates the method: the benchmark's tracer wraps it by this
     name and counts calls to matvec, its first argument, as steps.
     """
+    # imported here, so that importing the package and the set-ups that
+    # bound spectra by row sums skip scipy.linalg
+    from scipy.linalg import eigh_tridiagonal
+
     if n == 0:
         return SpectrumBounds(0.0, 0.0, 0, 0.0, True)
     cap = min(LANCZOS_MAX_STEPS, n)
@@ -545,7 +548,7 @@ def power_iteration(matvec, n: int) -> SpectrumBounds:
         for _ in range(2):  # classical Gram-Schmidt, twice, keeps w orthogonal
             w = w - basis[:k + 1].T @ (basis[:k + 1] @ w)
         b = float(np.linalg.norm(w))
-        theta, s = scipy.linalg.eigh_tridiagonal(np.array(alpha), np.array(beta))
+        theta, s = eigh_tridiagonal(np.array(alpha), np.array(beta))
         extremes, r = theta[[0, -1]], b * np.abs(s[-1, [0, -1]])
         converged = bool(np.all(r <= LANCZOS_RTOL * np.abs(extremes)))
         if converged or k + 1 == cap:
@@ -554,6 +557,13 @@ def power_iteration(matvec, n: int) -> SpectrumBounds:
         q = w / b
     return SpectrumBounds(lo=float(extremes[0] - r[0]), hi=float(extremes[1] + r[1]),
                           steps=k + 1, residual=float(r.max()), converged=converged)
+
+
+def rounding_allowance(x: SparseSymMatrix) -> float:
+    """Relative rounding allowance 2 (k + 2) u of X's row sums (_rounding),
+    k its most entries in a row, which the radius bound carries and the
+    chain widens each level's spectral floor by."""
+    return _rounding(x._csr)
 
 
 def nonneg_spectral_radius(x: SparseSymMatrix, v: np.ndarray) -> float:
@@ -569,7 +579,7 @@ def nonneg_spectral_radius(x: SparseSymMatrix, v: np.ndarray) -> float:
     """
     if x.nnz == 0:
         return 0.0
-    return float(np.max(x.matvec(v) / v)) * (1.0 + _rounding(x._csr))
+    return float(np.max(x.matvec(v) / v)) * (1.0 + rounding_allowance(x))
 
 
 def kappa_estimate(m: SparseSymMatrix) -> float:

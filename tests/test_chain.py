@@ -46,14 +46,14 @@ from factorchain import (
 import factorchain.chain as chain_module
 import factorchain.sparse as sparse_module
 import factorchain.sparsify as sparsify_module
-from factorchain.chain import crude_level_poly, flops_per_sample, refine_by_cost
+from factorchain.chain import crude_level_poly, flops_per_sample, level_centre, refine_by_cost
 from factorchain.maclaurin import (
     apply_operator_poly,
     coeffs,
-    degree_for,
     eval_scalar,
     eval_series,
     make,
+    power,
     sandwich_criterion,
 )
 from factorchain.rng import TAG_LEVEL, substream_seed
@@ -75,7 +75,7 @@ def exact_chain_op(m, p, eps):
 
 def terminal_level(chain, sp):
     """X_d, which build_chain drops, rebuilt with the chain's own last step."""
-    params = replace(sp, eps=chain.eps_schedule[0],
+    params = replace(sp, eps=chain.reports[-1].eps_requested,
                      seed=substream_seed(sp.seed, TAG_LEVEL, chain.d - 1))
     return sparsify_square_step(chain.levels[-1], params)[0]
 
@@ -181,8 +181,8 @@ def test_budget_overrun_raises():
 
 
 def test_schedule_sums_to_eps_total():
-    # grid9's X_d fills, and the chain keeps it; path32's does not
-    for m, filled in ((grid2d(3), True), (path_graph(32), False)):
+    # grid9's X_d fills, and the chain keeps it; path256's does not
+    for m, filled in ((grid2d(3), True), (path_graph(256), False)):
         split, op = exact_chain_op(m, -1.0, 0.5)
         chain = op.chain
         assert chain.eps_total == pytest.approx(sum(chain.eps_schedule), abs=0)
@@ -218,24 +218,31 @@ def test_level_polynomials_fit_the_measured_radius(name, p):
     eps = 0.3
     split, op = exact_chain_op(m, p, eps)
     chain = op.chain
-    # the budget is the unchanged one: eps / (8 d_max) per level, then the
-    # terminal's error, with lambdas the proven 1 - rho(X_i)
-    eps_level = eps / (8.0 * max(chain_length_bound(split.kappa_bound, eps), 1))
-    assert chain.eps_schedule[:-1] == (eps_level,) * chain.d
+    # the polynomials share what eps/2 leaves after the terminal's error, and
+    # exact steps have none: 2 eps_total is the requested eps
+    share = (eps / 2.0 - chain.eps_schedule[-1]) / chain.d
+    floor_share = eps / (8.0 * max(chain_length_bound(split.kappa_bound, eps), 1))
+    assert share > floor_share
+    assert chain.eps_schedule[:-1] == (share,) * chain.d
     assert chain.eps_total == sum(chain.eps_schedule)
+    assert 2.0 * chain.eps_total == pytest.approx(eps, rel=1e-12)
     for i, (x, poly) in enumerate(zip(chain.levels, chain.polys)):
         rho = nonneg_spectral_radius(x, split.bounds.v)
         assert chain.lambdas[i] == 1.0 - rho
-        # I + X_i/2 has its spectrum within 1 +- rho(X_i)/2
-        assert poly.delta == rho / 2.0
-        assert 2.0 * poly.delta >= np.linalg.eigvalsh(x.to_dense())[-1] - 1e-12
-        # the certified Chebyshev fit of y^{-p/2} that meets the level's target
-        assert poly.s == -p / 2.0 and poly.eps == eps_level == chain.eps_schedule[i]
-        assert poly.bound <= -math.expm1(-eps_level)
-        # never dearer than the binomial series at that delta
-        assert poly.t <= degree_for(-p / 2.0, poly.delta, eps_level)
-    # the radii fall level by level, and the degrees with them; a chain
-    # that ends at its first filled level may keep one degree throughout
+        # the fit's interval of y = 1 + X_i/2 holds X_i's dense spectrum,
+        # with its top at 1 + rho/2 but for rounding
+        centre = level_centre(poly, chain.lambdas[i])
+        lo, hi = centre * (1.0 - poly.delta), centre * (1.0 + poly.delta)
+        assert 1.0 + rho / 2.0 <= hi <= (1.0 + rho / 2.0) * (1.0 + 1e-14)
+        w = np.linalg.eigvalsh(x.to_dense())
+        assert 2.0 * (lo - 1.0) <= w[0] and w[-1] <= 2.0 * (hi - 1.0)
+        # the certified Chebyshev fit of y^{-p/2} that meets the level's share
+        assert poly.s == -p / 2.0 and poly.eps == share
+        assert poly.bound <= -math.expm1(-share)
+        # never dearer than the fit on the symmetric interval 1 +- rho/2
+        assert poly.delta < rho / 2.0
+        assert poly.t <= power(-p / 2.0, rho / 2.0, share).t
+    # the intervals narrow level by level, and the degrees with them
     assert all(a.t >= b.t for a, b in zip(chain.polys, chain.polys[1:]))
 
 
@@ -255,7 +262,8 @@ def test_expander_chain_keeps_its_shape():
     m = random_regular(512, 3, seed=1)
     chain = build_chain(normalize(m, validate_sddm(m)), -0.5, 0.3)
     assert [x.full_nnz for x in chain.levels] == [2048, 5102, 22690]
-    assert [poly.t for poly in chain.polys] == [3, 2, 2]
+    # X_1 and X_2 lie within [-1/8, rho]: a degree-0 scalar meets their share
+    assert [poly.t for poly in chain.polys] == [1, 0, 0]
     assert chain.terminal.shape == (512, 512)
 
 
@@ -263,16 +271,109 @@ def test_expander_chain_keeps_its_shape():
 def test_fractional_chain_certifies_against_the_dense_spectrum(seed):
     # the fractional_chain benchmark's operator: the log-eigenvalues of
     # M^{1/4} C C^T M^{1/4} lie within 2 eps_total, the tolerance the
-    # benchmark's factor check applies
+    # benchmark's factor check applies, which spends the requested 0.3
     m = random_regular(512, 3, seed=seed)
     op = chain_operator(split_of(m), build_chain(split_of(m), -0.5, 0.3))
     assert op.chain.d == 3 and op.chain.terminal is not None
-    assert op.chain.eps_total < 0.01
+    assert 0.15 <= op.chain.eps_total and 2.0 * op.chain.eps_total <= 0.3 * (1 + 1e-9)
     w, u = np.linalg.eigh(m.to_dense())
     quarter = (u * w ** 0.25) @ u.T
     c = quarter @ op.as_dense()
     logs = np.log(np.linalg.eigvalsh(c @ c.T))
     assert np.max(np.abs(logs)) <= 2.0 * op.chain.eps_total, np.max(np.abs(logs))
+
+
+def level_intervals(chain):
+    """(floor, top) of X_i's spectrum that each level polynomial is fitted on,
+    read back from the chain as an operator derives it."""
+    out = []
+    for q, lam in zip(chain.polys, chain.lambdas):
+        m = level_centre(q, lam)
+        out.append((2.0 * (m * (1.0 - q.delta) - 1.0), 2.0 * (m * (1.0 + q.delta) - 1.0)))
+    return out
+
+
+def dense_error(w, u, op):
+    """max |log lambda(M^{-p/2} C C^T M^{-p/2})| for M = u diag(w) u^T."""
+    k = ((u * w ** (-op.chain.p / 2.0)) @ u.T) @ op.as_dense()
+    return float(np.max(np.abs(np.log(np.linalg.eigvalsh(k @ k.T)))))
+
+
+PROPERTY_INPUTS = {
+    "grid7": lambda: grid2d(7),
+    "random_sddm100": lambda: random_sddm(100, seed=3),
+    "path64": lambda: path_graph(64),
+    **{f"random_regular512_seed{s}": functools.partial(random_regular, 512, 3, seed=s)
+       for s in range(5)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTY_INPUTS))
+def test_direct_exact_chain_spends_at_most_eps_and_certifies(name):
+    # for every p and eps: 2 eps_total is within the requested eps, the
+    # dense error within it, and every level's proven interval holds the
+    # level's dense spectrum; the levels, and so the floors, do not depend on p
+    m = PROPERTY_INPUTS[name]()
+    split = split_of(m)
+    w, u = np.linalg.eigh(m.to_dense())
+    for eps in (0.1, 0.3, 0.42, 0.5):
+        for p in (-1.0, -0.5, 0.5):
+            op = chain_operator(split, build_chain(split, p, eps))
+            assert 2.0 * op.chain.eps_total <= eps * (1 + 1e-9)
+            assert dense_error(w, u, op) <= eps
+        for x, (floor, top) in zip(op.chain.levels, level_intervals(op.chain)):
+            spectrum = np.linalg.eigvalsh(x.to_dense())
+            assert floor <= spectrum[0] and spectrum[-1] <= top
+
+
+RADIUS_STOP_INPUTS = {
+    # at the old stop min(5 eps/6, 0.4) these dropped a level of radius
+    # about 0.35, whose error 0.43 alone passed eps = 0.42
+    "path64": (lambda: path_graph(64), (-1.0,)),
+    "path128": (lambda: path_graph(128), (-1.0, 1.0)),
+    "random_regular128_slack3": (lambda: random_regular(128, 3, slack=3.0), (-1.0,)),
+    # a level that is dropped costs at most eps/4
+    "path256": (lambda: path_graph(256), (-1.0,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RADIUS_STOP_INPUTS))
+def test_radius_stop_leaves_the_polynomials_half_the_budget(name):
+    build, ps = RADIUS_STOP_INPUTS[name]
+    m = build()
+    eps = 0.42
+    split = split_of(m)
+    w, u = np.linalg.eigh(m.to_dense())
+    for p in ps:
+        op = chain_operator(split, build_chain(split, p, eps))
+        ch = op.chain
+        assert ch.eps_schedule[-1] <= eps / 4.0
+        if ch.terminal is None:
+            assert -math.log(ch.lambdas[-1]) <= eps / 4.0
+        assert 2.0 * ch.eps_total <= eps * (1 + 1e-9)
+        assert dense_error(w, u, op) <= eps
+    assert (ch.terminal is None) is (name == "path256")
+
+
+def test_sampled_chain_schedule_covers_its_measured_steps():
+    # each entry is the level's share plus its step's measured error, and a
+    # sampled level is fitted on +-rho, the only floor a sampled step leaves
+    m = grid2d(8)
+    assert m.n <= sparsify_module.MEASURE_LIMIT
+    split = split_of(m)
+    sp = SparsifyParams(eps=1.0, seed=4, mode="sampled", samples_per_edge=400, measure=True)
+    chain = build_chain(split, -0.5, 0.5, sp)
+    assert chain.d >= 2
+    measured = [r.eps_measured for r in chain.reports]
+    assert all(e is not None and e > 0.0 for e in measured)
+    share = chain.polys[0].eps
+    for i, poly in enumerate(chain.polys):
+        assert poly.eps == share
+        assert chain.eps_schedule[i] == share + measured[i] >= measured[i]
+    assert 2.0 * chain.eps_total == pytest.approx(0.5, rel=1e-12)
+    for i, (floor, top) in enumerate(level_intervals(chain)[1:], start=1):
+        rho = 1.0 - chain.lambdas[i]
+        assert floor <= -rho and top == pytest.approx(rho, rel=1e-12)
 
 
 def test_chain_requires_d_plus_one_lambdas(grid9):
@@ -389,8 +490,8 @@ def test_terminal_columns_do_not_depend_on_block_width(name):
 CSR_CLENSHAW = {
     # depth 0: a degree-3 polynomial in the grid's own M, through its 2U
     "refined_depth_0": lambda: prepare(make_field(grid2d(8)), 0.2).operator,
-    # no level fills: every level goes through its 2U
-    "direct_sparse_levels": lambda: exact_chain_op(path_graph(64), -0.5, 0.3)[1],
+    # no level fills: every level goes through its 2U, the first at degree 2
+    "direct_sparse_levels": lambda: exact_chain_op(path_graph(512), 1.0, 0.2)[1],
 }
 
 
@@ -463,7 +564,10 @@ def test_terminal_factor_is_the_exact_power(name):
     x = np.random.default_rng(8).standard_normal((ch.n, 3))
     w = f @ x
     for i in range(ch.d - 1, -1, -1):
-        w = apply_operator_poly(ch.polys[i], ch.levels[i], (1.0, 0.5), w)
+        # T_i = m^s poly_i((I + X_i/2)/m), m the centre of its interval
+        m = level_centre(ch.polys[i], ch.lambdas[i])
+        w = m ** ch.polys[i].s * apply_operator_poly(ch.polys[i], ch.levels[i],
+                                                     (1.0 / m, 0.5 / m), w)
     scale = np.abs(w).max() * op.out_scale
     assert np.abs(op.apply(x) - op.out_scale * w).max() <= 1e-12 * scale
     c = op.as_dense()

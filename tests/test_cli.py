@@ -436,10 +436,11 @@ def sample_with_schema(tmp_path, grid_file, schema):
     return main(["sample", str(old), "--count", "1", "--out", str(tmp_path / "s.csv")])
 
 
-@pytest.mark.parametrize("schema", range(4, 12))
+@pytest.mark.parametrize("schema", range(4, 13))
 def test_sample_older_schema_container_exit_2(tmp_path, grid_file, capsys, schema):
-    # no older schema has a reader; 10 stored what schema 11 derives, and
-    # 11 holds operators normalized by another kappa
+    # no older schema has a reader; 10 stored what schema 11 derives, 11
+    # holds operators normalized by another kappa, and 12 reads a direct
+    # chain's level polynomials on another interval
     assert sample_with_schema(tmp_path, grid_file, schema) == 2
     assert f"unsupported schema {schema}\n" in capsys.readouterr().err
 
@@ -651,6 +652,22 @@ def test_sample_skips_the_resistance_solver(tmp_path, grid_file):
     proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
     assert proc.stdout.splitlines()[-1] == "0 False False"
+
+
+def test_import_and_row_sum_set_ups_skip_scipy_linalg():
+    # only Lanczos (a t >= 1 refinement) and the dense oracle use
+    # scipy.linalg: importing the package, a direct chain and a depth-0
+    # prepare leave it unloaded
+    code = ("import sys; import factorchain as fc; "
+            "loaded = ['scipy.linalg' in sys.modules]; "
+            "m = fc.random_regular(64, 3); s = fc.normalize(m, fc.validate_sddm(m)); "
+            "fc.build_chain(s, -0.5, 0.3); loaded.append('scipy.linalg' in sys.modules); "
+            "fc.prepare(fc.make_field(fc.grid2d(8)), 0.2); "
+            "loaded.append('scipy.linalg' in sys.modules); print(*loaded)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert proc.stdout.split() == ["False"] * 3
 
 
 def test_threads_flag_is_gone(tmp_path, grid_file):

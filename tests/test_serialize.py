@@ -126,7 +126,7 @@ def test_layout_is_header_then_raw_arrays():
     _, _, refined = make_ops()
     blocks = blocks_of(operator_bytes(refined))
     header = json.loads(blocks[0])
-    assert header["schema"] == SCHEMA == 12
+    assert header["schema"] == SCHEMA == 13
     chain = refined.chain
     levels = [blocks[1 + 3 * i:4 + 3 * i] for i in range(chain.d)]
     levels.append(blocks[-4:-1])  # the refinement matrix
@@ -239,11 +239,12 @@ def test_negative_degree_rejected():
         operator_from_bytes(container(blocks))
 
 
-@pytest.mark.parametrize("schema", range(1, 12))
+@pytest.mark.parametrize("schema", range(1, 13))
 def test_older_schema_container_rejected(schema):
-    # schemas 1 to 11 have no reader; schema 10 stored kind, d, eps_total
-    # and each level's degree t, which schema 11 derives, and schema 11
-    # operators were normalized by Lanczos' kappa, not the proven one
+    # schemas 1 to 12 have no reader; schema 10 stored kind, d, eps_total
+    # and each level's degree t, which schema 11 derives, schema 11
+    # operators were normalized by Lanczos' kappa, not the proven one, and
+    # schema 12 fitted a direct chain's levels on 1 +- rho/2
     _, _, refined = make_ops()
     blocks = blocks_of(operator_bytes(refined))
     blocks[0] = json.dumps({**json.loads(blocks[0]), "schema": schema}).encode("utf-8")
