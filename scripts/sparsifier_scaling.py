@@ -1,10 +1,11 @@
 """Measure how sparsified-square size scales with n on grid graphs.
 
-Runs one sparsify-the-square step at a fixed tolerance on grids of increasing
+Runs one sampled squaring step (the exact square X/2 + X^2/2, thinned by
+effective-resistance sampling) at a fixed tolerance on grids of increasing
 size and fits the log-log slope of nnz against n.  Near-linear slope means
-the two-stage sampler is doing its job; the dense square would scale much
-worse.  Optionally certifies each step against the exact average (slow,
-dense, small n only).
+the sampled step stays sparse; a dense square would scale as n^2.
+Optionally certifies each step against the exact average (slow, dense,
+small n only).
 """
 
 import argparse

@@ -97,7 +97,6 @@ from .sparsify import (
     SparsifyReport,
     average_and_sparsify,
     sparsify_square_step,
-    square_walk_sparsify,
 )
 
 __version__ = "0.1.0"

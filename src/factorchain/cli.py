@@ -202,7 +202,8 @@ def cmd_sample(args) -> int:
     _block_columns(op.input_dim, args.count, n_out)  # refuse before allocating
 
     h = _read_potential(args.h, n_out) if args.h is not None else np.zeros(n_out)
-    eps_cert = op.refinement.eps if op.refinement is not None else op.chain.eps_total
+    # an unrefined chain certifies C C^T to 2 eps_total
+    eps_cert = op.refinement.eps if op.refinement is not None else 2.0 * op.chain.eps_total
     batch = _color(op, _mean_of(op, h, lifted), args.count, args.seed,
                    float(eps_cert), lifted)
     if args.format == "csv":

@@ -3,9 +3,10 @@
 All randomness in the package flows through Philox, a counter-based bit
 generator (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 SC'11).  Streams are keyed by integer tuples (seed, stage tag, index), so
-any unit of work (a sparsifier midpoint, a walk) owns an independent
-stream and results do not depend on execution order: the stream for work
-unit i is a pure function of the seed, never of which worker ran it.
+any unit of work (a chain level's squaring, a merge attempt) owns an
+independent stream and results do not depend on execution order: the
+stream for work unit i is a pure function of the seed, never of which
+worker ran it.
 
 Where units are many and small, as samples are, one keyed generator
 serves them all: seek_each moves it to a counter fixed by the unit's
@@ -19,7 +20,6 @@ import numpy as np
 
 # Stage tags keep streams for different purposes disjoint even when the
 # same user seed is passed everywhere.
-TAG_WALK = 0x57A1
 TAG_MERGE = 0x4D36
 TAG_SAMPLE = 0x5A3C
 TAG_LEVEL = 0x1E7E

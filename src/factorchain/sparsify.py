@@ -1,26 +1,21 @@
 """One squaring step of the chain: X~ with I - X~ close to I - X/2 - X^2/2.
 
-Given nonnegative X with I - X positive definite, mode "exact" (the
-default, at every size) returns X/2 + X^2/2 itself.  Before it forms the
-product it bounds the product's entries (sparse.square_entry_bound), and
-refuses a square that could pass SQUARE_BYTE_CAP with SquareTooLargeError
-before anything of its size is allocated.
+Given nonnegative X with I - X positive definite, both modes form the
+exact product X X.  Before they do, they bound its entries
+(sparse.square_entry_bound), and refuse a square that could pass
+SQUARE_BYTE_CAP with SquareTooLargeError before anything of its size is
+allocated.  Mode "exact" (the default) returns X/2 + X^2/2 itself.
 
 Mode "sampled", a library-only choice, produces a sparse nonnegative X~
-with I - X~ close to I - X/2 - X^2/2 in the multiplicative (Loewner)
-sense.  Two stages:
+with I - X~ close to T = X/2 + X^2/2 in the multiplicative (Loewner)
+sense, by effective-resistance subsampling of T (Spielman & Srivastava).
+Only the off-diagonal (Laplacian) part is resampled; the diagonal
+dominance slack is carried through exactly, so I - X~ stays SDDM and X~
+stays nonnegative.  The resistances come from a Johnson-Lindenstrauss
+sketch with one conjugate-gradient solve per sketch row, at every size.
 
-  1. an unbiased estimate of X^2 from two-step walks through each midpoint
-     vertex, and
-  2. effective-resistance subsampling of the averaged matrix, where only
-     the off-diagonal (Laplacian) part is resampled and the diagonal
-     dominance slack is carried through exactly, so I - X~ stays SDDM and
-     X~ stays nonnegative.  The resistances come from a Johnson-
-     Lindenstrauss sketch with one conjugate-gradient solve per sketch
-     row (Spielman & Srivastava), at every size.
-
-Both stages draw from counter-based per-midpoint / per-attempt streams, so
-results are reproducible for a given seed regardless of execution order.
+The sketch and each merge attempt draw from counter-based streams keyed
+by the seed, so results are reproducible for a given seed.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ from .errors import (
     SquareTooLargeError,
     check_eps,
 )
-from .rng import stream, TAG_MERGE, TAG_WALK
+from .rng import stream, TAG_MERGE
 from .sparse import (
     SparseSymMatrix,
     blend,
@@ -56,11 +51,12 @@ MEASURE_LIMIT = 256
 # empirical, balancing certification noise against output sparsity
 MERGE_CONSTANT = 0.5
 
-# The most bytes an exact squaring may hold at once.  The product X X, its
-# scaled copy and their blend are live together: 3 copies of each entry,
-# of at most 16 bytes (an 8-byte value and a column index of up to 8).
-# 2**30 admits every square at n <= 4096 (4096**2 entries, 805 MB), and
-# refuses one whose entries could pass 22.4 M.
+# The most bytes a squaring may hold at once, in either mode.  The product
+# X X, its scaled copy and their blend are live together: 3 copies of each
+# entry, of at most 16 bytes (an 8-byte value and a column index of up to
+# 8).  2**30 admits every square at n <= 4096 (4096**2 entries, 805 MB),
+# and refuses one whose entries could pass 22.4 M.  Sampled mode's merge
+# holds its own copies of the blend and its resistance sketch on top.
 SQUARE_BYTE_CAP = 2**30
 
 # merge-stage draws, each with twice the budget of the last, before the
@@ -72,25 +68,20 @@ MERGE_ATTEMPTS = 8
 class SparsifyParams:
     """Knobs of one sparsified squaring step.
 
-    eps is the multiplicative target for the whole step, half of it for
-    the walk stage and half for the merge stage; an exact step meets it
-    with no error.  mode is "exact" (the default) or "sampled"; seed,
-    samples_per_edge and measure act in sampled mode only.
-    samples_per_edge overrides the walk-stage draw count per incident
-    entry.  measure certifies a sampled step densely (n <= MEASURE_LIMIT)
-    into its report.
+    eps is the multiplicative target for the step; an exact step meets it
+    with no error, and a sampled step's merge sizes its draws by it.  mode
+    is "exact" (the default) or "sampled"; seed and measure act in sampled
+    mode only.  measure certifies a sampled step densely (n <=
+    MEASURE_LIMIT) into its report.
     """
 
     eps: float
     seed: int = 0
-    samples_per_edge: int | None = None
     mode: str = "exact"
     measure: bool = False
 
     def __post_init__(self):
         check_eps(self.eps)
-        if self.samples_per_edge is not None and self.samples_per_edge < 1:
-            raise InvalidParamsError("samples_per_edge must be >= 1")
         if self.mode not in ("exact", "sampled"):
             raise InvalidParamsError(f"unknown mode {self.mode!r}")
 
@@ -113,57 +104,10 @@ class SparsifyReport:
     merge_fallback: bool
 
 
-def walk_sample_count(params: SparsifyParams, n: int) -> int:
-    """Walk-stage draws per incident entry: ceil(9 ln n / eps^2)."""
-    if params.samples_per_edge is not None:
-        return params.samples_per_edge
-    return int(math.ceil(9.0 * math.log(max(n, 2)) / params.eps**2))
-
-
 def merge_sample_count(params: SparsifyParams, n: int) -> int:
     """Merge-stage total draws: ceil(n C ln n / eps^2)."""
     per_node = MERGE_CONSTANT * math.log(max(n, 2)) / params.eps**2
     return int(math.ceil(per_node * n))
-
-
-def square_walk_sparsify(x: SparseSymMatrix, params: SparsifyParams) -> SparseSymMatrix:
-    """Unbiased sparse estimate of X @ X (exact product in exact mode).
-
-    Sampled mode: for each midpoint w with row sum s_w, each incident
-    entry (u, w) spawns k endpoint draws v ~ X_{w,.}/s_w, contributing
-    X_{u,w} s_w / k to entry (u, v).  Expectation is X^2 entrywise; the
-    realized matrix is symmetrized by averaging with its transpose.
-    """
-    n = x.n
-    if x.nnz == 0:
-        return x
-    if params.mode == "exact":
-        return square(x)
-    k = walk_sample_count(params, n)
-    csr = x.to_scipy()
-    indptr, indices, data = csr.indptr, csr.indices, csr.data
-    row_sum = np.asarray(csr.sum(axis=1)).ravel()
-    out_r: list[np.ndarray] = []
-    out_c: list[np.ndarray] = []
-    out_v: list[np.ndarray] = []
-    for w in range(n):
-        lo, hi = indptr[w], indptr[w + 1]
-        deg = hi - lo
-        if deg == 0:
-            continue
-        neigh = indices[lo:hi]
-        wts = data[lo:hi]
-        s_w = row_sum[w]
-        rng = stream(params.seed, TAG_WALK, w)
-        draws = rng.choice(deg, size=(deg, k), p=wts / s_w)
-        out_r.append(np.repeat(neigh, k))
-        out_c.append(neigh[draws.ravel()])
-        out_v.append(np.repeat(wts * (s_w / k), k))
-    est = sp.coo_matrix(
-        (np.concatenate(out_v), (np.concatenate(out_r), np.concatenate(out_c))),
-        shape=(n, n),
-    ).tocsr()
-    return SparseSymMatrix._from_scipy(0.5 * (est + est.T))
 
 
 def _effective_resistances(m_tilde: SparseSymMatrix, eu: np.ndarray, ev: np.ndarray,
@@ -257,21 +201,18 @@ def sparsify_square_step(x: SparseSymMatrix,
                          params: SparsifyParams) -> tuple[SparseSymMatrix, SparsifyReport]:
     """One chain step: X~ with I - X~ approximating I - X/2 - X^2/2.
 
-    Stage errors add, so each stage targets its share of eps.  Exact mode
-    returns X/2 + X^2/2 itself (measured error identically zero), and
-    first raises SquareTooLarge if the product's entries, bounded by
-    square_entry_bound, could pass SQUARE_BYTE_CAP.
+    Both modes first raise SquareTooLarge if the product's entries,
+    bounded by square_entry_bound, could pass SQUARE_BYTE_CAP, then form
+    X^2.  Exact mode returns X/2 + X^2/2 itself (measured error
+    identically zero); sampled mode resamples it (average_and_sparsify).
     """
-    exact = params.mode == "exact"
-    if exact:
-        entries = square_entry_bound(x)
-        if 3 * 16 * entries > SQUARE_BYTE_CAP:  # the copies SQUARE_BYTE_CAP counts
-            raise SquareTooLargeError(
-                f"squaring a level of n = {x.n} could make {entries} entries, whose "
-                f"3 copies of 16 bytes pass SQUARE_BYTE_CAP = {SQUARE_BYTE_CAP} bytes")
-    xp = square_walk_sparsify(x, params)
-    xt, attempts, fallback = average_and_sparsify(x, xp, params)
-    if exact:
+    entries = square_entry_bound(x)
+    if 3 * 16 * entries > SQUARE_BYTE_CAP:  # the copies SQUARE_BYTE_CAP counts
+        raise SquareTooLargeError(
+            f"squaring a level of n = {x.n} could make {entries} entries, whose "
+            f"3 copies of 16 bytes pass SQUARE_BYTE_CAP = {SQUARE_BYTE_CAP} bytes")
+    xt, attempts, fallback = average_and_sparsify(x, square(x), params)
+    if params.mode == "exact":
         measured: float | None = 0.0
     elif params.measure and x.n <= MEASURE_LIMIT:
         measured = measure_step(x, xt)

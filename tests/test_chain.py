@@ -156,11 +156,11 @@ def test_levels_certify_against_exact_square():
 
 
 def test_sampled_levels_still_converge():
-    # with a capped walk budget the per-level tolerance is far looser than
-    # the schedule's, but the radius must still fall to the stopping line
+    # sampled levels stay nonnegative, and the radius still falls to the
+    # stopping line
     eps = 0.5
     split = split_of(path_graph(32))
-    sp = SparsifyParams(eps=1.0, seed=0, mode="sampled", samples_per_edge=800)
+    sp = SparsifyParams(eps=1.0, seed=0, mode="sampled")
     chain = build_chain(split, -1.0, eps, sp)
     assert chain.d >= 1
     levels = [*chain.levels, terminal_level(chain, sp)]
@@ -168,6 +168,29 @@ def test_sampled_levels_still_converge():
         assert x.min_value() >= 0.0
     w, _ = jacobi_eigh(levels[-1].to_dense(), vectors=False)
     assert max(abs(w[0]), abs(w[-1])) <= eps * 5.0 / 6.0 + 0.05
+
+
+def test_sampled_chain_at_the_step_target_builds():
+    # each step is sampled at the chain's own target, about 0.002 here: a
+    # walk estimate of X^2 sized by that target drew millions of endpoints
+    # per entry and ran out of memory; the merge meets it on the exact square
+    split = split_of(grid2d(8))
+    chain = build_chain(split, -0.5, 0.5, SparsifyParams(eps=1.0, mode="sampled", measure=True))
+    assert chain.d >= 1
+    for r in chain.reports:
+        assert r.merge_attempts >= 1 and not r.merge_fallback
+        assert r.eps_measured <= r.eps_requested
+
+
+def test_sampled_chain_builds_where_rows_keep_little_slack():
+    # X/2 + X^2/2 leaves rows of grid2d(5, slack=0.1) a slack below the row-sum
+    # noise of a walk estimate of X^2, which refused the first step on every
+    # seed; the merge carries the exact square's slack through
+    split = split_of(grid2d(5, slack=0.1))
+    for seed in range(20):
+        chain = build_chain(split, -1.0, 1.0, SparsifyParams(eps=1.0, mode="sampled", seed=seed))
+        assert chain.d >= 1
+        assert all(x.min_value() >= 0.0 for x in chain.levels)
 
 
 def test_budget_overrun_raises():
@@ -361,7 +384,7 @@ def test_sampled_chain_schedule_covers_its_measured_steps():
     m = grid2d(8)
     assert m.n <= sparsify_module.MEASURE_LIMIT
     split = split_of(m)
-    sp = SparsifyParams(eps=1.0, seed=4, mode="sampled", samples_per_edge=400, measure=True)
+    sp = SparsifyParams(eps=1.0, seed=4, mode="sampled", measure=True)
     chain = build_chain(split, -0.5, 0.5, sp)
     assert chain.d >= 2
     measured = [r.eps_measured for r in chain.reports]
@@ -819,7 +842,7 @@ def exhaustive_rule(m, split, eps, sp=None):
     return best
 
 
-SAMPLED = SparsifyParams(eps=1.0, mode="sampled", samples_per_edge=4)
+SAMPLED = SparsifyParams(eps=1.0, mode="sampled")
 
 # matrix and squaring parameters.  grid16_slack1e-6 stores its levels at
 # t >= 1 because depth 0 is infeasible; grid16_slack3e-6 does so at eps 0.5
@@ -911,9 +934,9 @@ def test_prepare_squares_exactly_above_the_old_size_switch(monkeypatch):
 
 
 def refuse_every_square(monkeypatch):
-    """Cap an exact square at 0 bytes, and fail if a product is formed."""
+    """Cap every square at 0 bytes, and fail if a product is formed."""
     def formed(x):
-        raise AssertionError("an exact square was formed past the cap")
+        raise AssertionError("a square was formed past the cap")
 
     monkeypatch.setattr(sparsify_module, "SQUARE_BYTE_CAP", 0)
     monkeypatch.setattr(sparsify_module, "square", formed)
@@ -924,6 +947,14 @@ def test_build_chain_refuses_a_square_past_the_cap_before_forming_it(monkeypatch
     refuse_every_square(monkeypatch)
     with pytest.raises(SquareTooLargeError, match="n = 128"):
         build_chain(split, -0.5, 0.3)
+
+
+def test_a_sampled_step_refuses_a_square_past_the_cap_before_forming_it(monkeypatch):
+    # sampled mode forms the same product, under the same cap
+    x = split_of(grid2d(8)).X
+    refuse_every_square(monkeypatch)
+    with pytest.raises(SquareTooLargeError, match="n = 64"):
+        sparsify_square_step(x, SparsifyParams(eps=0.5, mode="sampled"))
 
 
 def test_a_refused_square_leaves_refine_by_cost_no_deeper_candidate(monkeypatch):

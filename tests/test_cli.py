@@ -376,6 +376,18 @@ def test_library_and_cli_record_the_same_eps_for_the_same_samples(tmp_path):
     assert side["eps"] == 0.2 / REFINE_SHARE
 
 
+def test_an_unrefined_chain_records_the_eps_it_certifies(tmp_path):
+    # C C^T of a direct chain is certified to 2 eps_total, which an exact
+    # chain spends in full: the sidecar reads the requested eps
+    mfile, op, sfile = tmp_path / "m.mtx", tmp_path / "op.fcop", tmp_path / "s.bin"
+    assert main(["gen", "--kind", "grid2d", "--size", "8", "--out", str(mfile)]) == 0
+    assert main(["factor", str(mfile), "--no-refine", "--eps", "0.4", "--out", str(op)]) == 0
+    assert main(["sample", str(op), "--count", "2", "--format", "bin",
+                 "--out", str(sfile)]) == 0
+    side = json.loads((tmp_path / "s.bin.json").read_text())
+    assert side["eps"] == pytest.approx(0.4, abs=1e-12)
+
+
 def test_sample_one_is_the_first_row_of_a_longer_batch(tmp_path, grid_file):
     # 400 samples of 16 normals span one colouring block; sample j's noise
     # depends on the seed and j alone

@@ -121,13 +121,14 @@ def test_operator_and_sample_bytes_are_pinned(name):
 
 
 def test_sampled_square_step_bytes_are_pinned():
-    # the walk estimate and the resistance subsampling, both stages drawn
+    # the resistance subsampling of the exact X/2 + X^2/2, drawn twice;
+    # re-pinned when the walk estimate of X^2 it once sampled was removed
     m = grid2d(6)
     x = normalize(m, validate_sddm(m)).X
-    params = SparsifyParams(eps=0.5, seed=9, mode="sampled", samples_per_edge=4)
+    params = SparsifyParams(eps=0.5, seed=9, mode="sampled")
     xt, _ = sparsify_square_step(x, params)
     assert sha(write_matrix_string(xt).encode("utf-8")) == (
-        "85201caaeeac6bc82556de465f8be88f7dc9da4e66806b3bda56b485ae8acd84")
+        "c5e41b01493b253e4d7b428948d7d96994b6398619eb984b4bbdf47321ef166c")
 
 
 # the fractional_chain benchmark's operator, random_regular(512, 3) at

@@ -14,10 +14,8 @@ from factorchain import (
     grid2d,
     loewner_check,
     normalize,
-    path_graph,
     random_sddm,
     sparsify_square_step,
-    square_walk_sparsify,
     validate_sddm,
 )
 from factorchain.sparse import blend, identity, identity_minus_scaled, square
@@ -28,7 +26,6 @@ from factorchain.sparsify import (
     _effective_resistances,
     measure_step,
     merge_sample_count,
-    walk_sample_count,
 )
 
 
@@ -51,11 +48,6 @@ def test_params_reject_nonpositive_eps():
         SparsifyParams(eps=0.0)
 
 
-def test_params_reject_zero_oversampling():
-    with pytest.raises(InvalidParamsError):
-        SparsifyParams(eps=0.5, samples_per_edge=0)
-
-
 def test_params_reject_unknown_mode():
     # "auto", a size switch between the two modes, is gone
     for mode in ("sometimes", "auto"):
@@ -63,22 +55,11 @@ def test_params_reject_unknown_mode():
             SparsifyParams(eps=0.5, mode=mode)
 
 
-def test_walk_sample_count_default_formula():
-    p = SparsifyParams(eps=0.5)
-    n = 100
-    assert walk_sample_count(p, n) == math.ceil(9.0 * math.log(n) / 0.25)
-
-
 def test_merge_sample_count_default_formula():
     p = SparsifyParams(eps=0.5)
     n = 100
     assert merge_sample_count(p, n) == math.ceil(
         MERGE_CONSTANT * math.log(n) / 0.25 * n)
-
-
-def test_walk_sample_count_override():
-    p = SparsifyParams(eps=0.5, samples_per_edge=17)
-    assert walk_sample_count(p, 1000) == 17
 
 
 def test_mode_selection():
@@ -90,58 +71,6 @@ def test_mode_selection():
     assert (report.eps_measured, report.merge_attempts) == (0.0, 0)
     sampled, _ = sparsify_square_step(x, SparsifyParams(eps=0.5, mode="sampled"))
     assert not sampled.same_entries(default)
-
-
-# --------------------------------------------------------------- walk step
-
-
-def test_walk_empty_matrix_stays_empty():
-    x = SparseSymMatrix.from_dense(np.zeros((4, 4)))
-    out = square_walk_sparsify(x, SparsifyParams(eps=0.5, mode="sampled"))
-    assert out.nnz == 0
-
-
-def test_walk_exact_mode_hand_square():
-    x = SparseSymMatrix.from_dense(np.array([[0.0, 0.5], [0.5, 0.0]]))
-    out = square_walk_sparsify(x, SparsifyParams(eps=0.5, mode="exact"))
-    assert np.allclose(out.to_dense(), np.diag([0.25, 0.25]), atol=0)
-
-
-def test_walk_sampled_path32_certifies_half_eps():
-    split = split_of(path_graph(32))
-    params = SparsifyParams(eps=0.5, seed=0, samples_per_edge=200, mode="sampled")
-    xp = square_walk_sparsify(split.X, params)
-    assert xp.min_value() >= 0.0
-    assert measured_eps(xp, square(split.X)) <= 0.25
-
-
-def test_walk_deterministic_per_seed():
-    split = split_of(grid2d(4))
-    p = SparsifyParams(eps=0.5, seed=3, mode="sampled")
-    a = square_walk_sparsify(split.X, p)
-    b = square_walk_sparsify(split.X, p)
-    assert a.same_entries(b)
-    c = square_walk_sparsify(split.X, SparsifyParams(eps=0.5, seed=4, mode="sampled"))
-    assert not a.same_entries(c)
-
-
-def test_walk_unbiased_over_many_repetitions():
-    # sample mean of the two-step walk estimate converges to X^2 entrywise
-    split = split_of(random_sddm(8, seed=5))
-    exact = square(split.X).to_dense()
-    reps = 10_000
-    acc = np.zeros((8, 8))
-    acc2 = np.zeros((8, 8))
-    for r in range(reps):
-        p = SparsifyParams(eps=0.5, seed=r, samples_per_edge=4, mode="sampled")
-        d = square_walk_sparsify(split.X, p).to_dense()
-        acc += d
-        acc2 += d * d
-    mean = acc / reps
-    var = np.maximum(acc2 / reps - mean**2, 0.0)
-    se = np.sqrt(var / reps)
-    dev = np.abs(mean - exact)
-    assert np.all(dev <= 3.0 * se + 1e-12)
 
 
 # -------------------------------------------------------------- merge step
@@ -225,6 +154,20 @@ def test_step_diagonal_case_no_sampling_error():
     expect = (alpha / 2.0 + alpha**2 / 2.0) * np.eye(5)
     assert np.max(np.abs(out.to_dense() - expect)) <= 1e-14
     assert report.nnz_out == out.nnz
+
+
+def test_step_empty_matrix_stays_empty():
+    x = SparseSymMatrix.from_dense(np.zeros((4, 4)))
+    for mode in ("exact", "sampled"):
+        out, report = sparsify_square_step(x, SparsifyParams(eps=0.5, mode=mode))
+        assert out.nnz == report.nnz_out == 0
+
+
+def test_step_exact_mode_hand_square():
+    # X/2 + X^2/2 with X^2 = diag(0.25, 0.25)
+    x = SparseSymMatrix.from_dense(np.array([[0.0, 0.5], [0.5, 0.0]]))
+    out, _ = sparsify_square_step(x, SparsifyParams(eps=0.5, mode="exact"))
+    assert np.array_equal(out.to_dense(), np.array([[0.125, 0.25], [0.25, 0.125]]))
 
 
 def test_step_exact_mode_equals_average():
