@@ -30,6 +30,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy loads numpy.fft on first use: load it with the package, not in a prepare
+import numpy.fft  # noqa: F401
 from numpy.polynomial import chebyshev
 
 from .errors import DimensionMismatchError, InvalidParamsError, NoConvergenceError, check_eps

@@ -17,6 +17,9 @@ key derived per unit.
 from __future__ import annotations
 
 import numpy as np
+# numpy loads numpy.random on first use: load it with the package, not on the
+# first draw
+import numpy.random  # noqa: F401
 
 # Stage tags keep streams for different purposes disjoint even when the
 # same user seed is passed everywhere.

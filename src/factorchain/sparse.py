@@ -1,15 +1,36 @@
 """Sparse symmetric matrices and SDDM structure.
 
-The carrier type stores one matrix: the full symmetric expansion as a
-scipy CSR with sorted column indices, no duplicates and no explicit
-zeros.  Row sums, sums, products and scalings run on it directly, and
-every arithmetic result is canonicalized straight from scipy's output.
+The carrier type stores one matrix: the full symmetric expansion in CSR
+form, three read-only numpy arrays (indptr, indices, data) with sorted
+column indices, no duplicates and no explicit zeros.  Every operation on
+them runs through scipy's compiled CSR kernels (scipy.sparse._sparsetools)
+in the sequence scipy's csr_matrix methods run them, so each result has
+the bits scipy's gave:
+
+  - the constructor: coo_tocsr, then csr_sort_indices, csr_sum_duplicates
+    and csr_eliminate_zeros, which every arithmetic result passes through
+    too (scipy's tocsr, sum_duplicates and eliminate_zeros);
+  - sums and scalings (blend, identity_minus_scaled, scaled_shift): the
+    data scaled entrywise, then csr_plus_csr (scipy's +);
+  - square: csr_matmat_maxnnz, then csr_matmat (scipy's @);
+  - products with a vector or block: csr_matvec, csr_matvecs;
+  - diagonal and to_dense: csr_diagonal, csr_todense; row sums: one
+    np.add.reduceat over the nonempty rows (scipy's sum(axis=1)).
+
+The extension is loaded once, at import, by file from scipy's install
+(_load_sparsetools), in well under a millisecond; import scipy.sparse
+would take about 130 ms and 14 MB of every process (scipy 1.17.1, 2-CPU
+x86-64 box), mostly its array-API layer.  Nothing the package runs to
+build, store, load or sample an operator imports scipy.sparse; to_scipy,
+edge_factor's CSC matrix and the sampled merge's resistance solves import
+it on demand.
+
 No triangle is stored: upper_triangle derives it on each call for the
-readers of entry lists, and the Gremban lift is built from CSR blocks.  A
-matrix caches one derived form, its last scaled shift, below, and never
-serializes it.  A matrix whose CSR holds at least half of its n^2 entries
-is filled: a factor chain ends at its first filled level, which it keeps
-as one dense factor (chain.py) and never squares.
+readers of entry lists, and the Gremban lift is built from one list of
+entries.  A matrix caches one derived form, its last scaled shift, below,
+and never serializes it.  A matrix whose CSR holds at least half of its
+n^2 entries is filled: a factor chain ends at its first filled level,
+which it keeps as one dense factor (chain.py) and never squares.
 
 dense_matvec multiplies a square array, such as a chain's terminal factor
 F or the view F.T, by a vector or block in one gemm call on the block
@@ -29,20 +50,20 @@ merged into the diagonal, derived on first use and cached for the last
 (scale, shift) asked for: a chain level and a depth-0 refinement each ask
 for one pair, so the cache holds one matrix with its own CSR arrays, as
 large as the matrix's own (64 KB on grid2d(32)).  A polynomial of degree
-1 asks for none: its one degree is the first.  matvec_add
-multiplies into the caller's buffer, out += A @ x, through scipy's
-private kernels sparsetools.csr_matvecs, and csr_matvec for a vector or
-a single column: the kernels that csr @ x runs on a zeroed result it
-allocates (scipy 1.17.1).  Each entry adds its products in the same order, starting from out's
-value, and a product into a sample block allocates nothing.  Each column
-is summed on its own, so a block's columns do not depend on its width,
-and a vector gives the bits of a one-column block; tests/test_sparse.py
-checks both, so a scipy release that moves the kernels fails there.
+1 asks for none: its one degree is the first.  matvec_add multiplies into
+the caller's buffer, out += A @ x, through csr_matvecs, and csr_matvec
+for a vector or a single column; matvec runs the same kernels on a zeroed
+result.  Each entry adds its products in the same order, starting from
+out's value, and a product into a sample block allocates nothing.  Each
+column is summed on its own, so a block's columns do not depend on its
+width, and a vector gives the bits of a one-column block;
+tests/test_sparse.py checks both, and that matvec gives scipy's csr @ x
+bit for bit, so a scipy release that moves the kernels fails there.
 
-Arithmetic keeps the expansion bitwise symmetric: scipy's sparse product
-of a symmetric CSR with sorted indices accumulates entries (i, j) and
-(j, i) from the same products in the same order, and sums and scalings
-act entrywise.
+Arithmetic keeps the expansion bitwise symmetric: the sparse product of a
+symmetric CSR with sorted indices accumulates entries (i, j) and (j, i)
+from the same products in the same order, and sums and scalings act
+entrywise.
 
 Also here: SDDM validation, the edge factor, the spectral bounds, the
 normalization M = (1/c)(I - X) with X entrywise nonnegative, and the Gremban
@@ -54,12 +75,15 @@ nonnegative one's radius are proven by row sums (spectrum_bounds); Lanczos
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from .errors import (
     DimensionMismatchError,
@@ -71,9 +95,59 @@ from .errors import (
 )
 from .rng import stream, TAG_PROBE
 
+if TYPE_CHECKING:
+    import scipy.sparse
+
 # dense products take their block padded with zero columns to a multiple of
 # this width, in one gemm call; see the module docstring
 _GEMM_WIDTH = 8
+
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+
+
+def _scipy_sparse_dir() -> Path:
+    """scipy's sparse package directory, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("factorchain needs scipy, which is not installed")
+    return Path(spec.submodule_search_locations[0]) / "sparse"
+
+
+def _load_sparsetools(directory: Path):
+    """Load scipy's CSR kernel extension by file from directory and register
+    it under its own module name, which a later import scipy.sparse reuses.
+
+    Raises ImportError naming scipy's version and the directory searched
+    if no _sparsetools extension for this interpreter is there.
+    """
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = Path(directory) / f"_sparsetools{suffix}"
+        if path.is_file():
+            loader = importlib.machinery.ExtensionFileLoader(_SPARSETOOLS, str(path))
+            spec = importlib.util.spec_from_file_location(_SPARSETOOLS, path, loader=loader)
+            module = importlib.util.module_from_spec(spec)
+            loader.exec_module(module)
+            sys.modules[_SPARSETOOLS] = module
+            return module
+    from importlib.metadata import PackageNotFoundError, version
+
+    try:
+        found = f"scipy {version('scipy')}"
+    except PackageNotFoundError:
+        found = "scipy (version unknown)"
+    raise ImportError(f"{found} has no _sparsetools extension in {directory}; "
+                      f"factorchain calls scipy's compiled CSR kernels")
+
+
+_sparsetools = sys.modules.get(_SPARSETOOLS) or _load_sparsetools(_scipy_sparse_dir())
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def _index_dtype(maxval: int):
+    """int32 indices while every index and count fits, as scipy picks them;
+    the kernels' sums do not depend on it."""
+    return np.int32 if maxval <= _INT32_MAX else np.int64
 
 
 class SparseSymMatrix:
@@ -86,10 +160,11 @@ class SparseSymMatrix:
     Attributes
     ----------
     n : int    dimension
+    indptr, indices, data : read-only arrays of the canonical full CSR
     """
 
     # _shifted: ((scale, shift), scale X + shift I) of the last scaled_shift
-    __slots__ = ("n", "_csr", "_shifted")
+    __slots__ = ("n", "indptr", "indices", "data", "_shifted")
 
     def __init__(self, n: int, rows, cols, vals):
         """Build from upper-triangle entry arrays (row <= col)."""
@@ -105,25 +180,31 @@ class SparseSymMatrix:
         if np.any(rows > cols):
             raise NonSymmetricError("internal: entries must satisfy row <= col")
         off = rows != cols
-        full = sp.coo_matrix(
-            (np.concatenate([vals, vals[off]]),
-             (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]]))),
-            shape=(n, n),
-        )
-        self._store(full)
+        nnz = rows.size + int(np.count_nonzero(off))
+        idx = _index_dtype(max(nnz, n))
+        indptr, indices, data = np.empty(n + 1, idx), np.empty(nnz, idx), np.empty(nnz)
+        _sparsetools.coo_tocsr(
+            n, n, nnz,
+            np.concatenate([rows, cols[off]]).astype(idx),
+            np.concatenate([cols, rows[off]]).astype(idx),
+            np.concatenate([vals, vals[off]]),
+            indptr, indices, data)
+        self._store(n, indptr, indices, data)
 
-    def _store(self, mat) -> None:
-        """Canonicalize and freeze a scipy matrix that is symmetric by construction."""
-        csr = mat.tocsr()
-        csr.sum_duplicates()
-        csr.eliminate_zeros()
-        csr.sort_indices()
-        if not np.all(np.isfinite(csr.data)):
+    def _store(self, n: int, indptr, indices, data) -> None:
+        """Canonicalize and freeze fresh CSR arrays of a matrix symmetric by
+        construction: sort each row, sum duplicates, drop zeros."""
+        _sparsetools.csr_sort_indices(n, indptr, indices, data)
+        _sparsetools.csr_sum_duplicates(n, n, indptr, indices, data)
+        _sparsetools.csr_eliminate_zeros(n, n, indptr, indices, data)
+        nnz = int(indptr[-1])
+        if nnz < data.size:
+            indices, data = indices[:nnz].copy(), data[:nnz].copy()
+        if not np.all(np.isfinite(data)):
             raise NonFiniteError("matrix entries must be finite")
-        for a in (csr.data, csr.indices, csr.indptr):
+        for a in (indptr, indices, data):
             a.setflags(write=False)
-        self.n = int(mat.shape[0])
-        self._csr = csr
+        self.n, self.indptr, self.indices, self.data = int(n), indptr, indices, data
         self._shifted = None
 
     # -- construction ---------------------------------------------------
@@ -170,10 +251,10 @@ class SparseSymMatrix:
         return cls(a.shape[0], r, c, a[r, c])
 
     @classmethod
-    def _from_scipy(cls, mat) -> "SparseSymMatrix":
-        """Wrap a scipy matrix that is symmetric by construction."""
+    def _from_csr(cls, n: int, indptr, indices, data) -> "SparseSymMatrix":
+        """Canonicalize fresh CSR arrays that are symmetric by construction."""
         out = cls.__new__(cls)
-        out._store(mat)
+        out._store(n, indptr, indices, data)
         return out
 
     # -- queries ---------------------------------------------------------
@@ -181,30 +262,50 @@ class SparseSymMatrix:
     def upper_triangle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Upper triangle (rows, cols, vals): rows[k] <= cols[k], row-major,
         no duplicates, no explicit zeros.  Derived on every call, not cached."""
-        csr = self._csr
-        r = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(csr.indptr))
-        keep = csr.indices >= r
-        return r[keep], csr.indices[keep].astype(np.int64), csr.data[keep]
+        r = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        keep = self.indices >= r
+        return r[keep], self.indices[keep].astype(np.int64), self.data[keep]
 
     @property
     def filled(self) -> bool:
         """At least half of the n^2 entries stored: a chain ends here."""
-        return self.n > 0 and 2 * self._csr.nnz >= self.n * self.n
+        return self.n > 0 and 2 * self.full_nnz >= self.n * self.n
 
     @property
     def nnz(self) -> int:
         """Upper-triangle entry count: off-diagonal pairs once, plus the diagonal."""
-        return (self.full_nnz + int(np.count_nonzero(self._csr.diagonal()))) // 2
+        return (self.full_nnz + int(np.count_nonzero(self.diagonal()))) // 2
 
     @property
     def full_nnz(self) -> int:
-        return int(self._csr.nnz)
+        return int(self.data.size)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.shape[0] != self.n:
-            raise DimensionMismatchError(f"matvec: expected leading dim {self.n}, got {x.shape[0]}")
-        return self._csr @ x
+        if x.ndim not in (1, 2) or x.shape[0] != self.n:
+            raise DimensionMismatchError(
+                f"matvec: expected shape ({self.n},) or ({self.n}, k), got {x.shape}")
+        return self._product(x)
+
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        """A @ x for a float64 vector or block of the right height, added into
+        a zeroed result, as scipy's csr @ x runs it."""
+        out = np.zeros(x.shape)
+        self._accumulate(x, out)
+        return out
+
+    def _accumulate(self, x: np.ndarray, out: np.ndarray) -> None:
+        # out is C-contiguous, so the kernel writes through its ravel; x.ravel()
+        # copies a block that is not, in row-major order.  One column takes
+        # the vector kernel, as csr @ x does: the same sums, without the block
+        # kernel's loads and stores of out per entry
+        n, k = self.n, x.size // max(self.n, 1)
+        if k == 1:
+            _sparsetools.csr_matvec(n, n, self.indptr, self.indices, self.data,
+                                    x.ravel(), out.ravel())
+        else:
+            _sparsetools.csr_matvecs(n, n, k, self.indptr, self.indices, self.data,
+                                     x.ravel(), out.ravel())
 
     def matvec_add(self, x: np.ndarray, out: np.ndarray) -> None:
         """out += A @ x in place, through the CSR kernel.
@@ -221,53 +322,67 @@ class SparseSymMatrix:
                 raise InvalidParamsError("matvec_add: needs C-contiguous float64 arrays")
         if not out.flags.writeable:
             raise InvalidParamsError("matvec_add: out is read-only")
-        csr, n, k = self._csr, self.n, x.size // max(self.n, 1)
-        # one column takes the vector kernel, as csr @ x does: the same sums,
-        # without the block kernel's loads and stores of out per entry
-        if k == 1:
-            _sparsetools.csr_matvec(n, n, csr.indptr, csr.indices, csr.data,
-                                    x.ravel(), out.ravel())
-        else:
-            _sparsetools.csr_matvecs(n, n, k, csr.indptr, csr.indices, csr.data,
-                                     x.ravel(), out.ravel())
+        self._accumulate(x, out)
+
+    def _abs(self) -> "SparseSymMatrix":
+        """|A| entrywise."""
+        return SparseSymMatrix._from_csr(self.n, self.indptr.copy(), self.indices.copy(),
+                                         np.abs(self.data))
+
+    def _scaled(self, scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The CSR of scale * A, data scaled entrywise as scipy scales it."""
+        return self.indptr, self.indices, self.data * scale
 
     def scaled_shift(self, scale: float, shift: float) -> "SparseSymMatrix":
         """scale X + shift I, derived on first use and cached for the last
         (scale, shift) asked for; see the module docstring."""
         key = (scale, shift)
         if self._shifted is None or self._shifted[0] != key:
-            a = scale * self._csr + shift * sp.identity(self.n, format="csr")
-            self._shifted = (key, SparseSymMatrix._from_scipy(a))
+            self._shifted = (key, _plus(self.n, self._scaled(scale), _eye(self.n, shift)))
         return self._shifted[1]
 
     def diagonal(self) -> np.ndarray:
-        return self._csr.diagonal()
+        out = np.empty(self.n)
+        _sparsetools.csr_diagonal(0, self.n, self.n, self.indptr, self.indices,
+                                  self.data, out)
+        return out
 
     def row_sums(self) -> np.ndarray:
-        """Row sums of the full symmetric matrix."""
-        return np.asarray(self._csr.sum(axis=1)).ravel()
+        """Row sums of the full symmetric matrix, added as scipy's
+        sum(axis=1) adds them: one np.add.reduceat over the nonempty rows."""
+        out = np.zeros(self.n)
+        rows = np.flatnonzero(np.diff(self.indptr))
+        if rows.size:
+            out[rows] = np.add.reduceat(self.data, self.indptr[rows])
+        return out
 
     def offdiag_abs_row_sums(self) -> np.ndarray:
-        d = self.diagonal()
-        return np.asarray(abs(self._csr).sum(axis=1)).ravel() - np.abs(d)
+        return self._abs().row_sums() - np.abs(self.diagonal())
 
     def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
+        out = np.zeros((self.n, self.n))
+        _sparsetools.csr_todense(self.n, self.n, self.indptr, self.indices, self.data, out)
+        return out
 
-    def to_scipy(self) -> sp.csr_matrix:
-        return self._csr.copy()
+    def to_scipy(self) -> "scipy.sparse.csr_matrix":
+        """A scipy CSR copy.  It imports scipy.sparse, which nothing else
+        that builds, stores or samples an operator does."""
+        import scipy.sparse
+
+        return scipy.sparse.csr_matrix(
+            (self.data.copy(), self.indices.copy(), self.indptr.copy()),
+            shape=(self.n, self.n))
 
     def min_value(self) -> float:
-        return float(self._csr.data.min()) if self._csr.nnz else 0.0
+        return float(self.data.min()) if self.data.size else 0.0
 
     def same_entries(self, other: "SparseSymMatrix") -> bool:
         """Bitwise equality of the stored matrices."""
-        a, b = self._csr, other._csr
         return (
             self.n == other.n
-            and np.array_equal(a.indptr, b.indptr)
-            and np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.data, b.data)
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.data, other.data)
         )
 
     def __repr__(self) -> str:
@@ -288,14 +403,40 @@ def dense_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 # -- arithmetic helpers (all return canonical SparseSymMatrix) ------------
 
 
+def _eye(n: int, value: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR of value * I, as scipy scales its identity."""
+    idx = _index_dtype(n)
+    return np.arange(n + 1, dtype=idx), np.arange(n, dtype=idx), np.full(n, value)
+
+
+def _plus(n: int, a, b) -> SparseSymMatrix:
+    """A + B for two canonical CSR triples (indptr, indices, data), through
+    csr_plus_csr as scipy's + runs it; entries that cancel are dropped."""
+    (ap, aj, ax), (bp, bj, bx) = a, b
+    most = ax.size + bx.size
+    idx = _index_dtype(most)
+    indptr, indices, data = np.empty(n + 1, idx), np.empty(most, idx), np.empty(most)
+    _sparsetools.csr_plus_csr(
+        n, n, ap.astype(idx, copy=False), aj.astype(idx, copy=False), ax,
+        bp.astype(idx, copy=False), bj.astype(idx, copy=False), bx,
+        indptr, indices, data)
+    return SparseSymMatrix._from_csr(n, indptr, indices, data)
+
+
 def identity_minus_scaled(c: float, m: SparseSymMatrix) -> SparseSymMatrix:
-    """Return I - c*M."""
-    return SparseSymMatrix._from_scipy(sp.identity(m.n, format="csr") - c * m._csr)
+    """Return I - c*M (scipy's I - cM: 1 + (-cM_ij) rounds as 1 - cM_ij)."""
+    return _plus(m.n, _eye(m.n, 1.0), m._scaled(-c))
 
 
 def square(x: SparseSymMatrix) -> SparseSymMatrix:
     """Return X @ X."""
-    return SparseSymMatrix._from_scipy(x._csr @ x._csr)
+    n = x.n
+    nnz = int(_sparsetools.csr_matmat_maxnnz(n, n, x.indptr, x.indices, x.indptr, x.indices))
+    idx = _index_dtype(nnz)
+    xp, xj = x.indptr.astype(idx, copy=False), x.indices.astype(idx, copy=False)
+    indptr, indices, data = np.empty(n + 1, idx), np.empty(nnz, idx), np.empty(nnz)
+    _sparsetools.csr_matmat(n, n, xp, xj, x.data, xp, xj, x.data, indptr, indices, data)
+    return SparseSymMatrix._from_csr(n, indptr, indices, data)
 
 
 def square_entry_bound(x: SparseSymMatrix) -> int:
@@ -304,8 +445,7 @@ def square_entry_bound(x: SparseSymMatrix) -> int:
     Row i of X X has at most sum_{k in row i} deg(k) entries, so the square
     has at most min(n^2, that sum over all i): one gather over the CSR.
     """
-    csr = x._csr
-    walks = int(np.diff(csr.indptr)[csr.indices].sum(dtype=np.int64))
+    walks = int(np.diff(x.indptr)[x.indices].sum(dtype=np.int64))
     return min(x.n * x.n, walks)
 
 
@@ -313,7 +453,7 @@ def blend(x: SparseSymMatrix, y: SparseSymMatrix, wx: float = 0.5, wy: float = 0
     """Return wx*X + wy*Y."""
     if x.n != y.n:
         raise DimensionMismatchError("blend: dimension mismatch")
-    return SparseSymMatrix._from_scipy(wx * x._csr + wy * y._csr)
+    return _plus(x.n, x._scaled(wx), y._scaled(wy))
 
 
 def identity(n: int) -> SparseSymMatrix:
@@ -363,7 +503,7 @@ class EdgeFactor:
     dominance slack a_i.
     """
 
-    b: sp.csc_matrix
+    b: scipy.sparse.csc_matrix
     n: int
     m_prime: int
     n_edges: int
@@ -383,7 +523,10 @@ def edge_factor(m: SparseSymMatrix) -> EdgeFactor:
     rows = np.concatenate([eu, ev, slack_rows])
     cols = np.concatenate([np.arange(n_e), np.arange(n_e), n_e + np.arange(n_s)])
     vals = np.concatenate([sw, -sw, np.sqrt(cert.row_slack[slack_rows])])
-    b = sp.csc_matrix((vals, (rows, cols)), shape=(m.n, n_e + n_s))
+    # imported here: only the edge-indexed sampler and the sampled merge use B
+    import scipy.sparse
+
+    b = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(m.n, n_e + n_s))
     return EdgeFactor(b=b, n=m.n, m_prime=n_e + n_s, n_edges=n_e, n_slack=n_s)
 
 
@@ -425,17 +568,6 @@ BOUND_CG_STEPS = 50
 BOUND_POWER_STEPS = 10
 
 
-def _rounding(csr) -> float:
-    """Relative rounding allowance of the row sums of csr times a vector.
-
-    A row of k products sums within gamma_k = k u / (1 - k u) of the sum of
-    their magnitudes, for unit roundoff u = 2^-53; 2 (k + 2) u covers that,
-    the allowance's own rounding and a quotient by the vector's entry.
-    """
-    k = int(np.diff(csr.indptr).max()) if csr.nnz else 0
-    return 2.0 * (k + 2) * 2.0 ** -53
-
-
 def _cg_ones(m: SparseSymMatrix, stop: float) -> np.ndarray:
     """v from at most BOUND_CG_STEPS CG iterations on M v = 1, started from
     zero; it stops once the residual norm is at most stop ||v||."""
@@ -475,18 +607,18 @@ def spectrum_bounds(m: SparseSymMatrix, cert: SddmCertificate) -> SddmBounds:
     """
     if not cert.is_sddm:
         raise NotSddmError("spectrum_bounds requires an SDDM matrix")
-    a = abs(m._csr)
-    g = _rounding(a)
-    aw = a @ np.ones(m.n)
+    a = m._abs()
+    g = rounding_allowance(m)
+    aw = a._product(np.ones(m.n))
     gershgorin = hi = float(aw.max()) * (1.0 + g)
     for _ in range(BOUND_POWER_STEPS):
         w = aw / aw.max()
-        aw = a @ w
+        aw = a._product(w)
         hi = min(hi, float(np.max(aw / w)) * (1.0 + g))
     v = _cg_ones(m, g * gershgorin)
     lo, v_lo = cert.min_slack, np.ones(m.n)
     if np.all(v > 0.0):
-        ratio = float(np.min((m.matvec(v) - g * (a @ v)) / v))
+        ratio = float(np.min((m.matvec(v) - g * a._product(v)) / v))
         if ratio > lo:
             lo, v_lo = ratio, v
     v_lo.setflags(write=False)
@@ -560,10 +692,17 @@ def power_iteration(matvec, n: int) -> SpectrumBounds:
 
 
 def rounding_allowance(x: SparseSymMatrix) -> float:
-    """Relative rounding allowance 2 (k + 2) u of X's row sums (_rounding),
-    k its most entries in a row, which the radius bound carries and the
-    chain widens each level's spectral floor by."""
-    return _rounding(x._csr)
+    """Relative rounding allowance of the row sums of X (or |X|) times a
+    vector, which the bounds carry and the chain widens each level's
+    spectral floor by.
+
+    A row of k products sums within gamma_k = k u / (1 - k u) of the sum of
+    their magnitudes, for unit roundoff u = 2^-53; 2 (k + 2) u, k the most
+    entries in a row, covers that, the allowance's own rounding and a
+    quotient by the vector's entry.
+    """
+    k = int(np.diff(x.indptr).max()) if x.full_nnz else 0
+    return 2.0 * (k + 2) * 2.0 ** -53
 
 
 def nonneg_spectral_radius(x: SparseSymMatrix, v: np.ndarray) -> float:
@@ -631,12 +770,19 @@ def gremban_lift(lam: SparseSymMatrix) -> GrembanLift:
     slack = sdd_slack(lam)
     if lam.n == 0 or not np.all(slack > 0.0):
         raise NotSddError("gremban_lift requires strict diagonal dominance")
-    a = lam._csr
-    # A_p: the positive entries less the diagonal, which dominance makes positive
-    ap = a.multiply(a > 0.0) - sp.diags(a.diagonal(), format="csr")
-    dn = a - ap  # D + A_n
-    s = SparseSymMatrix._from_scipy(sp.bmat([[dn, -ap], [-ap, dn]]))
-    return GrembanLift(S=s, n_original=lam.n)
+    n = lam.n
+    r, c, v = lam.upper_triangle()
+    # A_p: the positive off-diagonals; the diagonal, which dominance makes
+    # positive, stays in D + A_n.  Each block is listed by its upper entries:
+    # D + A_n at (i, j) and (i + n, j + n), -A_p at (i, j + n) and (j, i + n)
+    pos = (v > 0.0) & (r != c)
+    dn = ~pos
+    s = SparseSymMatrix(
+        2 * n,
+        np.concatenate([r[dn], r[dn] + n, r[pos], c[pos]]),
+        np.concatenate([c[dn], c[dn] + n, c[pos] + n, r[pos] + n]),
+        np.concatenate([v[dn], v[dn], -v[pos], -v[pos]]))
+    return GrembanLift(S=s, n_original=n)
 
 
 def gremban_project(v: np.ndarray) -> np.ndarray:

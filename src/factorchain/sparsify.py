@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     DimensionMismatchError,
@@ -110,19 +109,32 @@ def merge_sample_count(params: SparsifyParams, n: int) -> int:
     return int(math.ceil(per_node * n))
 
 
+# edges whose sketch differences _effective_resistances forms at once: 7 MB
+# at t = 56
+_RESISTANCE_CHUNK = 1 << 14
+
+
 def _effective_resistances(m_tilde: SparseSymMatrix, eu: np.ndarray, ev: np.ndarray,
                            seed: int) -> np.ndarray:
-    """R_e = ||B^T M~^{-1} b_e||^2 (B B^T = M~), with B^T sketched to O(log n) rows."""
-    # imported here, so that loading and sampling a stored operator skip it
+    """R_e = ||B^T M~^{-1} b_e||^2 (B B^T = M~), with B^T sketched to O(log n) rows.
+
+    The one (columns of B, t) array is the Gaussian sketch, scaled in place
+    and dropped once the probes B g exist; the endpoint differences are
+    formed _RESISTANCE_CHUNK edges at a time.
+    """
+    # imported here, so that building, loading and sampling an operator with
+    # exact squaring skip scipy.sparse
+    import scipy.sparse
     from scipy.sparse.linalg import cg
 
     n = m_tilde.n
     b = edge_factor(m_tilde).b
     t = max(16, int(math.ceil(8.0 * math.log(max(n, 2)))))
     g = stream(seed, TAG_MERGE, 0x5E7C).standard_normal((b.shape[1], t))
-    probes = b @ (g / math.sqrt(t))
+    probes = b @ np.divide(g, math.sqrt(t), out=g)
+    del g, b
     a = m_tilde.to_scipy()
-    precond = sp.diags(1.0 / a.diagonal())
+    precond = scipy.sparse.diags(1.0 / a.diagonal())
     z = np.empty((n, t))
     for j in range(t):
         zj, info = cg(a, probes[:, j], M=precond,
@@ -131,8 +143,12 @@ def _effective_resistances(m_tilde: SparseSymMatrix, eu: np.ndarray, ev: np.ndar
             raise NoConvergenceError(
                 f"resistance sketch: CG solve {j} of {t} stopped with info = {info}")
         z[:, j] = zj
-    diff = z[eu, :] - z[ev, :]
-    return np.sum(diff * diff, axis=1)
+    r_eff = np.empty(eu.size)
+    for lo in range(0, eu.size, _RESISTANCE_CHUNK):
+        hi = lo + _RESISTANCE_CHUNK
+        diff = z[eu[lo:hi]] - z[ev[lo:hi]]
+        r_eff[lo:hi] = np.sum(diff * diff, axis=1)
+    return r_eff
 
 
 def average_and_sparsify(x: SparseSymMatrix, xp: SparseSymMatrix,

@@ -649,6 +649,14 @@ def test_factor_writes_the_library_operator(tmp_path, gremban):
     assert chain["dense_terminal_level"] is None
 
 
+def _python(code: str) -> list[str]:
+    """Run code in a fresh interpreter on this package; its stdout lines."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    return proc.stdout.splitlines()
+
+
 def test_sample_skips_the_resistance_solver(tmp_path, grid_file):
     # only sampled sparsification runs CG: neither importing the package nor
     # sampling a stored operator loads scipy.sparse.linalg
@@ -660,26 +668,73 @@ def test_sample_skips_the_resistance_solver(tmp_path, grid_file):
             f"rc = main(['sample', {str(out)!r}, '--count', '2', "
             f"'--out', {str(tmp_path / 's.csv')!r}]); "
             "print(rc, loaded, 'scipy.sparse.linalg' in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True)
-    assert proc.stdout.splitlines()[-1] == "0 False False"
+    assert _python(code)[-1] == "0 False False"
 
 
-def test_import_and_row_sum_set_ups_skip_scipy_linalg():
+# printed after the work that follows `before = set(sys.modules)`: the
+# modules it loaded, whether scipy.linalg or scipy.sparse is loaded, and
+# every scipy module
+_LOADED = """
+print(sorted(set(sys.modules) - before))
+print('scipy.linalg' in sys.modules, 'scipy.sparse' in sys.modules)
+print(sorted(k for k in sys.modules if k.startswith('scipy')))
+"""
+
+# what _LOADED prints when the package's import loaded scipy's CSR kernels
+# alone, and the work loaded nothing
+_NOTHING_LOADED = ["[]", "False False", "['scipy.sparse._sparsetools']"]
+
+
+def test_import_and_row_sum_set_ups_skip_scipy_linalg(tmp_path):
     # only Lanczos (a t >= 1 refinement) and the dense oracle use
-    # scipy.linalg: importing the package, a direct chain and a depth-0
-    # prepare leave it unloaded
-    code = ("import sys; import factorchain as fc; "
-            "loaded = ['scipy.linalg' in sys.modules]; "
-            "m = fc.random_regular(64, 3); s = fc.normalize(m, fc.validate_sddm(m)); "
-            "fc.build_chain(s, -0.5, 0.3); loaded.append('scipy.linalg' in sys.modules); "
-            "fc.prepare(fc.make_field(fc.grid2d(8)), 0.2); "
-            "loaded.append('scipy.linalg' in sys.modules); print(*loaded)")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True)
-    assert proc.stdout.split() == ["False"] * 3
+    # scipy.linalg, and only to_scipy, the edge factor and sampled squaring
+    # use scipy.sparse.  Importing the package loads scipy's CSR kernels by
+    # file, and numpy.fft and numpy.random, which numpy loads on first use:
+    # set-ups, samples and containers then import nothing, in the library
+    # and in the CLI's factor and sample
+    code = """
+import sys
+import factorchain as fc
+grid, rr, lam = fc.grid2d(8), fc.random_regular(64, 3), fc.sdd_mixed(16)
+before = set(sys.modules)
+assert fc.prepare(fc.make_field(grid), 0.2).operator.chain.d == 0
+fc.build_chain(fc.normalize(rr, fc.validate_sddm(rr)), -0.5, 0.3)
+prep = fc.prepare(fc.make_field(lam), 0.2)
+fc.sample(prep, 3, 1)
+fc.operator_from_bytes(fc.operator_bytes(prep.operator))
+""" + _LOADED
+    assert _python(code)[-3:] == _NOTHING_LOADED
+    mtx, op = tmp_path / "m.mtx", tmp_path / "op.fcop"
+    assert main(["gen", "--kind", "sdd_mixed", "--size", "16", "--out", str(mtx)]) == 0
+    code = f"""
+import sys
+from factorchain.cli import _build_parser, main
+_build_parser()  # argparse's gettext loads locale on the first parser built
+before = set(sys.modules)
+assert main(['factor', {str(mtx)!r}, '--gremban', '--eps', '0.2', '--out', {str(op)!r}]) == 0
+assert main(['sample', {str(op)!r}, '--count', '3', '--format', 'bin',
+             '--out', {str(tmp_path / 's.bin')!r}]) == 0
+""" + _LOADED
+    assert _python(code)[-3:] == _NOTHING_LOADED
+
+
+def test_sample_bytes_do_not_depend_on_importing_scipy_sparse_first(tmp_path, grid_file):
+    # with scipy.sparse imported first, the package reuses its kernel
+    # module; the samples are the same bytes either way
+    rc, out, _ = factored(tmp_path, grid_file)
+    assert rc == 0
+    written = []
+    for first in ("", "import scipy.sparse; "):
+        path = tmp_path / f"s{len(written)}.bin"
+        code = (f"import sys; {first}from factorchain.cli import main; "
+                "import factorchain.sparse as s; "
+                "print(s._sparsetools is sys.modules['scipy.sparse._sparsetools'], "
+                "'scipy.sparse' in sys.modules); "
+                f"main(['sample', {str(out)!r}, '--count', '7', '--format', 'bin', "
+                f"'--out', {str(path)!r}])")
+        assert _python(code)[0] == f"True {bool(first)}"
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_threads_flag_is_gone(tmp_path, grid_file):

@@ -369,16 +369,16 @@ def test_clenshaw_shift_scale_composition():
 def test_sparse_polynomial_builds_its_2u_once(monkeypatch):
     # the prepared 2U is derived on the first apply and reused by the next
     builds = 0
-    wrap = SparseSymMatrix._from_scipy.__func__
+    wrap = SparseSymMatrix._from_csr.__func__
 
-    def counting(cls, mat):
+    def counting(cls, *csr):
         nonlocal builds
         builds += 1
-        return wrap(cls, mat)
+        return wrap(cls, *csr)
 
     m = grid2d(8)
     poly = inverse_sqrt(0.6, 1e-6)
-    monkeypatch.setattr(SparseSymMatrix, "_from_scipy", classmethod(counting))
+    monkeypatch.setattr(SparseSymMatrix, "_from_csr", classmethod(counting))
     x = np.random.default_rng(3).standard_normal((m.n, 5))
     first = apply_operator_poly(poly, m, (0.0, 0.1), x)
     for v in (x, x[:, 0], x[:, :2]):

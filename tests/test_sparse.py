@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -414,7 +415,7 @@ def test_a_cg_vector_that_is_not_positive_falls_back_to_min_slack(monkeypatch):
     cert = validate_sddm(g)
     b = spectrum_bounds(g, cert)
     a = abs(g.to_scipy())
-    ratio = np.min((g.matvec(seen[-1]) - sparse_module._rounding(a) * (a @ seen[-1]))
+    ratio = np.min((g.matvec(seen[-1]) - sparse_module.rounding_allowance(g) * (a @ seen[-1]))
                    / seen[-1])
     assert np.all(seen[-1] > 0.0) and ratio < 0.0
     assert b.lo == cert.min_slack > 0.0
@@ -520,6 +521,37 @@ def test_matvec_add_is_out_plus_the_csr_product(m):
         m.matvec_add(np.ascontiguousarray(x[:, j:j + 1]), col)
         assert np.array_equal(_bits(vec), _bits(col[:, 0])), j
         assert np.array_equal(_bits(vec), _bits(wide[:, j])), j
+
+
+@pytest.mark.parametrize("m", [grid2d(9), _no_diagonal(40, 1), random_sddm(57, seed=2),
+                               SparseSymMatrix(0, [], [], [])],
+                         ids=["grid", "no_diagonal", "random", "empty"])
+def test_matvec_is_scipys_csr_product_bit_for_bit(m):
+    # matvec calls scipy's kernels itself, as csr @ x calls them
+    rng = np.random.default_rng(m.n + 1)
+    block = rng.standard_normal((m.n, 6))
+    inputs = {
+        "vector": block[:, 0], "one_column": block[:, :1], "block": block,
+        "fortran": np.asfortranarray(block), "strided_block": block[:, ::2],
+        "strided_vector": block[:, 3], "integer": np.arange(m.n),
+        "integer_block": np.arange(3 * m.n).reshape(m.n, 3), "zero_width": block[:, :0],
+    }
+    a = m.to_scipy()
+    for name, x in inputs.items():
+        got, want = m.matvec(x), a @ x
+        assert got.dtype == want.dtype == np.float64, name
+        assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want)), name
+
+
+def test_kernel_loader_names_scipy_and_the_directory_it_searched(tmp_path):
+    from importlib.metadata import version
+
+    loaded = sparse_module._sparsetools
+    with pytest.raises(ImportError) as exc:
+        sparse_module._load_sparsetools(tmp_path)
+    assert f"scipy {version('scipy')}" in str(exc.value)
+    assert str(tmp_path) in str(exc.value)
+    assert sys.modules["scipy.sparse._sparsetools"] is loaded
 
 
 def test_matvec_add_refuses_what_the_kernel_cannot_write():
