@@ -42,7 +42,7 @@ def main():
 
     target = dense_power(m.to_dense(), -1.0)
     res = covariance_check(batch, target)
-    mean_err = np.max(np.abs(batch.samples.mean(axis=0) - batch.mean_used))
+    mean_err = np.max(np.abs(batch.samples.mean(axis=0) - prep.mean))
 
     print(f"n={n} eps={args.eps} count={args.count} seed={args.seed}")
     print(f"prepare {t1 - t0:.2f}s  sample {t2 - t1:.2f}s  "

@@ -77,7 +77,6 @@ from .serialize import (
 )
 from .sparse import (
     EdgeFactor,
-    GrembanLift,
     SddmBounds,
     SddmCertificate,
     SparseSymMatrix,

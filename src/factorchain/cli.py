@@ -44,9 +44,17 @@ from .errors import (
 from .generators import grid2d, path_graph, random_regular, sdd_mixed
 from .mmio import parse_matrix_string, write_matrix
 from .oracle import DENSE_CHECK_LIMIT, dense_power, loewner_check
-from .sampler import _block_columns, _color, _mean_of, _potential, write_batch_bin, write_batch_csv
+from .sampler import (
+    _block_columns,
+    _color,
+    _mean_of,
+    _potential,
+    make_field,
+    write_batch_bin,
+    write_batch_csv,
+)
 from .serialize import load_operator, save_operator
-from .sparse import gremban_lift, gremban_project, normalize, validate_sddm
+from .sparse import gremban_project, normalize, validate_sddm
 
 
 def _write_report(args, payload) -> None:
@@ -130,18 +138,14 @@ def cmd_factor(args) -> int:
     check_eps(eps)
 
     m = _parse_dominant(args.matrix).build()
-    cert = validate_sddm(m)
-    lifted = False
-    if cert.is_sddm:
-        target = m
-    elif args.gremban:
-        if p != -1.0:
-            raise InvalidParamsError("--gremban is only supported with p = -1")
-        target = gremban_lift(m).S
-        lifted = True
-    else:
+    field = make_field(m)
+    lifted = field.lifted is not None
+    if lifted and not args.gremban:
         raise NotSddmError(
             "matrix is not SDDM; pass --gremban if it is SDD with both signs")
+    if lifted and p != -1.0:
+        raise InvalidParamsError("--gremban is only supported with p = -1")
+    target = field.lifted if lifted else m
 
     split = normalize(target, validate_sddm(target))
     t_build = time.perf_counter()

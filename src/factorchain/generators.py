@@ -16,41 +16,56 @@ from .rng import TAG_GEN, stream
 from .sparse import SparseSymMatrix
 
 
-def _laplacian_plus_slack(n, eu, ev, w, slack) -> SparseSymMatrix:
-    eu = np.asarray(eu, dtype=np.int64)
-    ev = np.asarray(ev, dtype=np.int64)
-    w = np.asarray(w, dtype=np.float64)
+def _laplacian_plus_slack(n, eu, ev, off, slack) -> SparseSymMatrix:
+    """The matrix with entries off at the edges (eu, ev), each diagonal its
+    row's sum of |off| plus slack (a scalar or one per row).  Negative off
+    gives a graph Laplacian plus slack, an SDDM matrix; positive entries
+    keep it SDD but not SDDM."""
     slack = np.broadcast_to(np.asarray(slack, dtype=np.float64), (n,))
+    if np.any(slack <= 0.0):
+        raise InvalidParamsError("slack must be positive")
+    w = np.abs(off)
     diag = slack.copy()
     np.add.at(diag, eu, w)
     np.add.at(diag, ev, w)
     rows = np.concatenate([eu, np.arange(n)])
     cols = np.concatenate([ev, np.arange(n)])
-    vals = np.concatenate([-w, diag])
+    vals = np.concatenate([off, diag])
     return SparseSymMatrix.from_entries(n, rows, cols, vals)
+
+
+def _ring_plus_chords(n: int, chords: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Edges (eu < ev, sorted) of the ring on n nodes, or the one edge at n =
+    2, plus up to chords random ones; a draw of a loop or of an edge already
+    there adds nothing."""
+    if n == 2:
+        return np.array([0]), np.array([1])
+    edges = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
+    for _ in range(chords):
+        u, v = rng.integers(0, n, size=2)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    eu, ev = np.array(sorted(edges), dtype=np.int64).T
+    return eu, ev
 
 
 def path_graph(n: int, slack: float = 1.0) -> SparseSymMatrix:
     """Path on n nodes, unit edge weights, slack added to every diagonal."""
     if n < 1:
         raise InvalidParamsError("n must be at least 1")
-    if slack <= 0.0:
-        raise InvalidParamsError("slack must be positive")
     idx = np.arange(n - 1)
-    return _laplacian_plus_slack(n, idx, idx + 1, np.ones(n - 1), slack)
+    return _laplacian_plus_slack(n, idx, idx + 1, -np.ones(n - 1), slack)
 
 
 def grid2d(side: int, slack: float = 1.0) -> SparseSymMatrix:
     """side x side grid with 4-neighbor unit edges; n = side**2."""
     if side < 1:
         raise InvalidParamsError("side must be at least 1")
-    if slack <= 0.0:
-        raise InvalidParamsError("slack must be positive")
     n = side * side
     ids = np.arange(n).reshape(side, side)
     eu = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
     ev = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
-    return _laplacian_plus_slack(n, eu, ev, np.ones(eu.size), slack)
+    return _laplacian_plus_slack(n, eu, ev, -np.ones(eu.size), slack)
 
 
 def random_regular(n: int, degree: int = 3, *, seed: int = 0,
@@ -59,14 +74,13 @@ def random_regular(n: int, degree: int = 3, *, seed: int = 0,
 
     Pairings with self-loops or repeated edges are rejected and redrawn
     from the next substream; a couple hundred attempts is far more than
-    enough for the sizes used here.
+    enough for the sizes used here.  A repeated edge shows as equal
+    neighbours among the sorted keys eu * n + ev.
     """
     if n < 2 or degree < 1 or degree >= n:
         raise InvalidParamsError("need 2 <= degree + 1 <= n")
     if (n * degree) % 2 != 0:
         raise InvalidParamsError("n * degree must be even")
-    if slack <= 0.0:
-        raise InvalidParamsError("slack must be positive")
     stubs = np.repeat(np.arange(n), degree)
     for attempt in range(200):
         rng = stream(seed, TAG_GEN, attempt)
@@ -75,9 +89,10 @@ def random_regular(n: int, degree: int = 3, *, seed: int = 0,
         ev = np.maximum(pairs[:, 0], pairs[:, 1])
         if np.any(eu == ev):
             continue
-        if np.unique(np.stack([eu, ev], axis=1), axis=0).shape[0] != eu.size:
+        keys = np.sort(eu * n + ev)
+        if np.any(keys[1:] == keys[:-1]):
             continue
-        return _laplacian_plus_slack(n, eu, ev, np.ones(eu.size), slack)
+        return _laplacian_plus_slack(n, eu, ev, -np.ones(eu.size), slack)
     raise InvalidParamsError("could not realize a simple regular graph")
 
 
@@ -91,55 +106,22 @@ def sdd_mixed(n: int, *, seed: int = 0, slack: float = 1.0,
     """
     if n < 2:
         raise InvalidParamsError("n must be at least 2")
-    if slack <= 0.0:
-        raise InvalidParamsError("slack must be positive")
     if not 0.0 < flip_fraction <= 1.0:
         raise InvalidParamsError("flip_fraction must be in (0, 1]")
     rng = stream(seed, TAG_GEN, 0xD1)
-    edges = set()
-    if n == 2:
-        edges.add((0, 1))
-    else:
-        for i in range(n):
-            edges.add((min(i, (i + 1) % n), max(i, (i + 1) % n)))
-        for _ in range(n // 2):
-            u, v = rng.integers(0, n, size=2)
-            if u != v:
-                edges.add((min(u, v), max(u, v)))
-    eu, ev = np.array(sorted(edges), dtype=np.int64).T
-    m = eu.size
-    w = rng.uniform(0.5, 1.5, size=m)
-    pos = rng.random(m) < flip_fraction
+    eu, ev = _ring_plus_chords(n, n // 2, rng)
+    w = rng.uniform(0.5, 1.5, size=eu.size)
+    pos = rng.random(eu.size) < flip_fraction
     if not np.any(pos):
         pos[0] = True
-    offdiag = np.where(pos, w, -w)
-    diag = np.full(n, float(slack))
-    np.add.at(diag, eu, w)
-    np.add.at(diag, ev, w)
-    rows = np.concatenate([eu, np.arange(n)])
-    cols = np.concatenate([ev, np.arange(n)])
-    vals = np.concatenate([offdiag, diag])
-    return SparseSymMatrix.from_entries(n, rows, cols, vals)
+    return _laplacian_plus_slack(n, eu, ev, np.where(pos, w, -w), slack)
 
 
 def random_sddm(n: int, *, seed: int = 0, slack: float = 1.0) -> SparseSymMatrix:
     """Random SDDM test matrix: ring plus chords, varied weights and slack."""
     if n < 2:
         raise InvalidParamsError("n must be at least 2")
-    if slack <= 0.0:
-        raise InvalidParamsError("slack must be positive")
     rng = stream(seed, TAG_GEN, 0xA5)
-    edges = set()
-    if n == 2:
-        edges.add((0, 1))
-    else:
-        for i in range(n):
-            edges.add((min(i, (i + 1) % n), max(i, (i + 1) % n)))
-        for _ in range(int(np.ceil(0.7 * n))):
-            u, v = rng.integers(0, n, size=2)
-            if u != v:
-                edges.add((min(u, v), max(u, v)))
-    eu, ev = np.array(sorted(edges), dtype=np.int64).T
+    eu, ev = _ring_plus_chords(n, int(np.ceil(0.7 * n)), rng)
     w = rng.uniform(0.5, 1.5, size=eu.size)
-    per_row = slack * rng.uniform(0.5, 1.5, size=n)
-    return _laplacian_plus_slack(n, eu, ev, w, per_row)
+    return _laplacian_plus_slack(n, eu, ev, -w, slack * rng.uniform(0.5, 1.5, size=n))

@@ -32,34 +32,20 @@ DENSE_CHECK_LIMIT = 512
 PD_FLOOR = 1e-12
 
 
-class DenseSym:
-    """Dense symmetric matrix wrapper; enforces symmetry at construction."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: np.ndarray):
-        a = np.asarray(values, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatchError("DenseSym requires a square array")
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteError("DenseSym requires finite entries")
-        scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-        if np.max(np.abs(a - a.T), initial=0.0) > 1e-12 * scale:
-            raise NonSymmetricError("asymmetry exceeds 1e-12 relative tolerance")
-        self.values = 0.5 * (a + a.T)
-        self.values.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
 def _as_dense_array(m) -> np.ndarray:
-    if isinstance(m, DenseSym):
-        return np.array(m.values)
+    """A fresh dense copy of a sparse matrix, or the symmetric part of a
+    square, finite array whose asymmetry is within 1e-12 of its scale."""
     if isinstance(m, SparseSymMatrix):
         return m.to_dense()
-    return DenseSym(np.asarray(m, dtype=np.float64)).values.copy()
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatchError("a dense matrix must be a square array")
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteError("a dense matrix must have finite entries")
+    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
+    if np.max(np.abs(a - a.T), initial=0.0) > 1e-12 * scale:
+        raise NonSymmetricError("asymmetry exceeds 1e-12 relative tolerance")
+    return 0.5 * (a + a.T)
 
 
 def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -198,7 +184,7 @@ def spectral_radius(x) -> float:
 
     Raises TooLargeForDenseCheckError above DENSE_CHECK_LIMIT rows.
     """
-    n = x.n if isinstance(x, (SparseSymMatrix, DenseSym)) else len(x)
+    n = x.n if isinstance(x, SparseSymMatrix) else len(x)
     if n > DENSE_CHECK_LIMIT:
         raise TooLargeForDenseCheckError(
             f"n = {n} exceeds the dense check limit {DENSE_CHECK_LIMIT}")

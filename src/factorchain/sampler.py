@@ -30,19 +30,16 @@ from .errors import (
     DimensionMismatchError,
     InvalidParamsError,
     NonFiniteError,
-    NotSddError,
     check_eps,
 )
 from .rng import TAG_SAMPLE, seek_each, stream
 from .sparse import (
-    GrembanLift,
     SparseSymMatrix,
     edge_factor,
     gremban_embed,
     gremban_lift,
     gremban_project,
     normalize,
-    sdd_slack,
     validate_sddm,
 )
 
@@ -67,11 +64,16 @@ _OUTPUT_BYTES = 2**30
 
 @dataclass(frozen=True)
 class GaussianField:
-    """Density proportional to exp(-x' Lambda x / 2 + h' x)."""
+    """Density proportional to exp(-x' Lambda x / 2 + h' x).
+
+    lifted is the Gremban lift of a precision that is SDD but not SDDM, of
+    twice its dimension, which the sampler factors in its place; it is
+    None for an SDDM precision.
+    """
 
     precision: SparseSymMatrix
     potential: np.ndarray
-    lifted: GrembanLift | None = None
+    lifted: SparseSymMatrix | None = None
 
     @property
     def n(self) -> int:
@@ -88,16 +90,11 @@ def _potential(values, n: int) -> np.ndarray:
 
 
 def make_field(precision: SparseSymMatrix, potential=None) -> GaussianField:
-    """Wrap a precision matrix, lifting it when it is SDD but not SDDM."""
+    """Wrap a precision matrix, lifting it when it is SDD but not SDDM;
+    gremban_lift refuses one that is not strictly diagonally dominant."""
     n = precision.n
     h = np.zeros(n) if potential is None else _potential(potential, n)
-    cert = validate_sddm(precision)
-    if cert.is_sddm:
-        lift = None
-    elif n > 0 and np.all(sdd_slack(precision) > 0.0):
-        lift = gremban_lift(precision)
-    else:
-        raise NotSddError("precision must be strictly diagonally dominant")
+    lift = None if validate_sddm(precision).is_sddm else gremban_lift(precision)
     return GaussianField(precision=precision, potential=h, lifted=lift)
 
 
@@ -107,12 +104,6 @@ class PreparedSampler:
     operator: object
     mean: np.ndarray
     eps: float
-
-
-def _refined_operator(field: GaussianField, eps: float):
-    target = field.lifted.S if field.lifted is not None else field.precision
-    split = normalize(target, validate_sddm(target))
-    return target, refine_by_cost(target, split, eps / REFINE_SHARE)
 
 
 def _mean_of(op, potential: np.ndarray, lifted: bool) -> np.ndarray:
@@ -131,7 +122,9 @@ def prepare(field: GaussianField, eps: float) -> PreparedSampler:
     REFINE_SHARE, as factorchain sample records for a stored operator.
     """
     check_eps(eps)
-    _, refined = _refined_operator(field, eps)
+    target = field.precision if field.lifted is None else field.lifted
+    refined = refine_by_cost(target, normalize(target, validate_sddm(target)),
+                             eps / REFINE_SHARE)
     mean = _mean_of(refined, field.potential, field.lifted is not None)
     return PreparedSampler(field=field, operator=refined, mean=mean,
                            eps=refined.refinement.eps)
@@ -142,7 +135,6 @@ class SampleBatch:
     samples: np.ndarray  # (count, n)
     seed: int
     gaussians_consumed: int
-    mean_used: np.ndarray
     eps: float
 
 
@@ -196,8 +188,7 @@ def _color(op, mean: np.ndarray, count: int, seed: int, eps: float,
         y += mean[:, None]
         out[start:stop] = y.T
         del y
-    return SampleBatch(samples=out, seed=seed, gaussians_consumed=count * dim,
-                       mean_used=mean.copy(), eps=eps)
+    return SampleBatch(samples=out, seed=seed, gaussians_consumed=count * dim, eps=eps)
 
 
 def sample(prep: PreparedSampler, count: int, seed: int) -> SampleBatch:
@@ -211,17 +202,16 @@ def sample(prep: PreparedSampler, count: int, seed: int) -> SampleBatch:
 def sample_edge_based(field: GaussianField, eps: float, count: int, seed: int) -> SampleBatch:
     """Like sample, but the noise is indexed by edges and slack columns.
 
-    The colored vector is Z (B z) for the exact factor B B^T = Lambda (or
-    its lift), consuming m' > n normals per sample with the same
-    covariance target.
+    The colored vector is Z (B z) for prepare's factor Z and the exact
+    factor B B^T = Lambda (or its lift), consuming m' > n normals per
+    sample with the same covariance target.  C C^T = Z Lambda Z is
+    certified to twice prepare's eps, which the batch records.
     """
     if count < 0:
         raise InvalidParamsError("count must be nonnegative")
-    check_eps(eps)
-    target, refined = _refined_operator(field, eps)
-    op = EdgeOperator(refined, edge_factor(target))
-    lifted = field.lifted is not None
-    return _color(op, _mean_of(refined, field.potential, lifted), count, seed, eps, lifted)
+    prep = prepare(field, eps)
+    op = EdgeOperator(prep.operator, edge_factor(prep.operator.matrix))
+    return _color(op, prep.mean, count, seed, 2.0 * prep.eps, field.lifted is not None)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Sparse symmetric matrices and SDDM structure.
 
 The carrier type stores one matrix: the full symmetric expansion in CSR
-form, three read-only numpy arrays (indptr, indices, data) with sorted
-column indices, no duplicates and no explicit zeros.  Every operation on
+form, three read-only numpy arrays (indptr, indices, data) with int32
+indices, sorted within each row, no duplicates and no explicit zeros
+(_csr_arrays refuses a size past int32).  Every operation on
 them runs through scipy's compiled CSR kernels (scipy.sparse._sparsetools)
 in the sequence scipy's csr_matrix methods run them, so each result has
 the bits scipy's gave:
@@ -144,10 +145,17 @@ _sparsetools = sys.modules.get(_SPARSETOOLS) or _load_sparsetools(_scipy_sparse_
 _INT32_MAX = int(np.iinfo(np.int32).max)
 
 
-def _index_dtype(maxval: int):
-    """int32 indices while every index and count fits, as scipy picks them;
-    the kernels' sums do not depend on it."""
-    return np.int32 if maxval <= _INT32_MAX else np.int64
+def _csr_arrays(n: int, nnz: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fresh CSR arrays (indptr, indices, data) for n rows and nnz entries.
+
+    Indices are int32, as scipy picks them while every index and count
+    fits; a dimension or entry count past int32 is refused before anything
+    is allocated.  SQUARE_BYTE_CAP keeps every chain level far below it.
+    """
+    if max(n, nnz) > _INT32_MAX:
+        raise DimensionMismatchError(
+            f"n = {n} with {nnz} stored entries passes the int32 indices of a CSR")
+    return np.empty(n + 1, np.int32), np.empty(nnz, np.int32), np.empty(nnz)
 
 
 class SparseSymMatrix:
@@ -181,12 +189,11 @@ class SparseSymMatrix:
             raise NonSymmetricError("internal: entries must satisfy row <= col")
         off = rows != cols
         nnz = rows.size + int(np.count_nonzero(off))
-        idx = _index_dtype(max(nnz, n))
-        indptr, indices, data = np.empty(n + 1, idx), np.empty(nnz, idx), np.empty(nnz)
+        indptr, indices, data = _csr_arrays(n, nnz)
         _sparsetools.coo_tocsr(
             n, n, nnz,
-            np.concatenate([rows, cols[off]]).astype(idx),
-            np.concatenate([cols, rows[off]]).astype(idx),
+            np.concatenate([rows, cols[off]]).astype(np.int32),
+            np.concatenate([cols, rows[off]]).astype(np.int32),
             np.concatenate([vals, vals[off]]),
             indptr, indices, data)
         self._store(n, indptr, indices, data)
@@ -405,21 +412,15 @@ def dense_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _eye(n: int, value: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The CSR of value * I, as scipy scales its identity."""
-    idx = _index_dtype(n)
-    return np.arange(n + 1, dtype=idx), np.arange(n, dtype=idx), np.full(n, value)
+    return np.arange(n + 1, dtype=np.int32), np.arange(n, dtype=np.int32), np.full(n, value)
 
 
 def _plus(n: int, a, b) -> SparseSymMatrix:
     """A + B for two canonical CSR triples (indptr, indices, data), through
     csr_plus_csr as scipy's + runs it; entries that cancel are dropped."""
     (ap, aj, ax), (bp, bj, bx) = a, b
-    most = ax.size + bx.size
-    idx = _index_dtype(most)
-    indptr, indices, data = np.empty(n + 1, idx), np.empty(most, idx), np.empty(most)
-    _sparsetools.csr_plus_csr(
-        n, n, ap.astype(idx, copy=False), aj.astype(idx, copy=False), ax,
-        bp.astype(idx, copy=False), bj.astype(idx, copy=False), bx,
-        indptr, indices, data)
+    indptr, indices, data = _csr_arrays(n, ax.size + bx.size)
+    _sparsetools.csr_plus_csr(n, n, ap, aj, ax, bp, bj, bx, indptr, indices, data)
     return SparseSymMatrix._from_csr(n, indptr, indices, data)
 
 
@@ -431,10 +432,9 @@ def identity_minus_scaled(c: float, m: SparseSymMatrix) -> SparseSymMatrix:
 def square(x: SparseSymMatrix) -> SparseSymMatrix:
     """Return X @ X."""
     n = x.n
-    nnz = int(_sparsetools.csr_matmat_maxnnz(n, n, x.indptr, x.indices, x.indptr, x.indices))
-    idx = _index_dtype(nnz)
-    xp, xj = x.indptr.astype(idx, copy=False), x.indices.astype(idx, copy=False)
-    indptr, indices, data = np.empty(n + 1, idx), np.empty(nnz, idx), np.empty(nnz)
+    xp, xj = x.indptr, x.indices
+    nnz = int(_sparsetools.csr_matmat_maxnnz(n, n, xp, xj, xp, xj))
+    indptr, indices, data = _csr_arrays(n, nnz)
     _sparsetools.csr_matmat(n, n, xp, xj, x.data, xp, xj, x.data, indptr, indices, data)
     return SparseSymMatrix._from_csr(n, indptr, indices, data)
 
@@ -454,11 +454,6 @@ def blend(x: SparseSymMatrix, y: SparseSymMatrix, wx: float = 0.5, wy: float = 0
     if x.n != y.n:
         raise DimensionMismatchError("blend: dimension mismatch")
     return _plus(x.n, x._scaled(wx), y._scaled(wy))
-
-
-def identity(n: int) -> SparseSymMatrix:
-    idx = np.arange(n)
-    return SparseSymMatrix(n, idx, idx, np.ones(n))
 
 
 # -- SDDM structure ----------------------------------------------------------
@@ -506,8 +501,6 @@ class EdgeFactor:
     b: scipy.sparse.csc_matrix
     n: int
     m_prime: int
-    n_edges: int
-    n_slack: int
 
 
 def edge_factor(m: SparseSymMatrix) -> EdgeFactor:
@@ -527,7 +520,7 @@ def edge_factor(m: SparseSymMatrix) -> EdgeFactor:
     import scipy.sparse
 
     b = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(m.n, n_e + n_s))
-    return EdgeFactor(b=b, n=m.n, m_prime=n_e + n_s, n_edges=n_e, n_slack=n_s)
+    return EdgeFactor(b=b, n=m.n, m_prime=n_e + n_s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -748,28 +741,19 @@ def normalize(m: SparseSymMatrix, cert: SddmCertificate) -> Splitting:
 # -- Gremban lifting ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrembanLift:
-    """SDDM lift S of an SDD matrix with positive off-diagonals.
-
-    S acts on R^{2n}; vectors v of the original problem embed as
-    (v, -v)/sqrt(2) and solutions project back through gremban_project.
-    """
-
-    S: SparseSymMatrix
-    n_original: int
-
-
-def gremban_lift(lam: SparseSymMatrix) -> GrembanLift:
+def gremban_lift(lam: SparseSymMatrix) -> SparseSymMatrix:
     """Lift SDD Lambda = D + A_n + A_p to S = [[D + A_n, -A_p], [-A_p, D + A_n]].
 
     A_n holds the nonpositive off-diagonals and A_p the positive ones.  The
     lift is SDDM whenever Lambda is strictly dominant, and satisfies
-    Lambda^{-1} = (1/2) [I, -I] S^{-1} [I; -I] exactly.
+    Lambda^{-1} = (1/2) [I, -I] S^{-1} [I; -I] exactly.  S acts on R^{2n}:
+    vectors of the original problem embed as (v, -v)/sqrt(2)
+    (gremban_embed) and solutions project back through gremban_project.
     """
     slack = sdd_slack(lam)
     if lam.n == 0 or not np.all(slack > 0.0):
-        raise NotSddError("gremban_lift requires strict diagonal dominance")
+        raise NotSddError("matrix is not strictly diagonally dominant: "
+                          "neither SDDM nor liftable to SDDM")
     n = lam.n
     r, c, v = lam.upper_triangle()
     # A_p: the positive off-diagonals; the diagonal, which dominance makes
@@ -777,12 +761,11 @@ def gremban_lift(lam: SparseSymMatrix) -> GrembanLift:
     # D + A_n at (i, j) and (i + n, j + n), -A_p at (i, j + n) and (j, i + n)
     pos = (v > 0.0) & (r != c)
     dn = ~pos
-    s = SparseSymMatrix(
+    return SparseSymMatrix(
         2 * n,
         np.concatenate([r[dn], r[dn] + n, r[pos], c[pos]]),
         np.concatenate([c[dn], c[dn] + n, c[pos] + n, r[pos] + n]),
         np.concatenate([v[dn], v[dn], -v[pos], -v[pos]]))
-    return GrembanLift(S=s, n_original=n)
 
 
 def gremban_project(v: np.ndarray) -> np.ndarray:

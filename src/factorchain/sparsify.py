@@ -95,7 +95,6 @@ class SparsifyReport:
     average.
     """
 
-    nnz_in: int
     nnz_out: int
     eps_requested: float
     eps_measured: float | None
@@ -235,8 +234,7 @@ def sparsify_square_step(x: SparseSymMatrix,
     else:
         measured = None
     report = SparsifyReport(
-        nnz_in=x.nnz, nnz_out=xt.nnz,
-        eps_requested=params.eps, eps_measured=measured,
+        nnz_out=xt.nnz, eps_requested=params.eps, eps_measured=measured,
         merge_attempts=attempts, merge_fallback=fallback,
     )
     return xt, report

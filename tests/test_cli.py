@@ -158,6 +158,17 @@ def test_factor_gremban_requires_inverse(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flags", [[], ["--gremban"], ["--gremban", "--p", "0.5"]],
+                         ids=["plain", "gremban", "gremban_direct"])
+def test_factor_rejects_non_sdd_exit_2(tmp_path, flags, capsys):
+    # weakly dominant rows: neither SDDM nor liftable, whatever the flags
+    mfile, out = tmp_path / "m.mtx", tmp_path / "x.fcop"
+    write_matrix(mfile, SparseSymMatrix.from_dense(np.array([[1.0, 2.0], [2.0, 1.0]])))
+    assert main(["factor", str(mfile), "--out", str(out)] + flags) == 2
+    assert "not strictly diagonally dominant" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_factor_rejects_bad_exponent(tmp_path, grid_file):
     rc = main(["factor", str(grid_file), "--p", "1.5",
                "--out", str(tmp_path / "x.fcop")])

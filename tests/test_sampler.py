@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import os
 import platform
@@ -19,6 +21,7 @@ from factorchain import (
     covariance_check,
     dense_power,
     grid2d,
+    loewner_check,
     make_field,
     normalize,
     prepare,
@@ -31,7 +34,7 @@ from factorchain import (
     write_batch_csv,
 )
 from factorchain import sampler
-from factorchain.chain import edge_factor
+from factorchain.chain import EdgeOperator, edge_factor
 from factorchain.rng import TAG_SAMPLE, seek_each, stream
 from factorchain.sampler import SampleBatch
 
@@ -50,7 +53,7 @@ def test_make_field_lifts_positive_offdiagonals():
     m = sdd_mixed(10, seed=2)
     field = make_field(m)
     assert field.lifted is not None
-    assert field.lifted.n_original == 10
+    assert field.lifted.n == 20
     assert field.n == 10
 
 
@@ -303,7 +306,10 @@ def test_mean_within_standard_error():
     se = np.sqrt(np.diag(target) / count)
     dev = np.abs(batch.samples.mean(axis=0) - prep.mean)
     assert np.all(dev <= 4.0 * se)
-    assert np.array_equal(batch.mean_used, prep.mean)
+    # the batch adds the prepared mean to the coloured noise
+    few = sample(prep, 8, seed=11)
+    noise = sample(dataclasses.replace(prep, mean=np.zeros(16)), 8, seed=11)
+    assert np.array_equal(few.samples, noise.samples + prep.mean)
 
 
 def test_lifted_sampling_covariance():
@@ -329,6 +335,29 @@ def test_edge_based_accounting_and_covariance(grid9):
     assert res.pass_fraction >= 0.95
 
 
+def test_edge_based_records_the_eps_it_certifies():
+    # C C^T = Z M Z is certified to twice prepare's eps; the samples are
+    # the bits the edge sampler drew before it went through prepare
+    m = grid2d(4)
+    field = make_field(m, np.ones(m.n))
+    prep = prepare(field, 0.2)
+    batch = sample_edge_based(field, 0.2, 64, seed=3)
+    assert prep.eps == 0.025 and batch.eps == 2.0 * prep.eps
+    assert hashlib.sha256(batch.samples.tobytes()).hexdigest() == (
+        "2c008013220c32352d0833e26d20c13da4e0ecb49b9a97dec525e86908f1e712")
+    dense = EdgeOperator(prep.operator, edge_factor(m)).as_dense()
+    res = loewner_check(dense @ dense.T, dense_power(m.to_dense(), -1.0), batch.eps)
+    assert res.passed and res.eps_measured > prep.eps
+
+
+def test_edge_based_lifted_keeps_its_samples():
+    field = make_field(sdd_mixed(8, seed=1), np.linspace(-1.0, 1.0, 8))
+    batch = sample_edge_based(field, 0.3, 16, seed=5)
+    assert batch.eps == 2.0 * prepare(field, 0.3).eps
+    assert hashlib.sha256(batch.samples.tobytes()).hexdigest() == (
+        "3a99d352988b9422fcc5ea5ae4219c324e46fca1f603adf4cdc1dc3523470f14")
+
+
 def test_edge_based_diagonal_precision_scales_normals():
     m = SparseSymMatrix.from_dense(np.diag([4.0, 9.0]))
     batch = sample_edge_based(make_field(m), 1e-6, 20_000, seed=1)
@@ -346,8 +375,7 @@ def exact_batch(target, count, seed):
     c = np.linalg.cholesky(target)
     samples = rng.standard_normal((count, target.shape[0])) @ c.T
     return SampleBatch(samples=samples, seed=seed,
-                       gaussians_consumed=count * target.shape[0],
-                       mean_used=np.zeros(target.shape[0]), eps=0.0)
+                       gaussians_consumed=count * target.shape[0], eps=0.0)
 
 
 def test_covariance_check_calibration():

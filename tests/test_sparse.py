@@ -1,5 +1,6 @@
 import itertools
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 
 from factorchain import (
     DimensionMismatchError,
-    GrembanLift,
     InvalidParamsError,
     NonFiniteError,
     NonSymmetricError,
@@ -37,7 +37,6 @@ from factorchain.sparse import (
     SpectrumBounds,
     blend,
     dense_matvec,
-    identity,
     identity_minus_scaled,
     nonneg_spectral_radius,
     power_iteration,
@@ -95,6 +94,26 @@ def test_from_dense_rejects_nan():
         SparseSymMatrix.from_dense(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def test_a_size_past_int32_is_refused_before_allocating():
+    # n = 2**31 would need a 16 GB indptr: the constructor refuses it first
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatchError, match="int32"):
+            SparseSymMatrix(2**31, [], [], [])
+        with pytest.raises(DimensionMismatchError, match="int32"):
+            sparse_module._csr_arrays(4, 2**31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_every_csr_holds_int32_indices(grid9):
+    for m in (grid9, square(grid9), blend(grid9, grid9), identity_minus_scaled(0.1, grid9),
+              grid9.scaled_shift(2.0, 1.0), gremban_lift(sdd_mixed(8, seed=1))):
+        assert m.indptr.dtype == m.indices.dtype == np.int32
+
+
 @settings(deadline=None, max_examples=50)
 @given(st.integers(1, 8), st.integers(0, 10_000))
 def test_matvec_matches_dense(n, seed):
@@ -140,7 +159,7 @@ def test_square_matches_dense_square(n, seed):
 
 
 def test_blend_weights():
-    a = identity(3)
+    a = SparseSymMatrix.from_dense(np.eye(3))
     b = SparseSymMatrix.from_dense(np.full((3, 3), 2.0))
     out = blend(a, b, 0.25, 0.5).to_dense()
     assert np.allclose(out, 0.25 * np.eye(3) + np.full((3, 3), 1.0))
@@ -325,7 +344,7 @@ BOUND_FAMILIES = {
     "random_regular": lambda seed: random_regular(32 * (1 + seed % 16), 3, seed=seed,
                                                   slack=10.0 ** -(seed % 5)),
     "random_sddm": lambda seed: random_sddm(10 + seed % 300, seed=seed),
-    "lifted_sdd_mixed": lambda seed: gremban_lift(sdd_mixed(8 + seed % 120, seed=seed)).S,
+    "lifted_sdd_mixed": lambda seed: gremban_lift(sdd_mixed(8 + seed % 120, seed=seed)),
     "log_uniform_slack": lambda seed: with_slack(
         grid2d(4 + seed % 13) if seed % 2 else random_regular(32 * (1 + seed % 16), 3, seed=seed),
         log_uniform(np.random.default_rng(seed), 1e-6, 0.1, 512)[:(4 + seed % 13) ** 2
@@ -364,7 +383,7 @@ def test_proven_bounds_hold_on_every_family(family, seed):
 
 
 @pytest.mark.parametrize("m", [grid2d(12), random_sddm(200, seed=1),
-                               gremban_lift(sdd_mixed(64, seed=2)).S],
+                               gremban_lift(sdd_mixed(64, seed=2))],
                          ids=["grid12", "sddm200", "lifted_sdd_mixed64"])
 def test_proven_radius_holds_on_a_step_the_merge_thins(m):
     # at a chain's step target the merge keeps nearly every edge of a small
@@ -440,9 +459,9 @@ def test_gremban_lift_block_structure():
     for lam in (small, sdd_mixed(64, seed=0)):
         lift = gremban_lift(lam)
         n = lam.n
-        assert isinstance(lift, GrembanLift)
-        assert lift.n_original == n
-        s = lift.S.to_dense()
+        assert isinstance(lift, SparseSymMatrix)
+        assert lift.n == 2 * n
+        s = lift.to_dense()
         a = lam.to_dense()
         d = np.diag(np.diag(a))
         an = np.minimum(a - d, 0.0)
@@ -452,7 +471,7 @@ def test_gremban_lift_block_structure():
         assert np.array_equal(s[n:, n:], d + an)
         assert np.array_equal(s[:n, n:], -ap)
         assert np.array_equal(s[n:, :n], -ap)
-        assert validate_sddm(lift.S).is_sddm
+        assert validate_sddm(lift).is_sddm
 
 
 def test_gremban_lift_rejects_non_sdd():
@@ -470,8 +489,7 @@ def test_gremban_embed_project_are_adjoint_sections():
 @given(st.integers(2, 8), st.integers(0, 10_000))
 def test_gremban_solve_projects_to_original_solve(n, seed):
     lam = sdd_pos_offdiag(n, seed)
-    lift = gremban_lift(SparseSymMatrix.from_dense(lam))
-    s = lift.S.to_dense()
+    s = gremban_lift(SparseSymMatrix.from_dense(lam)).to_dense()
     b = np.random.default_rng(seed + 7).standard_normal(n)
     x_lift = gremban_project(np.linalg.solve(s, gremban_embed(b)))
     assert np.allclose(x_lift, np.linalg.solve(lam, b), atol=1e-8)

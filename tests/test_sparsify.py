@@ -18,7 +18,7 @@ from factorchain import (
     sparsify_square_step,
     validate_sddm,
 )
-from factorchain.sparse import blend, identity, identity_minus_scaled, square
+from factorchain.sparse import blend, identity_minus_scaled, square
 from factorchain import sparsify
 from factorchain.sparsify import (
     MERGE_ATTEMPTS,
@@ -251,6 +251,3 @@ def test_step_nonnegative_across_seeds():
             split.X, SparsifyParams(eps=0.5, seed=seed, mode="sampled"))
         assert out.min_value() >= 0.0
 
-
-def test_identity_matrix_helper():
-    assert np.array_equal(identity(3).to_dense(), np.eye(3))
